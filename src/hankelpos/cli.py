@@ -43,7 +43,7 @@ from .hankel import (
     norm_estimate,
     positivity_certificate,
     section_from_measure,
-    symbol_kernel,
+    section_from_moments,
     verify_rp_transport,
 )
 from .measures import (
@@ -51,11 +51,12 @@ from .measures import (
     MeasureSpecError,
     cayley_pushforward,
     load_measure,
+    moments,
     widom_check,
 )
 from .pick import symbol_bound, symbol_h_samples, symbol_samples_csv
 from .quadrature import QuadratureError
-from .verify import run_suites
+from .verify import kernel_residuals, run_suites
 
 __all__ = ["main"]
 
@@ -66,8 +67,6 @@ _BOUNDED_ONLY = ("report", "symbol", "kernel-check", "transport")
 
 #: Section sizes reported by the ``report`` command.
 _REPORT_SIZES = (8, 16, 32, 64)
-
-_KERNEL_PROBES = (1j, 2j, 1.0 + 1j)
 
 
 class _CommandError(Exception):
@@ -159,27 +158,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _kernel_residuals(mu: Measure, samples) -> dict:
-    entries = []
-    worst = 0.0
-    for z in _KERNEL_PROBES:
-        for w in _KERNEL_PROBES:
-            via_measure = symbol_kernel(z, w, mode="measure", mu=mu)
-            via_boundary = symbol_kernel(z, w, mode="boundary", samples=samples)
-            rel = abs(via_boundary - via_measure) / max(abs(via_measure), 1e-12)
-            worst = max(worst, rel)
-            entries.append(
-                {"z": [z.real, z.imag], "w": [w.real, w.imag], "rel_residual": rel}
-            )
-    return {"probes": entries, "max_rel_residual": worst}
-
-
 def _sections_block(mu: Measure) -> dict:
     base = cayley_pushforward(mu) if mu.domain == "halfplane" else mu
+    c = moments(base, 2 * max(_REPORT_SIZES) - 1)
     norms = []
     min_eigs = []
     for n in _REPORT_SIZES:
-        section = section_from_measure(base, n)
+        section = section_from_moments(c, n)
         norms.append(norm_estimate(section))
         min_eigs.append(positivity_certificate(section).min_eig)
     return {"N": list(_REPORT_SIZES), "norms": norms, "min_eigs": min_eigs}
@@ -200,7 +185,7 @@ def _cmd_report(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str
             "bound": symbol_bound(mu),
             "jumps": list(samples.jumps),
         },
-        "residuals": _kernel_residuals(mu, samples),
+        "residuals": kernel_residuals(mu, samples),
     }
     return _json_text(payload), 0
 
@@ -229,7 +214,7 @@ def _cmd_kernel_check(
     _require_bounded(mu, "kernel-check")
     tol = args.tol if args.tol is not None else 1e-6
     samples = symbol_h_samples(mu, n=args.grid)
-    residuals = _kernel_residuals(mu, samples)
+    residuals = kernel_residuals(mu, samples)
     ok = residuals["max_rel_residual"] <= tol
     payload = {
         "schema_version": SCHEMA_VERSION,

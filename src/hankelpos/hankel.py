@@ -18,7 +18,10 @@ kernel
 
 (Im z, Im w > 0), computable in ``boundary``, ``measure``, or ``rank_one``
 mode; real additive constants in h are invisible (both kernel poles sit in the
-upper half-plane).  :func:`verify_rp_transport` checks the polar-transported
+upper half-plane).  Measure mode is ``(S(a) - S(b)) / (4 pi^2 (b - a))`` with
+``a = -i z``, ``b = i conj(w)`` and S the Stieltjes transform of
+:func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b).
+:func:`verify_rp_transport` checks the polar-transported
 boundary integral ``u |delta|`` against the measure mode, and
 :func:`polar_decomposition_check` verifies that ``h = delta / conj(g*)^2`` is
 unimodular on the boundary once the outer factor g of |delta|^(1/2) is divided
@@ -48,8 +51,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import hankel as _hankel_matrix
 
-from .measures import Measure, laplace_transform, moments, piece_integral
-from .pick import SymbolSamples, delta_values, symbol_samples_csv  # noqa: F401
+from .measures import Measure, laplace_transform, moments, stieltjes
+from .pick import SymbolSamples, delta_values
 from .quadrature import integrate, integrate_real_line
 from .kernels import TWO_PI, circle_nodes
 
@@ -305,8 +308,10 @@ def symbol_kernel(
 ) -> complex:
     """K_h(z, w) for Im z, Im w > 0, in one of three equivalent modes.
 
-    * ``measure`` — (1/4 pi^2) int d mu(lambda) / ((lambda - i z)(lambda + i conj(w)));
-      the empty measure gives 0.
+    * ``measure`` — (1/4 pi^2) int d mu(lambda) / ((lambda - i z)(lambda + i conj(w))),
+      through the Stieltjes transform (see the module docstring); the empty
+      measure gives 0.  ``abs_tol``/``rel_tol`` only reach density pieces with
+      an integer exponent other than 0, the one case integrated numerically.
     * ``boundary`` — (1/4 pi^2) int h(x) / ((x - z)(-x - conj(w))) dx from a
       line symbol; real constants added to h integrate to zero.
     * ``rank_one`` — the closed form for a single atom at ``position``:
@@ -319,17 +324,12 @@ def symbol_kernel(
     if mode == "measure":
         if mu is None or mu.domain != "halfplane":
             raise ValueError("measure mode needs a half-line measure mu=")
-        total = 0.0 + 0.0j
-        for a in mu.atoms:
-            total += a.mass / ((a.position - 1j * z) * (a.position + 1j * wbar))
-        for piece in mu.pieces:
-            total += piece_integral(
-                piece,
-                lambda lam: 1.0 / ((lam - 1j * z) * (lam + 1j * wbar)),
-                abs_tol=abs_tol,
-                rel_tol=rel_tol,
-            )
-        return complex(total / _FOUR_PI_SQ)
+        a, b = -1j * z, 1j * wbar
+        tol = {"abs_tol": abs_tol, "rel_tol": rel_tol}
+        if a == b:
+            return complex(stieltjes(mu, a, 2, **tol) / _FOUR_PI_SQ)
+        s_a, s_b = stieltjes(mu, np.array([a, b]), **tol)
+        return complex((s_a - s_b) / (_FOUR_PI_SQ * (b - a)))
 
     if mode == "boundary":
         if samples is None or samples.domain != "halfplane":

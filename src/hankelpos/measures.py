@@ -25,11 +25,17 @@ form or reduces to a one-dimensional adaptive quadrature.  Closed forms used:
   case;
 * Laplace transforms of ``lambda^e`` pieces with ``e > -1``: lower incomplete
   gamma, ``int_l^r lambda^e exp(-lambda t) dlambda
-  = t^-(e+1) Gamma(e+1) (P(e+1, rt) - P(e+1, lt))``.
+  = t^-(e+1) Gamma(e+1) (P(e+1, rt) - P(e+1, lt))``;
+* Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
+  pieces (:func:`stieltjes`), split at ``x = |a|`` so that, for ``Re a >= 0``,
+  every hypergeometric argument stays in the unit disc: ``int_0^x lambda^e
+  (lambda+a)^-k dlambda = x^(e+1) (x+a)^-k F(k, 1; e+2; x/(x+a)) / (e+1)`` and
+  ``int_x^oo = x^(e+1-k) (1+a/x)^-k F(k, 1; k-e; a/(x+a)) / (k-1-e)``;
+  Lebesgue pieces (``e = 0``) use a logarithm.
 
-Everything else (pieces straddling an awkward point, the Moebius-power pieces
-produced by the Cayley pushforward, rho-integrals of general exponents) goes
-through :mod:`hankelpos.quadrature`.
+Everything else (the Moebius-power pieces produced by the Cayley pushforward,
+moments straddling an awkward point, Stieltjes transforms of integer exponents
+other than 0) goes through :mod:`hankelpos.quadrature`.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaln
+from scipy.special import betainc, gammainc, gammaln, hyp2f1
 
 from .quadrature import (
     DEFAULT_ABS_TOL,
@@ -72,6 +78,7 @@ __all__ = [
     "total_mass",
     "mass_interval",
     "laplace_transform",
+    "stieltjes",
     "rho_interval",
     "rho_total",
     "GridSpec",
@@ -515,36 +522,22 @@ def _density_sans_singularity(piece: Piece, side: str):
     return lambda x: np.full(np.shape(x), piece.coeff)
 
 
-def _power_sub_lo(f, piece: Piece, lo: float, hi: float, alpha: float, **tol):
-    # x = lo + u^q with q = 2/(1+alpha): the singular factor (x - lo)^alpha
-    # times the Jacobian q u^{q-1} is exactly q u, which we use directly —
-    # evaluating (x - lo)^alpha in x-space would hit the pole once u^q
+def _power_sub(f, piece: Piece, lo: float, hi: float, alpha: float, side: str, **tol):
+    # x = lo + u^q (or hi - u^q) with q = 2/(1+alpha): the singular factor
+    # |x - endpoint|^alpha times the Jacobian q u^{q-1} is exactly q u, which we
+    # use directly — evaluating it in x-space would hit the pole once u^q
     # underflows below the endpoint's floating-point spacing.
-    regular = _density_sans_singularity(piece, "lo")
+    regular = _density_sans_singularity(piece, side)
     q = 2.0 / (1.0 + alpha)
-    top = (hi - lo) ** (1.0 / q)
+    end, sign = (lo, 1.0) if side == "lo" else (hi, -1.0)
 
     def substituted(u):
         u = np.asarray(u, dtype=float)
-        x = lo + u**q
+        x = end + sign * u**q
         value = regular(x) * (q * u)
         return value if f is None else value * f(x)
 
-    return integrate(substituted, 0.0, top, **tol)
-
-
-def _power_sub_hi(f, piece: Piece, lo: float, hi: float, alpha: float, **tol):
-    regular = _density_sans_singularity(piece, "hi")
-    q = 2.0 / (1.0 + alpha)
-    top = (hi - lo) ** (1.0 / q)
-
-    def substituted(u):
-        u = np.asarray(u, dtype=float)
-        x = hi - u**q
-        value = regular(x) * (q * u)
-        return value if f is None else value * f(x)
-
-    return integrate(substituted, 0.0, top, **tol)
+    return integrate(substituted, 0.0, (hi - lo) ** (1.0 / q), **tol)
 
 
 def piece_integral(
@@ -587,19 +580,19 @@ def piece_integral(
     if math.isinf(hi):
         if a_lo < 0.0:
             mid = lo + 1.0
-            return _power_sub_lo(f, piece, lo, mid, a_lo, **tol) + integrate_halfline(
+            return _power_sub(f, piece, lo, mid, a_lo, "lo", **tol) + integrate_halfline(
                 g, mid, **tol
             )
         return integrate_halfline(g, lo, **tol)
     if a_lo < 0.0 and a_hi < 0.0:
         mid = 0.5 * (lo + hi)
-        return _power_sub_lo(f, piece, lo, mid, a_lo, **tol) + _power_sub_hi(
-            f, piece, mid, hi, a_hi, **tol
+        return _power_sub(f, piece, lo, mid, a_lo, "lo", **tol) + _power_sub(
+            f, piece, mid, hi, a_hi, "hi", **tol
         )
     if a_lo < 0.0:
-        return _power_sub_lo(f, piece, lo, hi, a_lo, **tol)
+        return _power_sub(f, piece, lo, hi, a_lo, "lo", **tol)
     if a_hi < 0.0:
-        return _power_sub_hi(f, piece, lo, hi, a_hi, **tol)
+        return _power_sub(f, piece, lo, hi, a_hi, "hi", **tol)
     return integrate(g, lo, hi, **tol)
 
 
@@ -675,6 +668,64 @@ def _piece_laplace(p: PowerPiece, t: float) -> float:
     return float(piece_integral(p, lambda lam: np.exp(-t * lam)))
 
 
+def stieltjes(mu: Measure, a, k: int = 1, **tol) -> np.ndarray:
+    """``S_k(a) = int d mu(lambda) / (lambda + a)^k`` of a half-line measure.
+
+    Vectorized over ``a`` off the cut ``(-oo, 0]``; ``k`` is 1 or 2.  Pieces
+    with an integer exponent other than 0 take one :func:`piece_integral` per
+    point, the only use of the ``abs_tol``/``rel_tol`` keywords.  Where S_1
+    diverges (unbounded support, ``0 <= e < 1``) its finite part is returned;
+    the real constant it drops does not depend on ``a``, so it cancels in
+    ``S(a) - S(b)`` and in ``Im S``.
+    """
+    if mu.domain != "halfplane":
+        raise ValueError("the Stieltjes transform is defined for half-line measures")
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
+    a = np.asarray(a, dtype=complex)
+    out = np.zeros(a.shape, dtype=complex)
+    for at in mu.atoms:
+        out += at.mass * (at.position + a) ** -k
+    for p in mu.pieces:
+        with np.errstate(all="ignore"):  # e.g. a = 0 on a piece reaching 0: inf or nan
+            out += _piece_stieltjes(p, a, k, *p.support, **tol)
+    return out
+
+
+def _piece_stieltjes(p: PowerPiece, a, k: int, lo: float, hi: float, **tol):
+    """``int_lo^hi p.density / (lambda + a)^k dlambda``, ``a`` a complex scalar or array."""
+    e, c = p.exponent, p.coeff
+    if e != 0.0 and e == int(e):  # the hypergeometric parameters hit poles
+        out = np.empty(np.shape(a), dtype=complex)
+        for idx, av in np.ndenumerate(a):
+            out[idx] = piece_integral(p, lambda lam: (lam + av) ** -k, lo=lo, hi=hi, **tol)
+        return out
+    if e == 0.0:  # tail() below has a pole at e = k - 1 for k = 1; elementary forms
+        if k == 2:
+            return c / (lo + a) if math.isinf(hi) else c * (hi - lo) / ((lo + a) * (hi + a))
+        if math.isinf(hi):
+            return -c * np.log(lo + a)  # the finite part
+        # log1p(u): NumPy's complex log1p loses the real part for small |u|
+        u = (hi - lo) / (lo + a)
+        re, im = u.real, u.imag
+        modulus = 0.5 * np.log1p(re * (2.0 + re) + im * im)
+        # not c * (x + iy): its 0 * inf is nan once x overflows (a -> -lo)
+        return c * modulus + 1j * c * np.arctan2(im, 1.0 + re)
+
+    def head(x):  # int_0^x, continued analytically in e
+        return x ** (e + 1) / (e + 1) * (x + a) ** -k * hyp2f1(k, 1, e + 2, x / (x + a))
+
+    def tail(x):  # int_x^oo, continued analytically in e (finite part)
+        r = np.divide(a, x, out=np.zeros_like(a), where=a != 0)
+        return x ** (e + 1 - k) / (k - 1 - e) * (1 + r) ** -k * hyp2f1(k, 1, k - e, r / (1 + r))
+
+    split = np.clip(np.abs(a), lo, hi)
+    # only the nonempty parts: head(lo) is 0/0 at a = 0, tail(hi) overflows as |a| -> oo
+    below = np.where(split > lo, head(split) - head(lo), 0.0)
+    above = np.where(split < hi, tail(split) - (0.0 if math.isinf(hi) else tail(hi)), 0.0)
+    return c * (below + above)
+
+
 def rho_interval(mu: Measure, interval: tuple[float, float]) -> float:
     """``int_I d mu(lambda) / (1 + lambda^2)`` over ``I = (a, b]`` or ``[a, oo)``.
 
@@ -698,17 +749,8 @@ def rho_interval(mu: Measure, interval: tuple[float, float]) -> float:
     for p in mu.pieces:
         lo, hi = max(p.support[0], a), min(p.support[1], b)
         if hi > lo:
-            out += _piece_rho(p, lo, hi)
+            out += float(_piece_stieltjes(p, -1j, 1, lo, hi).imag)
     return out
-
-
-def _piece_rho(p: PowerPiece, lo: float, hi: float) -> float:
-    if p.exponent == 0.0:
-        upper = 0.5 * math.pi if math.isinf(hi) else math.atan(hi)
-        return p.coeff * (upper - math.atan(lo))
-    return float(
-        piece_integral(p, lambda lam: 1.0 / (1.0 + lam * lam), lo=lo, hi=hi)
-    )
 
 
 def rho_total(mu: Measure) -> float:
@@ -802,11 +844,14 @@ def _moment_j_grid(hi: float, n: int) -> list[int]:
     return sorted(js)
 
 
+def _moment_sup(mu: Measure, j_grid: list[int]) -> float:
+    return max((j + 1) * abs(moment(mu, j)) for j in j_grid)
+
+
 def _disc_constants(
     mu: Measure, span: tuple[float, float], n: int
 ) -> tuple[float, float]:
-    j_grid = _moment_j_grid(span[1], n)
-    beta = max((j + 1) * abs(moment(mu, j)) for j in j_grid)
+    beta = _moment_sup(mu, _moment_j_grid(span[1], n))
     gaps = set(np.clip(_log_grid(span, n), None, 2.0).tolist())
     for a in mu.atoms:
         gaps.update((1.0 - a.position, 1.0 + a.position))
@@ -851,9 +896,11 @@ def widom_check(mu: Measure, grid: GridSpec = GridSpec()) -> WidomReport:
     else:
         verdict = "inconclusive"
 
-    disc_side = mu if mu.domain == "disc" else cayley_pushforward(mu)
-    j_grid = _moment_j_grid(grid.fine_span[1], grid.fine)
-    alpha = 0.5 * max((j + 1) * abs(moment(disc_side, j)) for j in j_grid)
+    if mu.domain == "disc":  # beta_f is this supremum, over the same fine j-grid
+        alpha = 0.5 * beta_f
+    else:
+        fine_js = _moment_j_grid(grid.fine_span[1], grid.fine)
+        alpha = 0.5 * _moment_sup(cayley_pushforward(mu), fine_js)
 
     return WidomReport(
         domain=mu.domain,

@@ -23,6 +23,11 @@ The module also provides the Poisson superposition
 
 a nonnegative integrable profile with ``int psi = mu((0, oo))`` whose Fourier
 transform at t > 0 equals the Laplace transform of mu.
+
+All three are read off the Stieltjes transform ``S(a) = int d mu / (lambda + a)``
+(:func:`hankelpos.measures.stieltjes`) by partial fractions:
+
+    kappa(z) = Re S(-i) - S(z),   h(p) = (i/pi) Im S(-ip),   psi(x) = Re S(-ix) / pi.
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ import numpy as np
 
 from .measures import (
     Measure,
-    PowerPiece,
-    piece_integral,
     rho_total as _rho_total,
+    stieltjes,
     total_mass,
     widom_check,
 )
@@ -131,23 +135,17 @@ def _require_halfplane(mu: Measure, what: str) -> None:
 def kappa(mu: Measure, z: complex) -> complex:
     """Evaluate kappa(z) = int [lambda/(1+lambda^2) - 1/(z+lambda)] d mu.
 
-    ``z`` must avoid the cut (-oo, 0]; atoms contribute exactly, densities by
-    adaptive quadrature.
+    ``z`` must avoid the cut (-oo, 0]; computed as ``Re S(-i) - S(z)``.
     """
     _require_halfplane(mu, "kappa")
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise ValueError(f"kappa is not defined on the cut (-oo, 0]; got z = {z}")
-    out = 0.0 + 0.0j
     for a in mu.atoms:
         if abs(z + a.position) < 1e-14:
             raise ValueError(f"z = {z} collides with the pole at -{a.position}")
-        out += a.mass * (a.position / (1.0 + a.position**2) - 1.0 / (z + a.position))
-    for p in mu.pieces:
-        out += piece_integral(
-            p, lambda lam: lam / (1.0 + lam * lam) - 1.0 / (z + lam)
-        )
-    return complex(out)
+    s_i, s_z = stieltjes(mu, np.array([-1j, z]))
+    return complex(s_i.real - s_z)
 
 
 # ---------------------------------------------------------------------------
@@ -164,32 +162,9 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     """
     _require_halfplane(mu, "the boundary symbol")
     p = np.asarray(p, dtype=float)
-    nonzero = p != 0.0
-    acc = np.zeros(p.shape, dtype=float)
-    for a in mu.atoms:
-        acc += a.mass * p / (a.position**2 + p * p)
-    for piece in mu.pieces:
-        lo, hi = piece.support
-        if piece.exponent == 0.0:
-            # antiderivative arctan(lambda/p): valid for either sign of p
-            with np.errstate(divide="ignore"):
-                safe = np.where(nonzero, p, 1.0)
-                upper = (
-                    np.sign(p) * 0.5 * math.pi
-                    if math.isinf(hi)
-                    else np.arctan(hi / safe)
-                )
-                acc += np.where(
-                    nonzero, piece.coeff * (upper - np.arctan(lo / safe)), 0.0
-                )
-        else:
-            for idx, pv in np.ndenumerate(p):
-                if pv == 0.0:
-                    continue
-                acc[idx] += piece_integral(
-                    piece, lambda lam: pv / (lam * lam + pv * pv)
-                )
-    return 1j / math.pi * acc
+    im_s = stieltjes(mu, -1j * p).imag
+    im_s[p == 0.0] = 0.0
+    return 1j / math.pi * im_s
 
 
 def symbol_h(mu: Measure, p: float) -> complex:
@@ -213,23 +188,27 @@ def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
-def symbol_h_samples(
-    mu: Measure, grid: np.ndarray | None = None, n: int = 1024
-) -> SymbolSamples:
-    """Sample the bounded symbol h on a (default symmetric) grid."""
+def _line_samples(mu: Measure, func, grid, n: int, empty_sup: float) -> SymbolSamples:
+    """Samples of ``func`` (h or c + h); h jumps at 0 when a piece reaches 0."""
     if grid is None:
         grid = default_symbol_grid(mu, n)
-    values = symbol_h_values(mu, grid)
-    jumps = (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
+    values = func(grid)
     return SymbolSamples(
         domain="halfplane",
         grid=np.asarray(grid, dtype=float),
         values=values,
         sharp_symmetric=True,
-        sup_estimate=float(np.max(np.abs(values))) if np.size(values) else 0.0,
-        func=lambda x: symbol_h_values(mu, x),
-        jumps=jumps,
+        sup_estimate=float(np.max(np.abs(values))) if np.size(values) else empty_sup,
+        func=func,
+        jumps=(0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else (),
     )
+
+
+def symbol_h_samples(
+    mu: Measure, grid: np.ndarray | None = None, n: int = 1024
+) -> SymbolSamples:
+    """Sample the bounded symbol h on a (default symmetric) grid."""
+    return _line_samples(mu, lambda x: symbol_h_values(mu, x), grid, n, 0.0)
 
 
 def delta_values(mu: Measure, c: float, p: np.ndarray) -> np.ndarray:
@@ -243,19 +222,7 @@ def delta_samples(
     """Sample delta = c + h; sharp-symmetric since c is real and h imaginary."""
     if c == 0.0 or not math.isfinite(c):
         raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
-    if grid is None:
-        grid = default_symbol_grid(mu, n)
-    values = delta_values(mu, c, grid)
-    jumps = (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
-    return SymbolSamples(
-        domain="halfplane",
-        grid=np.asarray(grid, dtype=float),
-        values=values,
-        sharp_symmetric=True,
-        sup_estimate=float(np.max(np.abs(values))) if np.size(values) else abs(c),
-        func=lambda x: delta_values(mu, c, x),
-        jumps=jumps,
-    )
+    return _line_samples(mu, lambda x: delta_values(mu, c, x), grid, n, abs(c))
 
 
 def symbol_bound(mu: Measure) -> float:
@@ -282,22 +249,7 @@ def psi_mu_values(mu: Measure, x: np.ndarray) -> np.ndarray:
     _require_halfplane(mu, "the Poisson superposition")
     if not math.isfinite(total_mass(mu)):
         raise ValueError("psi requires a finite-total-mass measure")
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros(x.shape, dtype=float)
-    for a in mu.atoms:
-        acc += a.mass * a.position / (a.position**2 + x * x)
-    for piece in mu.pieces:
-        lo, hi = piece.support
-        if piece.exponent == 0.0:
-            # antiderivative (1/2) log(lambda^2 + x^2)
-            with np.errstate(divide="ignore"):
-                acc += piece.coeff * 0.5 * np.log((hi * hi + x * x) / (lo * lo + x * x))
-        else:
-            for idx, xv in np.ndenumerate(x):
-                acc[idx] += piece_integral(
-                    piece, lambda lam: lam / (lam * lam + xv * xv)
-                )
-    return acc / math.pi
+    return stieltjes(mu, -1j * np.asarray(x, dtype=float)).real / math.pi
 
 
 def psi_mu(mu: Measure, x: float) -> float:

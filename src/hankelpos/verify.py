@@ -36,7 +36,7 @@ from .measures import Measure, cayley_pushforward, moments, widom_check
 from .pick import kappa, symbol_bound, symbol_h_samples
 from .quadrature import QuadratureError
 
-__all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
+__all__ = ["SuiteResult", "run_suites", "SUITE_NAMES", "kernel_residuals"]
 
 #: Probe points in the open right half-plane (arguments of kappa).
 _RHP_PROBES = (1.0 + 0.0j, 0.5 + 0.5j, 2.0 - 1.0j, 0.25 + 2.0j)
@@ -131,17 +131,25 @@ def _suite_symbol_bound(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_kernel_modes(mu: Measure) -> SuiteResult:
-    samples = symbol_h_samples(mu)
+def kernel_residuals(mu: Measure, samples) -> dict:
+    """Relative gaps between boundary- and measure-mode symbol kernels at every
+    pair of upper half-plane probes, with their maximum."""
+    entries = []
     worst = 0.0
     for z in _UHP_PROBES:
         for w in _UHP_PROBES:
             via_measure = symbol_kernel(z, w, mode="measure", mu=mu)
             via_boundary = symbol_kernel(z, w, mode="boundary", samples=samples)
-            worst = max(
-                worst,
-                abs(via_boundary - via_measure) / max(abs(via_measure), 1e-12),
+            rel = abs(via_boundary - via_measure) / max(abs(via_measure), 1e-12)
+            worst = max(worst, rel)
+            entries.append(
+                {"z": [z.real, z.imag], "w": [w.real, w.imag], "rel_residual": rel}
             )
+    return {"probes": entries, "max_rel_residual": worst}
+
+
+def _suite_kernel_modes(mu: Measure) -> SuiteResult:
+    worst = kernel_residuals(mu, symbol_h_samples(mu))["max_rel_residual"]
     return _result(
         "kernel_modes", worst <= 1e-6, worst,
         "boundary-mode vs measure-mode symbol kernel",
