@@ -11,14 +11,14 @@ Unbounded ranges are folded to compact ones with the tangent substitution
 x = tan(u), dx = (1 + tan(u)^2) du, which turns algebraically decaying tails
 into bounded integrands.
 
-Integrands must accept a real numpy array and return an array of values
-(real or complex); the return value of the integrators is a float when every
-panel evaluated real, complex otherwise.
+Integrands map a real 1-d array of n nodes to n values, real or complex (the
+integral is then a float or a complex), or to an ``(m, n)`` array of m
+integrands on one shared panel tree (then m integrals; every column must meet
+its own tolerance, and a panel's error is its largest ``err_c / tol_c``).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable, Sequence
 
@@ -52,15 +52,15 @@ class QuadratureError(RuntimeError):
 
 
 def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (value, error_estimate) for one panel [a, b].
+    """Return (value, error_estimate) for one panel [a, b], per integrand row.
 
     The value is the 15-point Gauss-Legendre rule; the error estimate is the
     difference against the embedded 7-point rule.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    hi = half * np.sum(_WEIGHTS_HI * np.asarray(f(mid + half * _NODES_HI)))
-    lo = half * np.sum(_WEIGHTS_LO * np.asarray(f(mid + half * _NODES_LO)))
+    hi = half * (np.asarray(f(mid + half * _NODES_HI)) @ _WEIGHTS_HI)
+    lo = half * (np.asarray(f(mid + half * _NODES_LO)) @ _WEIGHTS_LO)
     return hi, abs(hi - lo)
 
 
@@ -73,18 +73,20 @@ def integrate(
     rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> complex | float:
+) -> complex | float | np.ndarray:
     """Integrate ``f`` over the finite interval [a, b].
 
     Parameters
     ----------
     f:
-        Vectorized integrand; called with a 1-d array of abscissae.
+        Vectorized integrand; called with a 1-d array of n abscissae, it
+        returns n values, or an ``(m, n)`` array for m integrals, shape ``(m,)``.
     a, b:
         Finite endpoints, a < b.
     abs_tol, rel_tol:
-        The iteration stops once the summed panel error estimate is below
-        ``max(abs_tol, rel_tol * |integral|)``.
+        The iteration stops once, in every column c, the summed panel error
+        estimate is below ``tol_c = max(abs_tol, rel_tol * |I_c|)``; until
+        then the panel with the largest ``max_c err_c / tol_c`` is bisected.
     breakpoints:
         Interior points where the integrand (or a derivative) jumps; the
         initial panel list is split there so each panel sees a smooth
@@ -100,39 +102,39 @@ def integrate(
 
     cuts = sorted({float(t) for t in breakpoints if a < t < b})
     edges = [a, *cuts, b]
-
-    # Priority queue of (-error, sequence, a, b, value); the sequence number
-    # breaks ties deterministically.
-    heap: list[tuple[float, int, float, float, complex]] = []
-    counter = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        value, err = _panel_estimates(f, lo, hi)
-        heap.append((-err, counter, lo, hi, value))
-        counter += 1
-    heapq.heapify(heap)
-
+    bounds = list(zip(edges[:-1], edges[1:]))
+    # Row p of vals/errs belongs to panel bounds[p]; both double when full.
+    vals, errs = map(np.array, zip(*(_panel_estimates(f, lo, hi) for lo, hi in bounds)))
+    floor = max(abs_tol, np.finfo(float).tiny)  # a tolerance of 0 makes err / tol nan
     while True:
-        total = sum(item[4] for item in heap)
-        total_err = -sum(item[0] for item in heap)
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            return total.item() if isinstance(total, np.generic) else total
-        if len(heap) >= max_panels:
+        n = len(bounds)
+        total = vals[:n].sum(axis=0)
+        tol = np.maximum(floor, rel_tol * abs(total))
+        ratio = errs[:n] / tol  # summed over the panels: total_err / tol per column
+        if (ratio.sum(axis=0) <= 1.0).all():
+            return total.item() if total.ndim == 0 else total
+        if n >= max_panels:
             raise QuadratureError(
                 f"adaptive quadrature did not converge on [{a}, {b}]: "
-                f"estimated error {total_err:.3e} after {len(heap)} panels "
+                f"estimated error {np.max(errs[:n].sum(axis=0)):.3e} after {n} panels "
                 f"(tolerance abs={abs_tol:.1e}, rel={rel_tol:.1e})"
             )
-        _, _, lo, hi, _ = heapq.heappop(heap)
+        k = int((ratio if ratio.ndim == 1 else ratio.max(axis=1)).argmax())
+        lo, hi = bounds[k]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise QuadratureError(
                 f"panel [{lo}, {hi}] cannot be refined further "
                 f"(floating-point limit) with tolerance unmet"
             )
-        for new_lo, new_hi in ((lo, mid), (mid, hi)):
-            value, err = _panel_estimates(f, new_lo, new_hi)
-            heapq.heappush(heap, (-err, counter, new_lo, new_hi, value))
-            counter += 1
+        (v_lo, e_lo), (v_hi, e_hi) = _panel_estimates(f, lo, mid), _panel_estimates(f, mid, hi)
+        dtype = np.result_type(vals, v_lo, v_hi)  # complex once any panel is
+        if n == len(vals) or dtype != vals.dtype:
+            vals = np.concatenate([vals, np.empty_like(vals)]).astype(dtype)
+            errs = np.concatenate([errs, np.empty_like(errs)])
+        bounds[k] = (lo, mid)
+        bounds.append((mid, hi))
+        vals[k], errs[k], vals[n], errs[n] = v_lo, e_lo, v_hi, e_hi
 
 
 def integrate_real_line(
@@ -142,7 +144,7 @@ def integrate_real_line(
     rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> complex | float:
+) -> complex | float | np.ndarray:
     """Integrate ``f`` over the whole real line via x = tan(u).
 
     ``breakpoints`` are given on the x axis and are mapped through arctan.
@@ -170,7 +172,7 @@ def integrate_halfline(
     rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> complex | float:
+) -> complex | float | np.ndarray:
     """Integrate ``f`` over [a, infinity) via x = a + tan(u)."""
 
     def folded(u: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
+from scipy.special import betainc, gammaln
 
 import hankelpos as hp
 from hankelpos import MeasureSpecError
-from hankelpos.measures import piece_integral
+from hankelpos.measures import CayleyPiece, _moment_sup, piece_integral
 
 INF = float("inf")
 
@@ -125,6 +127,108 @@ def test_signed_odd_moments_of_a_symmetric_measure_vanish() -> None:
     mu = hp.disc_measure(pieces=[hp.lebesgue_piece(-0.5, 0.5, domain="disc")])
     assert hp.moment(mu, 1) == pytest.approx(0.0, abs=1e-14)
     assert hp.moment(mu, 3) == pytest.approx(0.0, abs=1e-14)
+
+
+# Moments of the Cayley pushforward of lambda^-1/2 on (0, oo): the piece
+# (1+t)^-1/2 (1-t)^1/2 on (-1, 1).  c_j = 2^(a+b+1) B(a+1, b+1) 2F1(-j, a+1;
+# a+b+2; 2) with a = 1/2, b = -1/2, i.e. pi * 2F1(-j, 3/2; 2; 2), a terminating
+# series summed exactly in rationals below.  C_1000 and C_4096 were computed
+# with mpmath at 50 digits and agree with that series.
+C_1000 = 0.079246731795807284015
+C_4096 = 0.039163676357077835779
+
+
+def _invsqrt_pushforward() -> hp.Measure:
+    return hp.disc_measure(pieces=[CayleyPiece(1.0, -0.5, 0.5, (-1.0, 1.0))])
+
+
+def _invsqrt_pushforward_moment(j: int) -> float:
+    term = total = Fraction(1)
+    for k in range(j):
+        term = term * (k - j) * (Fraction(3, 2) + k) * 2 / ((2 + k) * (k + 1))
+        total += term
+    return math.pi * float(total)
+
+
+def test_high_moments_resolve_the_peak_at_one() -> None:
+    mu = _invsqrt_pushforward()
+    assert hp.moment(mu, 1000) == pytest.approx(C_1000, rel=1e-9, abs=0.0)
+    assert hp.moment(mu, 4096) == pytest.approx(C_4096, rel=1e-9, abs=0.0)
+    assert hp.moments(mu, 1001)[1000] == pytest.approx(C_1000, rel=1e-9, abs=0.0)
+    # j-grid {0, 1, 4096}: the supremum of (j+1) c_j sits at j = 4096
+    assert _moment_sup(mu, 4096.0, 2) == pytest.approx(4097 * C_4096, rel=1e-9, abs=0.0)
+
+
+def test_cayley_piece_moments_match_the_hypergeometric_closed_form() -> None:
+    js = [0, 1, 2, 5, 17, 126, 510]
+    vec = hp.moments(_invsqrt_pushforward(), 511)
+    for j in js:
+        assert vec[j] == pytest.approx(_invsqrt_pushforward_moment(j), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        hp.disc_measure(pieces=[
+            hp.power_piece(1.0, -0.5, "one_minus_x", (-0.5, 1.0)),
+            hp.power_piece(2.0, 0.3, "one_plus_x", (-1.0, 0.2)),
+        ]),
+        hp.disc_measure(
+            atoms=[(0.2, 1.0)], pieces=[CayleyPiece(1.0, 0.5, -0.5, (-1.0, 0.5))]
+        ),
+        hp.cayley_pushforward(
+            hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
+        ),
+        hp.cayley_pushforward(
+            hp.halfplane_measure(pieces=[hp.power_piece(1.0, -0.5, "lambda", (0.0, INF))])
+        ),
+    ],
+    ids=["beta", "cayley_atom", "pushforward_sqrt_1_2", "pushforward_invsqrt"],
+)
+def test_batched_moments_agree_with_single_orders(mu: hp.Measure) -> None:
+    single = [hp.moment(mu, j) for j in range(127)]
+    np.testing.assert_allclose(hp.moments(mu, 127), single, rtol=1e-10, atol=1e-12)
+
+
+def test_closed_form_moments_match_their_scalar_formulas() -> None:
+    def beta(j: int, e: float, a: float, b: float) -> float:
+        log_b = gammaln(j + 1.0) + gammaln(e + 1.0) - gammaln(j + e + 2.0)
+        return math.exp(log_b) * (betainc(j + 1.0, e + 1.0, b) - betainc(j + 1.0, e + 1.0, a))
+
+    cases = [
+        (hp.disc_measure(atoms=[(0.5, 1.0), (-0.3, 0.5), (0.0, 2.0)]),
+         lambda j: 0.5**j + 0.5 * (-0.3) ** j + (2.0 if j == 0 else 0.0)),
+        (hp.disc_measure(pieces=[hp.power_piece(1.5, 1.0, "x", (0.0, 1.0))]),
+         lambda j: 1.5 / (j + 2.0)),
+        (hp.disc_measure(pieces=[hp.power_piece(1.0, 2.0, "x", (-0.5, 0.8))]),
+         lambda j: (0.8 ** (j + 3) - (-0.5) ** (j + 3)) / (j + 3.0)),
+        (hp.disc_measure(pieces=[hp.power_piece(1.0, -3.0, "x", (0.2, 0.8))]),
+         lambda j: math.log(4.0) if j == 2 else (0.8 ** (j - 2) - 0.2 ** (j - 2)) / (j - 2.0)),
+        (hp.disc_measure(pieces=[hp.power_piece(2.0, -0.5, "one_minus_x", (0.1, 1.0))]),
+         lambda j: 2.0 * beta(j, -0.5, 0.1, 1.0)),
+        (hp.disc_measure(pieces=[hp.power_piece(0.5, 0.3, "one_plus_x", (-1.0, -0.2))]),
+         lambda j: (-1.0) ** j * 0.5 * beta(j, 0.3, 0.2, 1.0)),
+    ]
+    for mu, scalar in cases:
+        vec = hp.moments(mu, 300)
+        for j in range(300):
+            assert vec[j] == pytest.approx(scalar(j), rel=1e-15, abs=0.0), (mu, j)
+
+
+def test_moment_order_edge_cases_keep_their_results_and_messages(
+    d1: hp.Measure, disc_leb: hp.Measure
+) -> None:
+    empty = hp.moments(disc_leb, 0)
+    assert empty.shape == (0,) and empty.dtype == float
+    assert hp.moments(d1, 0).shape == (0,)
+    with pytest.raises(ValueError, match="moment order 4097 exceeds the cap 4096"):
+        hp.moments(disc_leb, 4098)
+    with pytest.raises(ValueError, match="moment order 9 exceeds the cap 8"):
+        hp.moment(disc_leb, 9, cap=8)
+    with pytest.raises(ValueError, match="moment order must be nonnegative, got -1"):
+        hp.moment(disc_leb, -1)
+    with pytest.raises(ValueError, match="push the measure forward first"):
+        hp.moments(d1, 3)
 
 
 @settings(deadline=None, max_examples=40)

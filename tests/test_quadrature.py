@@ -108,3 +108,84 @@ def test_random_polynomials_match_the_antiderivative(coeffs: list[float]) -> Non
     expected = primitive(2.0) - primitive(-1.0)
     value = integrate(poly, -1.0, 2.0)
     assert value == pytest.approx(expected, abs=1e-9 * (1.0 + abs(expected)))
+
+
+# ---------------------------------------------------------------------------
+# Vector-valued integrands: (m, n) arrays, nodes on the last axis
+# ---------------------------------------------------------------------------
+
+_ROWS = (
+    lambda x: np.exp(x),
+    lambda x: np.sqrt(np.abs(x - 0.3)),
+    lambda x: np.cos(7.0 * x),
+)
+
+
+def _stacked(x: np.ndarray) -> np.ndarray:
+    return np.array([row(x) for row in _ROWS])
+
+
+def test_stacked_integrand_gives_one_integral_per_row() -> None:
+    values = integrate(_stacked, 0.0, 2.0)
+    assert isinstance(values, np.ndarray) and values.shape == (3,)
+    for value, row in zip(values, _ROWS):
+        assert value == pytest.approx(integrate(row, 0.0, 2.0), rel=1e-10)
+    assert values[0] == pytest.approx(math.e**2 - 1.0, rel=1e-12)
+    assert values[2] == pytest.approx(math.sin(14.0) / 7.0, rel=1e-10)
+
+
+def test_a_tiny_column_still_meets_the_relative_tolerance() -> None:
+    # The tiny column needs refinement at the kink that the large one does not.
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.array([x**2, 1e-30 * np.sqrt(np.abs(x - 0.3))])
+
+    values = integrate(f, 0.0, 1.0, abs_tol=0.0, rel_tol=1e-11)
+    kink = (0.3**1.5 + 0.7**1.5) / 1.5
+    assert values[0] == pytest.approx(1.0 / 3.0, rel=1e-11, abs=0.0)
+    assert values[1] == pytest.approx(1e-30 * kink, rel=1e-11, abs=0.0)
+
+
+def test_one_unconverged_column_raises() -> None:
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.array([x**2, 1.0 / x, np.exp(x)])
+
+    with pytest.raises(QuadratureError, match="after 64 panels"):
+        integrate(f, 0.0, 1.0, max_panels=64)
+    converged = integrate(lambda x: np.array([x**2, np.exp(x)]), 0.0, 1.0, max_panels=64)
+    np.testing.assert_allclose(converged, [1.0 / 3.0, math.e - 1.0], rtol=1e-12)
+
+
+def test_stacked_integrands_take_breakpoints_and_both_unbounded_wrappers() -> None:
+    step = integrate(
+        lambda x: np.array([np.where(x < 1.0, 1.0, 3.0), x]), 0.0, 2.0, breakpoints=[1.0]
+    )
+    np.testing.assert_allclose(step, [4.0, 2.0], rtol=1e-12)
+    line = integrate_real_line(
+        lambda x: np.array([np.exp(-(x**2)), 1.0 / (1.0 + x**2)]), breakpoints=[0.5]
+    )
+    np.testing.assert_allclose(line, [math.sqrt(math.pi), math.pi], rtol=1e-12)
+    half = integrate_halfline(
+        lambda x: np.array([np.exp(-x), x**-2.0]), 2.0, breakpoints=[1.0, 3.0]
+    )
+    np.testing.assert_allclose(half, [math.exp(-2.0), 0.5], rtol=1e-12)
+
+
+def test_one_dimensional_integrands_return_python_scalars() -> None:
+    real = integrate(lambda x: x**2, 0.0, 1.0)
+    cplx = integrate(lambda x: np.exp(1j * x), 0.0, 1.0)
+    assert type(real) is float
+    assert type(cplx) is complex
+    assert type(integrate_halfline(lambda x: np.exp(-x))) is float
+    assert type(integrate_real_line(lambda x: np.exp(-(x**2)) + 0j)) is complex
+
+
+def test_an_integrand_that_turns_complex_on_a_refined_panel_keeps_its_imaginary_part() -> None:
+    # No node of the first panel lies in (0.45, 0.48), so only bisection finds it.
+    def f(x: np.ndarray) -> np.ndarray:
+        inside = (x > 0.45) & (x < 0.48)
+        value = np.sqrt(np.abs(x - 0.465))
+        return value + 1j * inside if inside.any() else value
+
+    value = integrate(f, 0.0, 1.0)
+    real = (0.465**1.5 + 0.535**1.5) / 1.5
+    assert value == pytest.approx(real + 0.03j, rel=1e-10)
