@@ -65,6 +65,7 @@ __all__ = [
     "disc_to_hp_symbol",
     "quadratic_form",
     "symbol_kernel",
+    "boundary_kernels",
     "PositivityCertificate",
     "positivity_certificate",
     "norm_estimate",
@@ -128,27 +129,23 @@ def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
     Smooth symbols use an offset DFT on an aliasing-safe grid; symbols with
     declared jump angles are integrated adaptively with the jumps as panel
     breakpoints (a plain DFT converges only like O(1/m) across a jump, far too
-    slow for the tolerances used here).
+    slow for the tolerances used here); all coefficients share one panel tree.
     """
     if samples.domain != "disc":
         raise ValueError("Fourier coefficients are taken on the circle")
+    ns = np.arange(1, top + 1)
     if samples.jumps:
-        breakpoints = tuple(sorted(samples.jumps))
-        out = np.empty(top, dtype=complex)
-        for n in range(1, top + 1):
-            def integrand(t: np.ndarray, _n: int = n) -> np.ndarray:
-                return np.asarray(samples(t), dtype=complex) * np.exp(-1j * _n * t)
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return np.asarray(samples(t), dtype=complex) * np.exp(-1j * np.outer(ns, t))
 
-            out[n - 1] = integrate(
-                integrand, 0.0, TWO_PI, breakpoints=breakpoints,
-                abs_tol=1e-12, rel_tol=1e-10,
-            ) / TWO_PI
-        return out
+        return integrate(
+            integrand, 0.0, TWO_PI, breakpoints=tuple(sorted(samples.jumps)),
+            abs_tol=1e-12, rel_tol=1e-10,
+        ) / TWO_PI
     m = max(4096, 16 * top)
     m += m % 2  # even, so theta = pi is never a node of the offset grid
     theta = circle_nodes(m)
     values = np.asarray(samples(theta), dtype=complex)
-    ns = np.arange(1, top + 1)
     phases = np.exp(-1j * np.outer(ns, theta))
     return phases @ values / m
 
@@ -294,6 +291,42 @@ def _require_upper(z: complex, name: str) -> complex:
     return z
 
 
+def _kernel_rows(x: np.ndarray, zs: np.ndarray, wbars: np.ndarray) -> np.ndarray:
+    """1 / ((x - z)(-x - conj(w))) with one row per probe pair, one column per node."""
+    return 1.0 / ((x - zs[:, None]) * (-x - wbars[:, None]))
+
+
+def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The z and conj(w) of upper half-plane probe pairs, as arrays."""
+    zs = np.array([_require_upper(z, "z") for z, _ in pairs], dtype=complex)
+    return zs, np.array([np.conj(_require_upper(w, "w")) for _, w in pairs], dtype=complex)
+
+
+def boundary_kernels(
+    samples: SymbolSamples,
+    pairs: Sequence,
+    *,
+    abs_tol: float = 1e-9,
+    rel_tol: float = 1e-10,
+) -> np.ndarray:
+    """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
+
+    All pairs share one real-line panel tree (each still meets the tolerances
+    on its own), so the symbol is evaluated once per panel for all of them.
+    """
+    if samples is None or samples.domain != "halfplane":
+        raise ValueError("boundary mode needs a half-plane symbol samples=")
+    zs, wbars = _probe_pairs(pairs)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.asarray(samples(x), dtype=complex) * _kernel_rows(x, zs, wbars)
+
+    value = integrate_real_line(
+        integrand, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=tuple(samples.jumps)
+    )
+    return value / _FOUR_PI_SQ
+
+
 def symbol_kernel(
     z: complex,
     w: complex,
@@ -313,7 +346,8 @@ def symbol_kernel(
       measure gives 0.  ``abs_tol``/``rel_tol`` only reach density pieces with
       an integer exponent other than 0, the one case integrated numerically.
     * ``boundary`` — (1/4 pi^2) int h(x) / ((x - z)(-x - conj(w))) dx from a
-      line symbol; real constants added to h integrate to zero.
+      line symbol; real constants added to h integrate to zero.  One pair of
+      :func:`boundary_kernels`.
     * ``rank_one`` — the closed form for a single atom at ``position``:
       - mass / (4 pi^2 (z + i lambda)(i lambda - conj(w))).
     """
@@ -332,17 +366,9 @@ def symbol_kernel(
         return complex((s_a - s_b) / (_FOUR_PI_SQ * (b - a)))
 
     if mode == "boundary":
-        if samples is None or samples.domain != "halfplane":
-            raise ValueError("boundary mode needs a half-plane symbol samples=")
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return np.asarray(samples(x), dtype=complex) / ((x - z) * (-x - wbar))
-
-        value = integrate_real_line(
-            integrand, abs_tol=abs_tol, rel_tol=rel_tol,
-            breakpoints=tuple(samples.jumps),
+        return complex(
+            boundary_kernels(samples, [(z, w)], abs_tol=abs_tol, rel_tol=rel_tol)[0]
         )
-        return complex(value / _FOUR_PI_SQ)
 
     if mode == "rank_one":
         if position is None or not position > 0.0:
@@ -609,37 +635,24 @@ def verify_rp_transport(
         raise ValueError("the transport identity lives on the half-line/half-plane")
     if not (math.isfinite(c) and c != 0.0):
         raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
-    jumps = tuple(
-        sorted(0.0 for p in mu.pieces if p.support[0] == 0.0)
-    )[:1]
+    jumps = (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
 
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
-    residuals = []
-    invisibility = []
-    for z, w in pair_list:
-        z = _require_upper(z, "z")
-        w = _require_upper(w, "w")
-        wbar = np.conj(w)
-        lhs = symbol_kernel(z, w, mode="measure", mu=mu)
+    zs, wbars = _probe_pairs(pair_list)
+    lhs = np.array([symbol_kernel(z, w, mode="measure", mu=mu) for z, w in pair_list])
 
-        def kernel(x: np.ndarray) -> np.ndarray:
-            return 1.0 / ((x - z) * (-x - wbar))
+    def polar_integrand(x: np.ndarray) -> np.ndarray:
+        d = np.asarray(delta_values(mu, c, x), dtype=complex)
+        modulus = np.abs(d)
+        unimodular = d / modulus
+        return unimodular * modulus * _kernel_rows(x, zs, wbars)
 
-        def polar_integrand(x: np.ndarray) -> np.ndarray:
-            d = np.asarray(delta_values(mu, c, x), dtype=complex)
-            modulus = np.abs(d)
-            unimodular = d / modulus
-            return unimodular * modulus * kernel(x)
-
-        rhs = (
-            integrate_real_line(polar_integrand, breakpoints=jumps) / _FOUR_PI_SQ
-        )
-        ghost = c * integrate_real_line(kernel) / _FOUR_PI_SQ
-        residuals.append(float(abs(lhs - rhs)))
-        invisibility.append(float(abs(ghost)))
-
-    max_res = max(residuals) if residuals else 0.0
-    max_ghost = max(invisibility) if invisibility else 0.0
+    rhs = integrate_real_line(polar_integrand, breakpoints=jumps) / _FOUR_PI_SQ
+    ghost = c * integrate_real_line(lambda x: _kernel_rows(x, zs, wbars)) / _FOUR_PI_SQ
+    residuals = np.abs(lhs - rhs).tolist()
+    invisibility = np.abs(ghost).tolist()
+    max_res = max(residuals, default=0.0)
+    max_ghost = max(invisibility, default=0.0)
     verdict = (
         "pass"
         if max_res <= residual_tol and max_ghost <= invisibility_tol
@@ -721,28 +734,18 @@ def polar_decomposition_check(
     if any(x == 0.0 for x in grid):
         raise ValueError("the boundary grid must avoid x = 0 (possible jump of h)")
 
-    h_boundary: dict[float, complex] = {}
-    defects = []
-    for x in grid:
-        g_star = g_from_delta(mu, c, complex(x, epsilon))
-        h_val = complex(delta_values(mu, c, x)) / np.conj(g_star) ** 2
-        h_boundary[x] = complex(h_val)
-        defects.append(abs(abs(h_val) - 1.0))
-
-    g_defect = 0.0
-    for z in probes:
-        z = _require_upper(complex(z), "probe")
-        g_defect = max(
-            g_defect,
-            abs(g_from_delta(mu, c, -np.conj(z)) - np.conj(g_from_delta(mu, c, z))),
-        )
-
-    h_defect = 0.0
-    for x in grid:
-        if x > 0.0 and -x in h_boundary:
-            h_defect = max(h_defect, abs(h_boundary[-x] - np.conj(h_boundary[x])))
-
-    max_defect = max(defects) if defects else 0.0
+    x = np.array(grid)
+    zs = np.array([_require_upper(complex(z), "probe") for z in probes], dtype=complex)
+    # g at the approach points, the probes and their reflections: one integral
+    g = g_from_delta(mu, c, np.concatenate([x + 1j * epsilon, zs, -np.conj(zs)]))
+    g_star, g_z, g_reflected = np.split(g, [len(x), len(x) + len(zs)])
+    h_values = delta_values(mu, c, x) / np.conj(g_star) ** 2
+    h_boundary = dict(zip(grid, h_values))
+    defects = np.abs(np.abs(h_values) - 1.0)
+    g_defect = np.max(np.abs(g_reflected - np.conj(g_z)), initial=0.0)
+    h_defect = max((abs(h_boundary[-x] - np.conj(h)) for x, h in h_boundary.items()
+                    if x > 0.0 and -x in h_boundary), default=0.0)
+    max_defect = np.max(defects, initial=0.0)
     verdict = (
         "pass"
         if max_defect <= modulus_tol

@@ -210,6 +210,13 @@ def _validate(measure: Measure) -> Measure:
                 f"half-line atoms need position > 0, got {a.position} "
                 "(no mass at 0 is representable)"
             )
+        if measure.domain == "halfplane":
+            t, m = _cayley_atom(a)
+            if not (-1.0 < t < 1.0 and 0.0 < m < math.inf):
+                raise MeasureSpecError(
+                    f"the half-line atom at {a.position} (mass {a.mass}) has no "
+                    f"representable Cayley image: it lands at {t} with mass {m}"
+                )
         if measure.domain == "disc" and not -1.0 < a.position < 1.0:
             raise MeasureSpecError(
                 f"disc atoms need position in (-1, 1), got {a.position} "
@@ -445,15 +452,17 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
         return _quadrature_moments(p, js, lo, hi)
     if p.base in ("x", "lambda"):
         return p.coeff * _power_primitive_diff(p.exponent + js, lo, hi)
+    # betainc needs e > -1; for e <= -1 the piece stays off the endpoint: quadrature
+    cut = 0.0 if p.exponent > -1.0 else 1.0
     if p.base == "one_minus_x":
-        total = _quadrature_moments(p, js, lo, min(hi, 0.0))
-        if hi > 0.0:
-            total += p.coeff * _beta_moment(js, p.exponent, max(lo, 0.0), hi)
+        total = _quadrature_moments(p, js, lo, min(hi, cut))
+        if hi > cut:
+            total += p.coeff * _beta_moment(js, p.exponent, max(lo, cut), hi)
         return total
     # one_plus_x: reflect x -> -x, landing on the one_minus_x closed form.
-    total = _quadrature_moments(p, js, max(lo, 0.0), hi)
-    if lo < 0.0:
-        total += (-1.0) ** js * p.coeff * _beta_moment(js, p.exponent, max(-hi, 0.0), -lo)
+    total = _quadrature_moments(p, js, max(lo, -cut), hi)
+    if lo < -cut:
+        total += (-1.0) ** js * p.coeff * _beta_moment(js, p.exponent, max(-hi, cut), -lo)
     return total
 
 
@@ -921,6 +930,12 @@ def widom_check(mu: Measure, grid: GridSpec = GridSpec()) -> WidomReport:
 # Cayley pushforward
 # ---------------------------------------------------------------------------
 
+def _cayley_atom(a: Atom) -> tuple[float, float]:
+    """Position and mass of the pushforward of a half-line atom."""
+    t = (a.position - 1.0) / (a.position + 1.0)
+    return t, a.mass * (1.0 - t) ** 2 / 2.0
+
+
 def cayley_pushforward(mu: Measure) -> Measure:
     """Transport a half-line measure to the disc picture.
 
@@ -935,10 +950,7 @@ def cayley_pushforward(mu: Measure) -> Measure:
     """
     if mu.domain != "halfplane":
         raise ValueError("cayley_pushforward expects a half-line measure")
-    atoms = []
-    for a in mu.atoms:
-        t = (a.position - 1.0) / (a.position + 1.0)
-        atoms.append(Atom(t, a.mass * (1.0 - t) ** 2 / 2.0))
+    atoms = [Atom(*_cayley_atom(a)) for a in mu.atoms]
     pieces: list[Piece] = []
     for p in mu.pieces:
         lo = (p.support[0] - 1.0) / (p.support[0] + 1.0)

@@ -29,11 +29,12 @@ The boundedness flags implement the invertibility criterion: when both k and
 Outer values are only computed at strictly interior points (Im z >= 1e-6,
 respectively 1 - |z| >= 1e-6); boundary moduli are recovered by approach
 ``x + i eps``, with first-order convergence at continuity points.
+:func:`outer_eval` and :func:`g_from_delta` accept an array of points and
+integrate all of them on one shared panel tree, one row per point.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,51 +262,56 @@ def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
 
 def outer_eval(
     k: BoundaryWeight,
-    z: complex,
+    z,
     *,
     C: complex = 1.0,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
-) -> complex:
-    """Evaluate Out(k, C)(z) at a strictly interior point.
+):
+    """Evaluate Out(k, C)(z) at a strictly interior point, or at an array of them.
 
-    ``|C| = 1`` is required (the phase is the only free parameter of an outer
-    function).  Quadrature tolerances default to the package-wide 1e-12/1e-10;
-    non-convergence raises :class:`hankelpos.quadrature.QuadratureError` rather
-    than silently truncating.
+    An array ``z`` gives an array of its shape: the points share one panel
+    tree, and each value meets the tolerances on its own.  ``|C| = 1`` is
+    required (the phase is the only free parameter of an outer function).
+    Quadrature tolerances default to the package-wide 1e-12/1e-10;
+    non-convergence raises :class:`hankelpos.quadrature.QuadratureError`
+    rather than silently truncating.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    pts = zs.reshape(-1, 1)  # one integrand row per point
     if abs(abs(C) - 1.0) > 1e-12:
         raise ValueError(f"the phase constant must be unimodular, got |C| = {abs(C)}")
     if k.domain == "halfplane":
-        if z.imag < INTERIOR_MARGIN:
+        if (pts.imag < INTERIOR_MARGIN).any():
             raise ValueError(
-                f"outer evaluation needs Im z >= {INTERIOR_MARGIN}, got {z} "
-                "(boundary values are reached as limits x + i eps)"
+                f"outer evaluation needs Im z >= {INTERIOR_MARGIN}, got Im z = "
+                f"{pts.imag.min()} (boundary values are reached as limits x + i eps)"
             )
 
         def integrand(p: np.ndarray) -> np.ndarray:
-            return (1.0 / (p - z) - p / (1.0 + p * p)) * k.log_values(p)
+            return (1.0 / (p - pts) - p / (1.0 + p * p)) * k.log_values(p)
 
         integral = integrate_real_line(
             integrand, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=k.jumps
         )
-        return C * cmath.exp(integral / (math.pi * 1j))
+        values = C * np.exp(integral / (math.pi * 1j))
+    else:
+        if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():
+            raise ValueError(
+                f"outer evaluation needs 1 - |z| >= {INTERIOR_MARGIN}, "
+                f"got |z| = {np.abs(pts).max()}"
+            )
 
-    if abs(z) > 1.0 - INTERIOR_MARGIN:
-        raise ValueError(
-            f"outer evaluation needs 1 - |z| >= {INTERIOR_MARGIN}, got |z| = {abs(z)}"
+        def integrand(t: np.ndarray) -> np.ndarray:
+            u = np.exp(1j * t)
+            return (u + pts) / (u - pts) * k.log_values(t)
+
+        integral = integrate(
+            integrand, 0.0, 2.0 * math.pi,
+            abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=k.jumps,
         )
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        u = np.exp(1j * t)
-        return (u + z) / (u - z) * k.log_values(t)
-
-    integral = integrate(
-        integrand, 0.0, 2.0 * math.pi,
-        abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=k.jumps,
-    )
-    return C * cmath.exp(integral / (2.0 * math.pi))
+        values = C * np.exp(integral / (2.0 * math.pi))
+    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
 @lru_cache(maxsize=32)
@@ -318,8 +324,10 @@ def _checked_delta_weight(mu: Measure, c: float) -> BoundaryWeight:
     return delta_modulus_weight(mu, c)
 
 
-def g_from_delta(mu: Measure, c: float, z: complex) -> complex:
+def g_from_delta(mu: Measure, c: float, z):
     """The invertible outer factor g = Out(|delta|^(1/2)) at z, delta = c + h.
+
+    ``z`` is a point or an array of points, as in :func:`outer_eval`.
 
     ``|g^*|^2 = |delta|`` on the boundary and ``g^sharp = g`` (the weight is
     even); g is invertible in H^infinity with ``|1/g| <= |c|^(-1/2)``.
@@ -333,6 +341,5 @@ def g_from_delta(mu: Measure, c: float, z: complex) -> complex:
 def weighted_szego(mu: Measure, c: float, z: complex, w: complex) -> complex:
     """Reproducing kernel of the |delta|-weighted Hardy space:
     Q^nu(z, w) = Q(z, w) / (g(z) conj(g(w))) for d nu = |delta| dx."""
-    return complex(
-        szego_halfplane(z, w) / (g_from_delta(mu, c, z) * np.conj(g_from_delta(mu, c, w)))
-    )
+    g_z, g_w = g_from_delta(mu, c, np.array([z, w], dtype=complex))
+    return complex(szego_halfplane(z, w) / (g_z * np.conj(g_w)))

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hankelpos.cli
 from hankelpos.cli import main
+from hankelpos.pick import SymbolSamples
 from hankelpos.quadrature import QuadratureError
 
 D1_SPEC = {"domain": "halfplane", "atoms": [{"pos": 1.0, "mass": 1.0}]}
@@ -210,6 +213,21 @@ def test_positivity_works_directly_on_disc_measures(write_spec, capsys) -> None:
     assert cert["min_eig"] >= 0.0
 
 
+def test_positivity_of_a_piece_with_exponent_below_minus_one(write_spec, capsys) -> None:
+    # (1 - x)^-2 on [0.1, 0.5]: finite moments, although betainc cannot serve them
+    spec = write_spec({"domain": "disc", "densities": [{
+        "kind": "power", "coeff": 1.0, "exponent": -2.0, "base": "one_minus_x",
+        "support": [0.1, 0.5]}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(capsys, "positivity", "--spec", str(spec))
+        assert code == 0
+        assert json.loads(out)["certificate"]["verdict"] == "positive"
+        code, out, _ = _run(capsys, "widom", "--spec", str(spec))
+        assert code == 0
+        assert json.loads(out)["widom"]["verdict"] == "bounded"
+
+
 def test_positivity_rejects_a_bad_section_size(write_spec, capsys) -> None:
     spec = write_spec(D1_SPEC)
     code, _, err = _run(capsys, "positivity", "--spec", str(spec), "--N", "0")
@@ -298,6 +316,37 @@ def test_invalid_measure_spec_is_exit_2(write_spec, capsys) -> None:
     code, _, err = _run(capsys, "widom", "--spec", str(spec))
     assert code == 2
     assert "unknown keys" in err
+
+
+@pytest.mark.parametrize("position, shown", [(1e300, "1e+300"), (1e-300, "1e-300")])
+@pytest.mark.parametrize(
+    "command",
+    ["report", "widom", "symbol", "kernel-check", "positivity", "transport", "verify-all"],
+)
+def test_halfline_atoms_without_a_cayley_image_are_exit_2(
+    write_spec, capsys, command: str, position: float, shown: str
+) -> None:
+    spec = write_spec({"domain": "halfplane", "atoms": [{"pos": position, "mass": 1.0}]})
+    code, out, err = _run(capsys, command, "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert f"atom at {shown}" in err
+
+
+def test_unconverged_stacked_kernel_integral_is_exit_4(write_spec, capsys, monkeypatch) -> None:
+    def func(x):  # not integrable at x = 0.3, so the shared panel tree cannot converge
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / np.abs(np.asarray(x) - 0.3) + 0j
+
+    grid = np.array([-1.0, 1.0])
+    bad = SymbolSamples("halfplane", grid, func(grid), False, 2.0, func=func)
+    monkeypatch.setattr(hankelpos.cli, "symbol_h_samples", lambda mu, n=1024: bad)
+    spec = write_spec(D1_SPEC)
+    with np.errstate(invalid="ignore"):
+        code, out, err = _run(capsys, "kernel-check", "--spec", str(spec))
+    assert code == 4
+    assert out == ""
+    assert "quadrature did not converge" in err
 
 
 def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,17 @@ def test_disc_atom_outside_open_interval_is_rejected() -> None:
         hp.disc_measure(atoms=[(1.5, 1.0)])
     with pytest.raises(MeasureSpecError):
         hp.disc_measure(atoms=[(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("position", [1e300, 4e16, 1e-17, 1e-300])
+def test_halfline_atoms_need_a_representable_cayley_image(position: float) -> None:
+    with pytest.raises(MeasureSpecError, match=re.escape(f"atom at {position} ") + ".*Cayley image"):
+        hp.halfplane_measure(atoms=[(position, 1.0)])
+
+
+def test_halfline_atoms_near_the_representable_range_push_forward() -> None:
+    nu = hp.cayley_pushforward(hp.halfplane_measure(atoms=[(1e15, 1.0), (1e-15, 1.0)]))
+    assert [-1.0 < a.position < 1.0 and a.mass > 0.0 for a in nu.atoms] == [True, True]
 
 
 def test_halfline_densities_use_the_lambda_base() -> None:
@@ -121,6 +133,44 @@ def test_one_plus_x_moments_match_quad_oracle() -> None:
             lambda x: x**j * (1.0 + x) ** 1.5, -1.0, 0.3
         )
         assert hp.moment(mu, j) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def _binomial_moment(j: int, e: int, lo: Fraction, hi: Fraction, base: str):
+    """int_lo^hi x^j (1 -+ x)^e dx for an integer e, exactly, through u = 1 -+ x."""
+    import mpmath
+
+    mpmath.mp.dps = 40
+    if base == "one_minus_x":  # x = 1 - u
+        a, b, sign = 1 - hi, 1 - lo, lambda k: (-1) ** k
+    else:  # x = u - 1
+        a, b, sign = 1 + lo, 1 + hi, lambda k: (-1) ** (j - k)
+    rational, logs = Fraction(0), 0
+    for k in range(j + 1):
+        weight = math.comb(j, k) * sign(k)
+        if k + e == -1:
+            logs += weight
+        else:
+            rational += weight * (b ** (k + e + 1) - a ** (k + e + 1)) / (k + e + 1)
+    exact = mpmath.mpf(rational.numerator) / rational.denominator
+    return exact + logs * mpmath.log(mpmath.mpf(b.numerator * a.denominator)
+                                     / (b.denominator * a.numerator))
+
+
+@pytest.mark.parametrize(
+    "coeff, e, base, lo, hi",
+    [
+        (1.0, -2, "one_minus_x", Fraction(1, 10), Fraction(1, 2)),
+        (2.0, -1, "one_plus_x", Fraction(-1, 2), Fraction(-1, 10)),
+        (0.5, -3, "one_minus_x", Fraction(-1, 4), Fraction(3, 4)),
+    ],
+)
+def test_moments_of_pieces_with_exponent_at_most_minus_one(coeff, e, base, lo, hi) -> None:
+    mu = hp.disc_measure(pieces=[hp.power_piece(coeff, e, base, (float(lo), float(hi)))])
+    got = hp.moments(mu, 9)
+    assert np.isfinite(got).all()
+    for j in range(9):
+        assert got[j] == pytest.approx(coeff * float(_binomial_moment(j, e, lo, hi, base)),
+                                       rel=1e-12, abs=0)
 
 
 def test_signed_odd_moments_of_a_symmetric_measure_vanish() -> None:

@@ -189,3 +189,17 @@ def test_an_integrand_that_turns_complex_on_a_refined_panel_keeps_its_imaginary_
     value = integrate(f, 0.0, 1.0)
     real = (0.465**1.5 + 0.535**1.5) / 1.5
     assert value == pytest.approx(real + 0.03j, rel=1e-10)
+
+
+def test_each_panel_calls_the_integrand_once_on_both_rules() -> None:
+    panels = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        panels.append((x.size, x.min(), x.max()))
+        return np.array([np.sqrt(x), np.cos(40.0 * x)])
+
+    value = integrate(f, 0.0, 1.0, breakpoints=[0.5])
+    np.testing.assert_allclose(value, [2.0 / 3.0, math.sin(40.0) / 40.0], rtol=1e-10)
+    assert len(panels) > 20  # the sqrt column forces refinement toward 0
+    assert {size for size, _, _ in panels} == {22}  # 15 value nodes + 7 error nodes
+    assert len({(lo, hi) for _, lo, hi in panels}) == len(panels)  # no panel twice

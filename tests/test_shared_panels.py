@@ -1,0 +1,192 @@
+"""Probe families integrated on one shared panel tree agree with one integral per probe.
+
+Every stacked call below is compared with the same quantity computed one
+point, pair or coefficient at a time (the scalar calls are one-row calls of
+the same code, or, for the Fourier coefficients, the per-coefficient loop
+written out here as the reference).  The call-count tests pin the number of
+adaptive integrals each check runs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import hankelpos as hp
+import hankelpos.hankel
+import hankelpos.outer
+from hankelpos import TWO_PI
+from hankelpos.hankel import _fourier_coefficients
+from hankelpos.verify import _UHP_PROBES, kernel_residuals
+
+PAIRS = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
+
+MEASURES = {
+    "atoms": hp.halfplane_measure(atoms=[(1.0, 1.0), (3.0, 2.0)]),
+    "lebesgue_01": hp.halfplane_measure(pieces=[hp.lebesgue_piece(0.0, 1.0)]),
+    "sqrt_1_2": hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))]),
+}
+
+HP_POINTS = np.array([1j, 2j, 1.0 + 1j, -0.5 + 0.3j, 0.5 + 1e-4j, -2.0 + 1e-4j])
+DISC_POINTS = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.6, (1.0 - 1e-4) * np.exp(0.7j), -0.9999])
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Stacked and scalar calls agree
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weight, points",
+    [
+        (hp.constant_weight(2.5), HP_POINTS),
+        (hp.rational_modulus_weight(zeros=[-1j], poles=[-2j, 1.0 - 3j]), HP_POINTS),
+        (hp.delta_modulus_weight(MEASURES["lebesgue_01"], 1.0) ** 0.5, HP_POINTS),
+        (hp.delta_modulus_weight(MEASURES["atoms"], -2.0), HP_POINTS),
+        (hp.constant_weight(0.4, domain="disc"), DISC_POINTS),
+        (hp.rational_modulus_weight(zeros=[0.5], poles=[2.0j], domain="disc"), DISC_POINTS),
+    ],
+    ids=["constant", "rational", "delta_lebesgue", "delta_atoms", "disc_constant", "disc_rational"],
+)
+def test_stacked_outer_values_match_one_point_at_a_time(weight, points) -> None:
+    stacked = hp.outer_eval(weight, points)
+    assert stacked.shape == points.shape
+    one_by_one = [hp.outer_eval(weight, z) for z in points]
+    assert all(isinstance(v, complex) for v in one_by_one)
+    np.testing.assert_allclose(stacked, one_by_one, rtol=1e-10, atol=0.0)
+    grid = hp.outer_eval(weight, points.reshape(2, -1))
+    np.testing.assert_allclose(grid.ravel(), stacked, rtol=1e-10, atol=0.0)
+
+
+def test_stacked_outer_values_reject_any_boundary_point() -> None:
+    with pytest.raises(ValueError, match="Im z"):
+        hp.outer_eval(hp.constant_weight(1.0), np.array([1j, 0.5 + 1e-9j]))
+    with pytest.raises(ValueError, match=r"\|z\|"):
+        hp.outer_eval(hp.constant_weight(1.0, domain="disc"), np.array([0.0, 0.9999999]))
+
+
+def test_g_of_an_array_is_g_point_by_point() -> None:
+    mu = MEASURES["sqrt_1_2"]
+    stacked = hp.g_from_delta(mu, 1.0, HP_POINTS)
+    np.testing.assert_allclose(
+        stacked, [hp.g_from_delta(mu, 1.0, z) for z in HP_POINTS], rtol=1e-10, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_stacked_boundary_kernels_match_single_pairs_and_measure_mode(name: str) -> None:
+    mu = MEASURES[name]
+    samples = hp.symbol_h_samples(mu)
+    stacked = hp.boundary_kernels(samples, PAIRS, abs_tol=1e-12)
+    single = [hp.symbol_kernel(z, w, mode="boundary", samples=samples, abs_tol=1e-12)
+              for z, w in PAIRS]
+    measure = [hp.symbol_kernel(z, w, mode="measure", mu=mu) for z, w in PAIRS]
+    np.testing.assert_allclose(stacked, single, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(stacked, measure, rtol=1e-10, atol=0.0)
+
+
+def test_boundary_kernels_validate_their_inputs() -> None:
+    samples = hp.symbol_h_samples(MEASURES["atoms"])
+    with pytest.raises(ValueError, match="upper half"):
+        hp.boundary_kernels(samples, [(1j, 1j), (1j, -1j)])
+    with pytest.raises(ValueError, match="half-plane symbol"):
+        hp.boundary_kernels(hp.hp_to_disc_symbol(samples), [(1j, 1j)])
+    assert hp.boundary_kernels(samples, []).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_stacked_transport_residuals_match_single_pairs(name: str) -> None:
+    mu = MEASURES[name]
+    stacked = hp.verify_rp_transport(mu, 1.5, probes=PAIRS)
+    assert stacked.verdict == "pass"
+    for (z, w), res, ghost in zip(PAIRS, stacked.residuals, stacked.invisibility):
+        single = hp.verify_rp_transport(mu, 1.5, probes=[(z, w)])
+        scale = abs(hp.symbol_kernel(z, w, mode="measure", mu=mu))
+        assert abs(res - single.residuals[0]) <= 1e-10 * scale
+        assert abs(ghost - single.invisibility[0]) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [MEASURES["lebesgue_01"], hp.halfplane_measure(
+        pieces=[hp.power_piece(1.0, 0.5, "lambda", (0.0, 2.0))])],
+    ids=["lebesgue_01", "sqrt_0_2"],
+)
+def test_stacked_jump_aware_fourier_coefficients_match_one_integral_each(mu) -> None:
+    symbol = hp.hp_to_disc_symbol(hp.symbol_h_samples(mu))
+    assert symbol.jumps == (math.pi,)
+    top = 9
+    reference = [
+        hp.integrate(
+            lambda t, n=n: symbol(t) * np.exp(-1j * n * t), 0.0, TWO_PI,
+            breakpoints=symbol.jumps, abs_tol=1e-12, rel_tol=1e-10,
+        ) / TWO_PI
+        for n in range(1, top + 1)
+    ]
+    np.testing.assert_allclose(_fourier_coefficients(symbol, top), reference,
+                               rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# One adaptive integral per family
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
+    mu = MEASURES["lebesgue_01"]
+    samples = hp.symbol_h_samples(mu)
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate_real_line")
+    residuals = kernel_residuals(mu, samples)
+    assert len(calls) == 1
+    assert len(residuals["probes"]) == 9
+    assert residuals["max_rel_residual"] <= 1e-10
+
+
+def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
+    mu = MEASURES["atoms"]
+    evaluations = _count_calls(monkeypatch, hankelpos.outer, "outer_eval")
+    integrals = _count_calls(monkeypatch, hankelpos.outer, "integrate_real_line")
+    report = hp.polar_decomposition_check(mu, 1.0, x_grid=(-1.0, -0.5, 0.5, 1.0))
+    assert report.verdict == "pass"
+    assert len(evaluations) == 1 and len(integrals) == 1
+    assert np.shape(evaluations[0][1]) == (8,)  # 4 approach points, 2 probes, 2 reflections
+
+
+def test_transport_makes_two_integrals(monkeypatch) -> None:
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate_real_line")
+    report = hp.verify_rp_transport(MEASURES["lebesgue_01"], 1.0)
+    assert report.verdict == "pass"
+    assert len(calls) == 2
+
+
+def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:
+    symbol = hp.hp_to_disc_symbol(hp.symbol_h_samples(MEASURES["lebesgue_01"]))
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
+    coeffs = _fourier_coefficients(symbol, 7)
+    assert len(calls) == 1
+    assert coeffs.shape == (7,)
+
+
+def test_a_stacked_boundary_integral_that_cannot_converge_raises() -> None:
+    def func(x: np.ndarray) -> np.ndarray:  # not integrable at x = 0.3
+        return 1.0 / np.abs(np.asarray(x) - 0.3) + 0j
+
+    grid = np.array([-1.0, 1.0])
+    samples = hp.SymbolSamples("halfplane", grid, func(grid), False, 2.0, func=func)
+    with pytest.raises(hp.QuadratureError), np.errstate(divide="ignore", invalid="ignore"):
+        hp.boundary_kernels(samples, PAIRS)
