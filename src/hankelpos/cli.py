@@ -20,8 +20,9 @@ inputs produce byte-identical output.
 
 Exit codes: 0 success; 1 a verification verdict failed; 2 unusable input
 (bad arguments, unreadable/invalid measure file, wrong domain for the
-command); 3 the measure fails the boundedness test but the command needs a
-bounded symbol; 4 quadrature did not converge to tolerance.
+command, sections that overflow double precision); 3 the measure fails the
+boundedness test but the command needs a bounded symbol; 4 quadrature did not
+converge to tolerance.
 
 ``HANKELPOS_THREADS`` caps the linear-algebra thread pools (it must be set
 before the first ``import hankelpos``; see the package ``__init__``).
@@ -135,16 +136,13 @@ def _load(path: str) -> tuple[Measure, str]:
     return mu, digest
 
 
-def _require_halfplane(mu: Measure, command: str) -> None:
+def _require_bounded_halfplane(mu: Measure, command: str) -> None:
     if mu.domain != "halfplane":
         raise _CommandError(
             f"the {command} command needs a half-line measure, "
             f"got domain {mu.domain!r}",
             2,
         )
-
-
-def _require_bounded(mu: Measure, command: str) -> None:
     verdict = widom_check(mu).verdict
     if verdict != "bounded":
         raise _CommandError(
@@ -171,8 +169,6 @@ def _sections_block(mu: Measure) -> dict:
 
 
 def _cmd_report(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str, int]:
-    _require_halfplane(mu, "report")
-    _require_bounded(mu, "report")
     samples = symbol_h_samples(mu, n=args.grid)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -201,8 +197,6 @@ def _cmd_widom(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str,
 
 
 def _cmd_symbol(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str, int]:
-    _require_halfplane(mu, "symbol")
-    _require_bounded(mu, "symbol")
     samples = symbol_h_samples(mu, n=args.grid)
     return symbol_samples_csv(samples), 0
 
@@ -210,8 +204,6 @@ def _cmd_symbol(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str
 def _cmd_kernel_check(
     mu: Measure, digest: str, args: argparse.Namespace
 ) -> tuple[str, int]:
-    _require_halfplane(mu, "kernel-check")
-    _require_bounded(mu, "kernel-check")
     tol = args.tol if args.tol is not None else 1e-6
     samples = symbol_h_samples(mu, n=args.grid)
     residuals = kernel_residuals(mu, samples)
@@ -248,8 +240,6 @@ def _cmd_positivity(
 def _cmd_transport(
     mu: Measure, digest: str, args: argparse.Namespace
 ) -> tuple[str, int]:
-    _require_halfplane(mu, "transport")
-    _require_bounded(mu, "transport")
     tol = args.tol if args.tol is not None else 1e-6
     report = verify_rp_transport(mu, args.offset, residual_tol=tol)
     payload = {
@@ -308,10 +298,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
         mu, digest = _load(args.spec)
+        if args.command in _BOUNDED_ONLY:
+            _require_bounded_halfplane(mu, args.command)
         text, code = _DISPATCH[args.command](mu, digest, args)
     except _CommandError as exc:
         print(f"hankelpos: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # e.g. a section that overflows double precision
+        print(f"hankelpos: unusable input: {exc}", file=sys.stderr)
+        return 2
     except QuadratureError as exc:
         print(f"hankelpos: quadrature did not converge: {exc}", file=sys.stderr)
         return 4

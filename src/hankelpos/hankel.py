@@ -27,12 +27,16 @@ boundary integral ``u |delta|`` against the measure mode, and
 unimodular on the boundary once the outer factor g of |delta|^(1/2) is divided
 out.
 
+Every section is built by one index builder, ``c[j + k + shift]`` over a
+rows x cols grid, and every spectrum is read by one dense Hermitian
+eigen-solve, which raises ``ValueError`` when the trace or an eigenvalue is not
+finite (entries near the top of the double range overflow both).
+
 Operator-theoretic checks:
 
 * :func:`positivity_certificate` — eigenvalue certificate for a Hermitian
   section, with the relative tolerance ``tol (1 + |trace|)``.
-* :func:`norm_estimate` — deterministic power iteration on M^2 (handles the
-  +/- lambda ambiguity of Hermitian spectra) with Rayleigh-quotient stopping.
+* :func:`norm_estimate` — the operator norm max |eig| of a Hermitian section.
 * :func:`contraction_check` — the reflected-shift defect
   ``[c[j+k] - c[j+k+2]]`` on the disc, or the Laplace-transform Gram defect
   ``[phi(t_j + t_k) - phi(t_j + t_k + 2 s)]`` on the half-line; positive
@@ -49,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import hankel as _hankel_matrix
 
 from .measures import Measure, laplace_transform, moments, stieltjes
 from .pick import SymbolSamples, delta_values
@@ -97,12 +100,16 @@ def _as_moment_array(moment_seq: Sequence[float], needed: int) -> np.ndarray:
     return c
 
 
+def _hankel(c: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.ndarray:
+    """The rows x cols Hankel block [c[j + k + shift]]."""
+    return c[np.add.outer(np.arange(rows), np.arange(cols)) + shift]
+
+
 def section_from_moments(moment_seq: Sequence[float], n: int) -> np.ndarray:
     """The n x n Hankel section M[j][k] = c[j+k] (needs 2n - 1 moments)."""
     if n < 1:
         raise ValueError(f"section size must be >= 1, got {n}")
-    c = _as_moment_array(moment_seq, 2 * n - 1)
-    return _hankel_matrix(c[:n], c[n - 1 : 2 * n - 1])
+    return _hankel(_as_moment_array(moment_seq, 2 * n - 1), n, n)
 
 
 def section_from_measure(mu: Measure, n: int) -> np.ndarray:
@@ -115,8 +122,7 @@ def hilbert_section(n: int) -> np.ndarray:
     on [0, 1].  Its norms increase to pi as n grows."""
     if n < 1:
         raise ValueError(f"section size must be >= 1, got {n}")
-    j = np.arange(n)
-    return 1.0 / (j[:, None] + j[None, :] + 1.0)
+    return _hankel(1.0 / np.arange(1.0, 2 * n), n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +180,7 @@ def section_from_symbol_disc(
     coeffs = _fourier_coefficients(samples, 2 * n - 1)
     if pairing == "moment":
         coeffs = TWO_PI * coeffs
-    section = _hankel_matrix(coeffs[:n], coeffs[n - 1 : 2 * n - 1])
+    section = _hankel(coeffs, n, n)
     scale = float(np.max(np.abs(section))) if section.size else 0.0
     if float(np.max(np.abs(section.imag))) <= 1e-9 * (1.0 + scale):
         return np.ascontiguousarray(section.real)
@@ -268,7 +274,7 @@ def quadratic_form(
         raise ValueError("coefficient vectors must be nonempty and one-dimensional")
     if mu is not None:
         c = _as_moment_array(moments(mu, av.size + bv.size - 1), av.size + bv.size - 1)
-        m = _hankel_matrix(c[: av.size], c[av.size - 1 : av.size + bv.size - 1])
+        m = _hankel(c, av.size, bv.size)
     else:
         m = np.asarray(section)
         if m.ndim != 2 or m.shape[0] < av.size or m.shape[1] < bv.size:
@@ -383,14 +389,26 @@ def symbol_kernel(
 # Positivity certificates and norms
 # ---------------------------------------------------------------------------
 
-def _require_hermitian(section: np.ndarray) -> np.ndarray:
+def _spectrum(section: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues and real trace of a Hermitian section.
+
+    Raises ValueError when either is not finite: no verdict can be read from
+    an overflowed spectrum or from the infinite allowance tol (1 + |trace|)."""
     m = np.asarray(section)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * (1.0 + scale):
-        raise ValueError("section is not Hermitian")
-    return m
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.max(np.abs(m), initial=0.0))
+        if float(np.max(np.abs(m - m.conj().T), initial=0.0)) > 1e-10 * (1.0 + scale):
+            raise ValueError("section is not Hermitian")
+        trace = float(np.real(np.trace(m)))
+    # LAPACK fails or returns nan on non-finite entries; skip it for those
+    evals = np.linalg.eigvalsh(m) if np.all(np.isfinite(m)) else np.array([np.nan])
+    if not (math.isfinite(trace) and np.all(np.isfinite(evals))):
+        raise ValueError(
+            f"the {len(m)} x {len(m)} section overflows double precision (trace {trace})"
+        )
+    return evals, trace
 
 
 @dataclass(frozen=True)
@@ -427,13 +445,11 @@ def positivity_certificate(
     The verdict is ``positive`` when min eig >= -tol (1 + |trace|) — a relative
     allowance so that honest round-off in large well-conditioned sections is
     not flagged, while genuinely indefinite matrices are."""
-    m = _require_hermitian(section)
-    evals = np.linalg.eigvalsh(m)
-    trace = float(np.real(np.trace(m)))
+    evals, trace = _spectrum(section)
     min_eig = float(evals[0])
     verdict = "positive" if min_eig >= -tol * (1.0 + abs(trace)) else "indefinite"
     return PositivityCertificate(
-        dimension=m.shape[0],
+        dimension=len(evals),
         min_eig=min_eig,
         max_eig=float(evals[-1]),
         trace=trace,
@@ -442,46 +458,9 @@ def positivity_certificate(
     )
 
 
-def norm_estimate(
-    section: np.ndarray, *, rel_tol: float = 1e-14, max_iter: int = 100_000
-) -> float:
-    """Operator norm of a Hermitian section by power iteration on M^2.
-
-    Squaring removes the +/- lambda sign ambiguity of Hermitian spectra, so
-    the iteration converges to max |eig|^2 whose square root is returned.  The
-    start vector is deterministic (all ones, with one seeded random restart if
-    that lies in the kernel); stopping is by relative Rayleigh-quotient
-    stagnation.  Non-convergence raises RuntimeError rather than returning a
-    truncated value.
-    """
-    m = _require_hermitian(section)
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    a = m @ m.conj().T
-    v = np.ones(n, dtype=a.dtype) / math.sqrt(n)
-    restarted = False
-    rayleigh = float(np.real(np.vdot(v, a @ v)))
-    for _ in range(max_iter):
-        w = a @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-300:
-            if restarted:
-                return 0.0
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(n)
-            v = v / np.linalg.norm(v)
-            restarted = True
-            continue
-        v = w / norm_w
-        new_rayleigh = float(np.real(np.vdot(v, a @ v)))
-        if abs(new_rayleigh - rayleigh) <= rel_tol * max(abs(new_rayleigh), 1e-300):
-            return math.sqrt(new_rayleigh)
-        rayleigh = new_rayleigh
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(size {n}, last Rayleigh quotient {rayleigh})"
-    )
+def norm_estimate(section: np.ndarray) -> float:
+    """Operator norm max |eig| of a Hermitian section (0.0 when it is empty)."""
+    return float(np.max(np.abs(_spectrum(section)[0]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +520,8 @@ def contraction_check(
             raise ValueError(f"disc_shift mode needs a section size n >= 1, got {n}")
         if (mu is None) == (moment_seq is None):
             raise ValueError("disc_shift mode needs exactly one of mu= or moment_seq=")
-        if mu is not None:
-            c = np.asarray(moments(mu, 2 * n + 1), dtype=float)
-        else:
-            c = _as_moment_array(moment_seq, 2 * n + 1)
-        j = np.arange(n)
-        idx = j[:, None] + j[None, :]
-        defect = c[idx] - c[idx + 2]
+        c = _as_moment_array(moment_seq if mu is None else moments(mu, 2 * n + 1), 2 * n + 1)
+        defect = _hankel(c, n, n) - _hankel(c, n, n, 2)
         params = {"n": int(n)}
     elif mode == "hp_gram":
         if mu is None or mu.domain != "halfplane":
@@ -570,7 +544,7 @@ def contraction_check(
     else:
         raise ValueError(f"unknown mode {mode!r} (disc_shift, hp_gram)")
 
-    min_eig = float(np.linalg.eigvalsh(defect)[0])
+    min_eig = float(_spectrum(defect)[0][0])
     verdict = "contractive" if min_eig >= -tol else "not_contractive"
     return OSContractionReport(
         mode=mode,
@@ -807,29 +781,20 @@ def support_sign_test(
     if n < 1:
         raise ValueError(f"section size must be >= 1, got {n}")
     if isinstance(source, Measure):
-        c = np.asarray(moments(source, 2 * n + 1), dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("the measure has non-finite moments")
-    else:
-        c = _as_moment_array(source, 2 * n + 1)
-    j = np.arange(n)
-    idx = j[:, None] + j[None, :]
-    plain = c[idx]
-    shifted = c[idx + 1]
-    min_plain = float(np.linalg.eigvalsh(plain)[0])
-    min_shifted = float(np.linalg.eigvalsh(shifted)[0])
-    thr_plain = tol * (1.0 + abs(float(np.trace(plain))))
-    thr_shifted = tol * (1.0 + abs(float(np.trace(shifted))))
-    if min_plain < -thr_plain:
+        source = moments(source, 2 * n + 1)
+    c = _as_moment_array(source, 2 * n + 1)
+    plain = positivity_certificate(_hankel(c, n, n), tol=tol)
+    shifted = positivity_certificate(_hankel(c, n, n, 1), tol=tol)
+    if not plain.is_positive:
         verdict = "inconclusive"
-    elif min_shifted < -thr_shifted:
+    elif not shifted.is_positive:
         verdict = "mass_on_negative"
     else:
         verdict = "supported_in_[0,1]"
     return SupportReport(
         dimension=n,
-        min_eig_plain=min_plain,
-        min_eig_shifted=min_shifted,
+        min_eig_plain=plain.min_eig,
+        min_eig_shifted=shifted.min_eig,
         tol=tol,
         verdict=verdict,
     )

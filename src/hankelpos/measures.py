@@ -493,16 +493,20 @@ def _quadrature_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.nd
 # ---------------------------------------------------------------------------
 
 def _endpoint_exponents(piece: Piece, lo: float, hi: float) -> tuple[float, float]:
-    """Power-law exponents of the density at lo/hi (0.0 where regular)."""
+    """Power-law exponents of the density at lo/hi (0.0 where regular, i.e.
+    off the endpoint or a nonnegative integer power)."""
+    def singular(e: float) -> float:
+        return 0.0 if e >= 0.0 and float(e).is_integer() else e
+
     a_lo = a_hi = 0.0
     if isinstance(piece, CayleyPiece):
-        if lo == -1.0 and piece.plus_exponent < 0.0:
-            a_lo = piece.plus_exponent
-        if hi == 1.0 and piece.minus_exponent < 0.0:
-            a_hi = piece.minus_exponent
+        if lo == -1.0:
+            a_lo = singular(piece.plus_exponent)
+        if hi == 1.0:
+            a_hi = singular(piece.minus_exponent)
         return a_lo, a_hi
-    e = piece.exponent
-    if e >= 0.0:
+    e = singular(piece.exponent)
+    if e == 0.0:
         return 0.0, 0.0
     if piece.base in ("x", "lambda"):
         if lo == 0.0:
@@ -561,13 +565,15 @@ def piece_integral(
     """``int f(x) piece.density(x) dx`` over the support (or a sub-interval).
 
     This is the one quadrature entry point for density pieces: integrable
-    endpoint singularities of the density (exponent in (-1, 0)) are absorbed
-    by a power substitution, which plain panel refinement handles poorly — it
-    converges slowly there, and split points can collide with the endpoint in
-    floating point, evaluating the density at its pole.  ``f`` must be
-    vectorized and smooth on the closed interval (``None`` means 1); complex
-    values pass through, and the return type follows the integrand; an ``f``
-    of shape ``(m, n)`` gives m integrals, as in :mod:`hankelpos.quadrature`.
+    endpoint singularities of the density (any exponent other than a
+    nonnegative integer, e.g. (1+x)^-0.5 or (1+x)^0.5 at -1) are absorbed by a
+    power substitution, which plain panel refinement handles poorly — it
+    converges slowly there, its error estimate underrates the error, and split
+    points can collide with the endpoint in floating point, evaluating the
+    density at its pole.  ``f`` must be vectorized and smooth on the closed
+    interval (``None`` means 1); complex values pass through, and the return
+    type follows the integrand; an ``f`` of shape ``(m, n)`` gives m
+    integrals, as in :mod:`hankelpos.quadrature`.
     ``breakpoints`` in x are mapped through the power substitution.
     """
     p_lo, p_hi = piece.support
@@ -589,20 +595,20 @@ def piece_integral(
         raise ValueError(f"non-integrable endpoint singularity in {piece}")
     opts = {"abs_tol": abs_tol, "rel_tol": rel_tol, "breakpoints": tuple(breakpoints)}
     if math.isinf(hi):
-        if a_lo < 0.0:
+        if a_lo != 0.0:
             mid = lo + 1.0
             return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + integrate_halfline(
                 g, mid, **opts
             )
         return integrate_halfline(g, lo, **opts)
-    if a_lo < 0.0 and a_hi < 0.0:
+    if a_lo != 0.0 and a_hi != 0.0:
         mid = 0.5 * (lo + hi)
         return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + _power_sub(
             f, piece, mid, hi, a_hi, "hi", **opts
         )
-    if a_lo < 0.0:
+    if a_lo != 0.0:
         return _power_sub(f, piece, lo, hi, a_lo, "lo", **opts)
-    if a_hi < 0.0:
+    if a_hi != 0.0:
         return _power_sub(f, piece, lo, hi, a_hi, "hi", **opts)
     return integrate(g, lo, hi, **opts)
 
@@ -933,7 +939,8 @@ def widom_check(mu: Measure, grid: GridSpec = GridSpec()) -> WidomReport:
 def _cayley_atom(a: Atom) -> tuple[float, float]:
     """Position and mass of the pushforward of a half-line atom."""
     t = (a.position - 1.0) / (a.position + 1.0)
-    return t, a.mass * (1.0 - t) ** 2 / 2.0
+    # not m (1 - t)^2 / 2: 1 - t from the rounded t loses ~lambda eps of the mass
+    return t, 2.0 * a.mass / (1.0 + a.position) / (1.0 + a.position)
 
 
 def cayley_pushforward(mu: Measure) -> Measure:

@@ -333,6 +333,35 @@ def test_halfline_atoms_without_a_cayley_image_are_exit_2(
     assert f"atom at {shown}" in err
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("domain, base", [("disc", "x"), ("halfplane", "lambda")])
+def test_sections_that_overflow_end_in_a_documented_exit_code(
+    write_spec, capsys, domain: str, base: str
+) -> None:
+    # coeff 1e308: finite moments, but the section traces overflow
+    spec = write_spec({"domain": domain, "densities": [{
+        "kind": "power", "coeff": 1e308, "exponent": 0.0, "base": base,
+        "support": [0.0, 1.0]}]})
+    codes = {}
+    for command in ("report", "widom", "symbol", "kernel-check", "positivity",
+                    "transport", "verify-all"):
+        code, out, err = _run(capsys, command, "--spec", str(spec))
+        assert code in (0, 1, 2, 3, 4), (command, code)
+        codes[command] = code
+        if command == "symbol" and out:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+        elif out:
+            json.loads(out, parse_constant=_reject_constant)
+        if command == "positivity" or (command == "report" and domain == "halfplane"):
+            assert code == 2 and out == ""
+            assert "overflows double precision" in err
+    assert codes["widom"] == 0
+
+
 def test_unconverged_stacked_kernel_integral_is_exit_4(write_spec, capsys, monkeypatch) -> None:
     def func(x):  # not integrable at x = 0.3, so the shared panel tree cannot converge
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -368,6 +368,25 @@ def test_norm_estimate_handles_the_zero_matrix() -> None:
     assert hp.norm_estimate(np.zeros((4, 4))) == 0.0
 
 
+def test_norm_estimate_handles_the_empty_matrix() -> None:
+    assert hp.norm_estimate(np.zeros((0, 0))) == 0.0
+
+
+def test_spectra_that_overflow_are_rejected() -> None:
+    # finite entries whose trace and eigenvalues overflow double precision
+    c = 1e308 / np.arange(1.0, 18.0)
+    section = hp.section_from_moments(c, 8)
+    with pytest.raises(ValueError, match="overflows double precision"):
+        hp.positivity_certificate(section)
+    with pytest.raises(ValueError, match="overflows double precision"):
+        hp.norm_estimate(section)
+    with pytest.raises(ValueError, match="overflows double precision"):
+        hp.support_sign_test(c, 8)
+    with pytest.raises(ValueError, match="overflows double precision"):
+        # c[j+k] - c[j+k+2] = +-2e308
+        hp.contraction_check(mode="disc_shift", moment_seq=[1e308, 1e308, -1e308] * 3, n=4)
+
+
 def test_norm_estimates_grow_with_the_section(disc_leb: hp.Measure) -> None:
     norms = [
         hp.norm_estimate(hp.section_from_measure(disc_leb, n)) for n in (1, 2, 4, 8)

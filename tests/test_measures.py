@@ -216,6 +216,26 @@ def test_cayley_piece_moments_match_the_hypergeometric_closed_form() -> None:
         assert vec[j] == pytest.approx(_invsqrt_pushforward_moment(j), rel=1e-9, abs=0.0)
 
 
+# c_j of (1+t)^0.5 (1-t)^-0.5 on [-1, 0.5], by mpmath at 30 digits (40 agree);
+# c_0 is also arcsin(0.5) - sqrt(0.75) + pi/2.
+SQRT_ENDPOINT_MOMENTS = {
+    0: 1.228369698608756845545,
+    1: -0.03533420353395056230044,
+    64: 0.001195759530906144305951,
+    1000: 0.00001978694556065851892792,
+    4096: 0.000002389631821321008250733,
+}
+
+
+def test_a_positive_fractional_endpoint_exponent_is_substituted() -> None:
+    # (1+t)^0.5 at -1 is not smooth; plain panels underrate their error there
+    mu = hp.disc_measure(pieces=[CayleyPiece(1.0, 0.5, -0.5, (-1.0, 0.5))])
+    c = hp.moments(mu, 4097)
+    for j, ref in SQRT_ENDPOINT_MOMENTS.items():
+        assert c[j] == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert hp.total_mass(mu) == pytest.approx(SQRT_ENDPOINT_MOMENTS[0], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "mu",
     [
@@ -455,6 +475,13 @@ def test_pushforward_of_a_point_mass(d1: hp.Measure) -> None:
     nu = hp.cayley_pushforward(d1)
     assert nu.domain == "disc"
     assert nu.atoms == (hp.Atom(0.0, 0.5),)
+
+
+@pytest.mark.parametrize("position", [1e3, 1e8, 1e12, 1e15])
+def test_pushforward_mass_of_a_far_atom_is_exact(position: float) -> None:
+    (atom,) = hp.cayley_pushforward(hp.halfplane_measure(atoms=[(position, 3.0)])).atoms
+    exact = Fraction(2 * 3) / (1 + Fraction(position)) ** 2
+    assert abs(Fraction(atom.mass) - exact) / exact < 1e-15
 
 
 def test_pushforward_of_two_atoms(mix: hp.Measure) -> None:
