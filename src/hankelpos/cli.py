@@ -36,6 +36,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -173,7 +174,7 @@ def _cmd_report(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input_digest": digest,
-        "widom": widom_check(mu).to_dict(),
+        "widom": asdict(widom_check(mu)),
         "sections": _sections_block(mu),
         "symbol": {
             "grid_points": int(samples.grid.size),
@@ -191,7 +192,7 @@ def _cmd_widom(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str,
         "schema_version": SCHEMA_VERSION,
         "input_digest": digest,
         "command": "widom",
-        "widom": widom_check(mu).to_dict(),
+        "widom": asdict(widom_check(mu)),
     }
     return _json_text(payload), 0
 
@@ -232,7 +233,7 @@ def _cmd_positivity(
         "input_digest": digest,
         "command": "positivity",
         "N": args.N,
-        "certificate": cert.to_dict(),
+        "certificate": asdict(cert),
     }
     return _json_text(payload), 0
 
@@ -259,7 +260,7 @@ def _cmd_verify_all(
         "schema_version": SCHEMA_VERSION,
         "input_digest": digest,
         "command": "verify-all",
-        "suites": [r.to_dict() for r in results],
+        "suites": [asdict(r) for r in results],
         "verdict": "fail" if any(r.status == "fail" for r in results) else "pass",
     }
     return _json_text(payload), 0 if payload["verdict"] == "pass" else 1

@@ -49,7 +49,7 @@ Operator-theoretic checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -426,16 +426,6 @@ class PositivityCertificate:
     def is_positive(self) -> bool:
         return self.verdict == "positive"
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "trace": self.trace,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
 
 def positivity_certificate(
     section: np.ndarray, *, tol: float = 1e-10
@@ -481,16 +471,6 @@ class OSContractionReport:
     @property
     def is_contractive(self) -> bool:
         return self.verdict == "contractive"
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dimension": self.dimension,
-            "min_eig": self.min_eig,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "params": dict(self.params),
-        }
 
 
 def contraction_check(
@@ -575,17 +555,9 @@ class TransportReport:
     verdict: str  # "pass" | "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "probes": [[z.real, z.imag, w.real, w.imag] for z, w in self.probes],
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "invisibility": list(self.invisibility),
-            "max_invisibility": self.max_invisibility,
-            "residual_tol": self.residual_tol,
-            "invisibility_tol": self.invisibility_tol,
-            "verdict": self.verdict,
-        }
+        """:func:`dataclasses.asdict`, with each complex probe pair as [re, im, re, im]."""
+        return {**asdict(self),
+                "probes": [[z.real, z.imag, w.real, w.imag] for z, w in self.probes]}
 
 
 def verify_rp_transport(
@@ -664,20 +636,6 @@ class PolarReport:
     symmetry_tol: float
     verdict: str  # "pass" | "fail"
 
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "epsilon": self.epsilon,
-            "boundary_grid": list(self.boundary_grid),
-            "modulus_defects": list(self.modulus_defects),
-            "max_modulus_defect": self.max_modulus_defect,
-            "g_symmetry_defect": self.g_symmetry_defect,
-            "h_symmetry_defect": self.h_symmetry_defect,
-            "modulus_tol": self.modulus_tol,
-            "symmetry_tol": self.symmetry_tol,
-            "verdict": self.verdict,
-        }
-
 
 def polar_decomposition_check(
     mu: Measure,
@@ -754,15 +712,6 @@ class SupportReport:
     min_eig_shifted: float
     tol: float
     verdict: str  # "supported_in_[0,1]" | "mass_on_negative" | "inconclusive"
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "min_eig_plain": self.min_eig_plain,
-            "min_eig_shifted": self.min_eig_shifted,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
 
 
 def support_sign_test(

@@ -55,14 +55,6 @@ class SuiteResult:
     worst_residual: Optional[float]
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "worst_residual": self.worst_residual,
-            "detail": self.detail,
-        }
-
 
 def _result(name: str, ok: bool, worst: Optional[float], detail: str) -> SuiteResult:
     return SuiteResult(name, "pass" if ok else "fail", worst, detail)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -461,7 +462,7 @@ def test_widom_results_are_memoized_across_equal_measures() -> None:
 
 
 def test_widom_report_serializes(d1: hp.Measure) -> None:
-    data = hp.widom_check(d1).to_dict()
+    data = dataclasses.asdict(hp.widom_check(d1))
     assert data["verdict"] == "bounded"
     assert set(data) >= {"domain", "beta", "gamma", "rho_total", "verdict", "grid"}
 

@@ -1,0 +1,223 @@
+"""The Widom scan's cumulative primitives against brute-force per-interval sums.
+
+``rho_interval``, ``mass_interval``, ``total_mass`` and ``widom_check`` read
+one distribution function per domain.  The references below sum each interval on its own: one
+term per atom inside it, one closed form or quadrature per piece over the
+piece's support cut to it — the loop the primitives replaced.
+
+Interval values are compared relative to the total mass: on both sides they
+are differences — of running sums, or of a piece's closed form at two cuts —
+whose rounding is of that size.  Totals and Widom constants are compared
+relative to themselves.  Measures with a piece that goes through adaptive
+quadrature are held to the quadrature's relative tolerance instead.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hankelpos as hp
+from hankelpos.measures import (
+    MOMENT_CAP,
+    CayleyPiece,
+    _piece_mass,
+    _piece_stieltjes,
+    piece_integral,
+)
+from hankelpos.quadrature import DEFAULT_REL_TOL
+
+INF = math.inf
+REL = 1e-13
+
+
+def by_quadrature(p) -> bool:
+    """Cayley pieces, and half-line pieces with an integer exponent other than 0."""
+    return isinstance(p, CayleyPiece) or (p.base == "lambda" and p.exponent in (1.0, 2.0))
+
+
+def rel(mu: hp.Measure) -> float:
+    return DEFAULT_REL_TOL if any(map(by_quadrature, mu.pieces)) else REL
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references
+# ---------------------------------------------------------------------------
+
+
+def brute_rho(mu: hp.Measure, a: float, b: float) -> float:
+    """rho over (a, b] for finite b, over [a, oo) for b = oo."""
+    out = 0.0
+    for at in mu.atoms:
+        if (at.position >= a) if math.isinf(b) else (a < at.position <= b):
+            out += at.mass / (1.0 + at.position**2)
+    for p in mu.pieces:
+        lo, hi = max(p.support[0], a), min(p.support[1], b)
+        if hi > lo:
+            out += float(_piece_stieltjes(p, -1j, 1, lo, hi).imag)
+    return out
+
+
+def brute_mass(mu: hp.Measure, a: float, b: float) -> float:
+    """mu([a, b])."""
+    out = sum(at.mass for at in mu.atoms if a <= at.position <= b)
+    for p in mu.pieces:
+        lo, hi = max(p.support[0], a), min(p.support[1], b)
+        if hi > lo:
+            out += float(piece_integral(p, lo=lo, hi=hi, rel_tol=1e-15, abs_tol=0.0)
+                         if isinstance(p, CayleyPiece) else _piece_mass(p, lo, hi))
+    return out
+
+
+def fine_grid(report: hp.WidomReport) -> list[float]:
+    lo, hi = report.grid["fine_span"]
+    return np.logspace(math.log10(lo), math.log10(hi), report.grid["fine"]).tolist()
+
+
+def brute_halfline_constants(mu: hp.Measure, report: hp.WidomReport) -> tuple[float, float]:
+    probes = {*fine_grid(report), *(a.position for a in mu.atoms)}
+    probes |= {e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0.0}
+    beta = gamma = 0.0
+    for t in probes:
+        beta = max(beta, brute_rho(mu, 0.0, t) / t)
+        gamma = max(gamma, t * brute_rho(mu, t, INF))
+    return beta, gamma
+
+
+def brute_disc_constants(mu: hp.Measure, report: hp.WidomReport) -> tuple[float, float]:
+    gaps = {min(t, 2.0) for t in fine_grid(report)}
+    gaps |= {1.0 - a.position for a in mu.atoms} | {1.0 + a.position for a in mu.atoms}
+    for p in mu.pieces:
+        gaps |= {1.0 - e for e in p.support} | {1.0 + e for e in p.support}
+    gamma = 0.0
+    for g in (g for g in gaps if 0.0 < g <= 2.0):
+        gamma = max(gamma, brute_mass(mu, 1.0 - g, 1.0) / g, brute_mass(mu, -1.0, -1.0 + g) / g)
+    # the atoms here peak at j < 100, inside the fine j-grid
+    js = np.unique(np.append(np.round(np.logspace(0.0, math.log10(MOMENT_CAP), 128)), 0.0))
+    beta = max((j + 1) * abs(hp.moment(mu, int(j))) for j in js)
+    return beta, gamma
+
+
+# ---------------------------------------------------------------------------
+# Random measures
+# ---------------------------------------------------------------------------
+
+masses = st.floats(min_value=0.1, max_value=10.0)
+# The closed form of a lambda^e piece on [lo, hi] is a difference of two tails
+# of size ~ hi^e / |e| (Lebesgue pieces take their own branch), so it loses
+# digits as e -> 0 and on short supports; both sides share it, so the pieces
+# drawn here keep |e| >= 0.25 and hi >= 1.5 lo.
+exponents = st.floats(min_value=0.25, max_value=0.9) | st.floats(min_value=-0.9, max_value=-0.25)
+widths = st.floats(min_value=1.5, max_value=1e3)
+log_positions = st.floats(min_value=-3.0, max_value=3.0).map(lambda u: 10.0**u)
+
+
+@st.composite
+def halfline_measures(draw, integer_exponents: bool = False) -> hp.Measure:
+    atoms = draw(st.lists(st.tuples(log_positions, masses), max_size=6))
+    pieces = []
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(log_positions)
+        hi = lo * draw(widths)
+        kind = draw(st.sampled_from(["power", "lebesgue", "from_zero", "ray", "integer"]
+                                    if integer_exponents else
+                                    ["power", "lebesgue", "from_zero", "ray"]))
+        e = draw(exponents)
+        if kind == "lebesgue":
+            e = 0.0
+        elif kind == "from_zero":
+            lo = 0.0
+        elif kind == "ray":
+            hi = INF
+        elif kind == "integer":
+            e = float(draw(st.integers(1, 2)))
+        pieces.append(hp.power_piece(draw(masses), e, "lambda", (lo, hi)))
+    return hp.halfplane_measure(atoms=atoms, pieces=pieces)
+
+
+@st.composite
+def disc_measures(draw) -> hp.Measure:
+    inner = st.floats(min_value=-0.99, max_value=0.99)
+    atoms = draw(st.lists(st.tuples(inner, masses), max_size=6))
+    pieces = []
+    exponent = st.floats(min_value=-0.9, max_value=1.5)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["x", "one_minus_x", "one_plus_x", "cayley"]))
+        cut = draw(inner)
+        coeff = draw(masses)
+        if kind == "x":  # on [0, 1], where fractional powers are allowed
+            lo = draw(st.floats(0.0, 0.9))
+            hi = draw(st.floats(lo + 0.05, 1.0))
+            pieces.append(hp.power_piece(coeff, draw(st.sampled_from([0.0, 1.0, 2.0, 0.5])),
+                                         "x", (lo, hi)))
+        elif kind == "one_minus_x":
+            pieces.append(hp.power_piece(coeff, draw(exponent), "one_minus_x", (cut, 1.0)))
+        elif kind == "one_plus_x":
+            pieces.append(hp.power_piece(coeff, draw(exponent), "one_plus_x", (-1.0, cut)))
+        else:
+            lo, hi = draw(st.sampled_from([(-1.0, cut), (cut, 1.0), (-1.0, 1.0)]))
+            pieces.append(CayleyPiece(coeff, draw(exponent), draw(exponent), (lo, hi)))
+    return hp.disc_measure(atoms=atoms, pieces=pieces)
+
+
+def endpoints(draw, mu: hp.Measure, low: float, high: float) -> float:
+    """A probe point: an atom position, a support endpoint or a free draw."""
+    marks = [a.position for a in mu.atoms]
+    marks += [e for p in mu.pieces for e in p.support if low <= e <= high]
+    free = st.floats(min_value=low, max_value=high)
+    return draw(st.sampled_from(marks) | free) if marks else draw(free)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(mu=halfline_measures(integer_exponents=True), data=st.data())
+def test_rho_interval_matches_the_per_interval_sum(mu: hp.Measure, data) -> None:
+    a, b = sorted([endpoints(data.draw, mu, 1e-4, 1e4), endpoints(data.draw, mu, 1e-4, 1e4)])
+    total = brute_rho(mu, 0.0, INF)
+    assert math.isclose(hp.rho_total(mu), total, rel_tol=rel(mu), abs_tol=0.0)
+    assert abs(hp.rho_interval(mu, (a, INF)) - brute_rho(mu, a, INF)) <= rel(mu) * total
+    if b > a:
+        assert abs(hp.rho_interval(mu, (a, b)) - brute_rho(mu, a, b)) <= rel(mu) * total
+
+
+@settings(deadline=None, max_examples=60)
+@given(mu=disc_measures(), data=st.data())
+def test_mass_interval_matches_the_per_interval_sum(mu: hp.Measure, data) -> None:
+    a, b = sorted([endpoints(data.draw, mu, -1.0, 1.0), endpoints(data.draw, mu, -1.0, 1.0)])
+    total = brute_mass(mu, -1.0, 1.0)
+    assert math.isclose(hp.total_mass(mu), total, rel_tol=rel(mu), abs_tol=0.0)
+    assert abs(hp.mass_interval(mu, a, b) - brute_mass(mu, a, b)) <= rel(mu) * total
+    assert abs(hp.mass_interval(mu, a, 1.0) - brute_mass(mu, a, 1.0)) <= rel(mu) * total
+
+
+@settings(deadline=None, max_examples=25)
+@given(mu=halfline_measures())
+def test_halfline_widom_constants_match_a_probe_loop(mu: hp.Measure) -> None:
+    report = hp.widom_check(mu)
+    beta, gamma = brute_halfline_constants(mu, report)
+    assert math.isclose(report.beta, beta, rel_tol=REL, abs_tol=0.0)
+    assert math.isclose(report.gamma, gamma, rel_tol=REL, abs_tol=0.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(mu=disc_measures())
+def test_disc_widom_constants_match_a_probe_loop(mu: hp.Measure) -> None:
+    report = hp.widom_check(mu)
+    beta, gamma = brute_disc_constants(mu, report)
+    assert math.isclose(report.beta, beta, rel_tol=rel(mu), abs_tol=0.0)
+    assert math.isclose(report.gamma, gamma, rel_tol=rel(mu), abs_tol=0.0)
+
+
+def test_a_disc_atom_next_to_the_boundary_is_bounded() -> None:
+    # sup_j (j+1) x^j sits at j = 9998 and 9999, past the moment cap 4096
+    for x in (0.9999, -0.9999):
+        report = hp.widom_check(hp.disc_measure(atoms=[(x, 1.0)]))
+        assert report.verdict == "bounded"
+        assert math.isclose(report.beta, 3678.978362165921, rel_tol=1e-12, abs_tol=0.0)
