@@ -55,7 +55,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .measures import Measure, laplace_transform, moments, stieltjes
-from .pick import SymbolSamples, delta_values
+from .pick import SymbolSamples, _check_offset, _h_jumps, delta_values
 from .quadrature import integrate, integrate_real_line
 from .kernels import TWO_PI, circle_nodes
 
@@ -501,7 +501,8 @@ def contraction_check(
         if (mu is None) == (moment_seq is None):
             raise ValueError("disc_shift mode needs exactly one of mu= or moment_seq=")
         c = _as_moment_array(moment_seq if mu is None else moments(mu, 2 * n + 1), 2 * n + 1)
-        defect = _hankel(c, n, n) - _hankel(c, n, n, 2)
+        with np.errstate(over="ignore"):  # _spectrum rejects an overflowed defect
+            defect = _hankel(c, n, n) - _hankel(c, n, n, 2)
         params = {"n": int(n)}
     elif mode == "hp_gram":
         if mu is None or mu.domain != "halfplane":
@@ -579,9 +580,7 @@ def verify_rp_transport(
     """
     if mu.domain != "halfplane":
         raise ValueError("the transport identity lives on the half-line/half-plane")
-    if not (math.isfinite(c) and c != 0.0):
-        raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
-    jumps = (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
+    _check_offset(c)
 
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
@@ -593,7 +592,7 @@ def verify_rp_transport(
         unimodular = d / modulus
         return unimodular * modulus * _kernel_rows(x, zs, wbars)
 
-    rhs = integrate_real_line(polar_integrand, breakpoints=jumps) / _FOUR_PI_SQ
+    rhs = integrate_real_line(polar_integrand, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
     ghost = c * integrate_real_line(lambda x: _kernel_rows(x, zs, wbars)) / _FOUR_PI_SQ
     residuals = np.abs(lhs - rhs).tolist()
     invisibility = np.abs(ghost).tolist()
@@ -658,8 +657,7 @@ def polar_decomposition_check(
     """
     from .outer import g_from_delta  # local import: outer builds on pick, not on us
 
-    if not (math.isfinite(c) and c != 0.0):
-        raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
+    _check_offset(c)
     if not 0.0 < epsilon <= 1e-2:
         raise ValueError(f"epsilon must be a small positive approach, got {epsilon}")
     grid = tuple(float(x) for x in x_grid)

@@ -12,17 +12,19 @@ positive Hankel operator:
 
 The model is deliberately small — point masses plus power-law density pieces —
 so that every moment, tail mass and transform either has an auditable closed
-form or reduces to a one-dimensional adaptive quadrature.  Closed forms used:
+form or reduces to a one-dimensional adaptive quadrature.  A piece is
+``coeff * prod (s (x - r))^e`` over its ``factors`` (r, s, e): (0, +1) for
+``x`` and ``lambda``, (1, -1) for ``one_minus_x``, (-1, +1) for ``one_plus_x``,
+one of each sign for a Cayley piece.  A factor rooted in the closed support
+needs e > -1, the model's one integrability rule.  Closed forms used:
 
 * atoms: ``int x^j d(m delta_p) = m p^j``;
-* ``coeff * x^e`` pieces: power rule
+* pieces rooted at 0: power rule
   ``int_a^b x^(e+j) dx = (b^(e+j+1) - a^(e+j+1)) / (e+j+1)``;
-* ``coeff * (1-x)^e`` pieces on [a, b] within [0, 1]: regularized incomplete
-  beta, ``int_a^b x^j (1-x)^e dx = B(j+1, e+1) (I_b - I_a)`` with
-  ``I_x = betainc(j+1, e+1, x)`` and ``B`` evaluated through ``gammaln`` so the
-  formula is stable up to the moment cap;
-* ``coeff * (1+x)^e`` pieces by the reflection ``x -> -x`` onto the previous
-  case;
+* pieces rooted at r = -s = +-1, in ``y = -s x`` on [a, b] within [0, 1]:
+  ``(-s)^j`` times the regularized incomplete beta form ``int_a^b y^j (1-y)^e dy
+  = B(j+1, e+1) (I_b - I_a)`` with ``I_y = betainc(j+1, e+1, y)`` and ``B``
+  evaluated through ``gammaln`` so the formula is stable up to the moment cap;
 * Laplace transforms of ``lambda^e`` pieces with ``e > -1``: lower incomplete
   gamma, ``int_l^r lambda^e exp(-lambda t) dlambda
   = t^-(e+1) Gamma(e+1) (P(e+1, rt) - P(e+1, lt))``;
@@ -98,7 +100,9 @@ __all__ = [
 #: Largest moment order served before the overflow guard trips.
 MOMENT_CAP = 4096
 
-_POWER_BASES = ("x", "one_minus_x", "one_plus_x", "lambda")
+#: Root r and sign s of each density base: the base is s (x - r).
+_POWER_BASES = {"x": (0.0, 1.0), "lambda": (0.0, 1.0),
+                "one_minus_x": (1.0, -1.0), "one_plus_x": (-1.0, 1.0)}
 
 
 class MeasureSpecError(ValueError):
@@ -127,15 +131,13 @@ class PowerPiece:
     base: str
     support: tuple[float, float]
 
+    @property
+    def factors(self) -> tuple[tuple[float, float, float], ...]:
+        """``((r, s, e),)``: the density is ``coeff * (s (x - r))^e``."""
+        return ((*_POWER_BASES[self.base], self.exponent),)
+
     def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.base in ("x", "lambda"):
-            core = np.power(x, self.exponent)
-        elif self.base == "one_minus_x":
-            core = np.power(1.0 - x, self.exponent)
-        else:  # one_plus_x
-            core = np.power(1.0 + x, self.exponent)
-        return self.coeff * core
+        return _density(self, x)
 
 
 @dataclass(frozen=True)
@@ -152,16 +154,26 @@ class CayleyPiece:
     minus_exponent: float
     support: tuple[float, float]
 
+    @property
+    def factors(self) -> tuple[tuple[float, float, float], ...]:
+        """``(r, s, e)`` per factor: the density is ``coeff * prod (s (x - r))^e``."""
+        return ((-1.0, 1.0, self.plus_exponent), (1.0, -1.0, self.minus_exponent))
+
     def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (
-            self.coeff
-            * np.power(1.0 + x, self.plus_exponent)
-            * np.power(1.0 - x, self.minus_exponent)
-        )
+        return _density(self, x)
 
 
 Piece = Union[PowerPiece, CayleyPiece]
+
+
+def _density(piece: Piece, x, drop: float | None = None) -> np.ndarray:
+    """The density of ``piece`` without its factors rooted at ``drop``."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, piece.coeff)
+    for r, s, e in piece.factors:
+        if r != drop:
+            out = out * np.power(s * (x - r), e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,44 +250,28 @@ def _validate_piece(domain: str, p: Piece) -> None:
     if isinstance(p, CayleyPiece):
         if domain != "disc":
             raise MeasureSpecError("cayley_power pieces live on the disc domain")
-        if not -1.0 <= lo < hi <= 1.0:
-            raise MeasureSpecError(f"disc support must satisfy -1 <= lo < hi <= 1, got {p.support}")
-        if lo == -1.0 and p.plus_exponent <= -1.0:
-            raise MeasureSpecError("(1+x) exponent must exceed -1 at the endpoint -1")
-        if hi == 1.0 and p.minus_exponent <= -1.0:
-            raise MeasureSpecError("(1-x) exponent must exceed -1 at the endpoint 1")
-        return
-    if p.base not in _POWER_BASES:
+    elif p.base not in _POWER_BASES:
         raise MeasureSpecError(f"unknown density base {p.base!r}")
-    if domain == "halfplane":
-        if p.base != "lambda":
-            raise MeasureSpecError("half-line densities use base 'lambda'")
-        if not (0.0 <= lo < hi):
-            raise MeasureSpecError(f"half-line support must satisfy 0 <= lo < hi, got {p.support}")
-        if lo == 0.0 and p.exponent <= -1.0:
-            raise MeasureSpecError(
-                "exponent must exceed -1 at the endpoint 0 (rho-integral diverges)"
-            )
-        if math.isinf(hi) and p.exponent >= 1.0:
-            raise MeasureSpecError(
-                "exponent must be below 1 on an unbounded support (rho-integral diverges)"
-            )
-    else:
-        if p.base == "lambda":
-            raise MeasureSpecError("disc densities use bases 'x', 'one_minus_x', 'one_plus_x'")
-        if not (-1.0 <= lo < hi <= 1.0):
-            raise MeasureSpecError(f"disc support must satisfy -1 <= lo < hi <= 1, got {p.support}")
-        if p.base == "x":
-            if lo < 0.0 and p.exponent != int(p.exponent):
-                raise MeasureSpecError(
-                    "base 'x' with fractional exponent needs support in [0, 1]"
-                )
-            if lo <= 0.0 <= hi and p.exponent <= -1.0:
-                raise MeasureSpecError("exponent must exceed -1 at the endpoint 0")
-        if p.base == "one_minus_x" and hi == 1.0 and p.exponent <= -1.0:
-            raise MeasureSpecError("(1-x) exponent must exceed -1 at the endpoint 1")
-        if p.base == "one_plus_x" and lo == -1.0 and p.exponent <= -1.0:
-            raise MeasureSpecError("(1+x) exponent must exceed -1 at the endpoint -1")
+    elif domain == "halfplane" and p.base != "lambda":
+        raise MeasureSpecError("half-line densities use base 'lambda'")
+    elif domain == "disc" and p.base == "lambda":
+        raise MeasureSpecError("disc densities use bases 'x', 'one_minus_x', 'one_plus_x'")
+    if domain == "halfplane" and not (0.0 <= lo < hi):
+        raise MeasureSpecError(f"half-line support must satisfy 0 <= lo < hi, got {p.support}")
+    if domain == "disc" and not (-1.0 <= lo < hi <= 1.0):
+        raise MeasureSpecError(f"disc support must satisfy -1 <= lo < hi <= 1, got {p.support}")
+    for r, s, e in p.factors:
+        # only base 'x' can be negative on a valid support
+        if min(s * (lo - r), s * (hi - r)) < 0.0 and e != int(e):
+            raise MeasureSpecError("base 'x' with fractional exponent needs support in [0, 1]")
+        if lo <= r <= hi and e <= -1.0:  # a root in the closed support
+            base = "" if r == 0.0 else "(1+x) " if r < 0.0 else "(1-x) "
+            why = " (rho-integral diverges)" if domain == "halfplane" else ""
+            raise MeasureSpecError(f"{base}exponent must exceed -1 at the endpoint {r:g}{why}")
+    if math.isinf(hi) and p.exponent >= 1.0:
+        raise MeasureSpecError(
+            "exponent must be below 1 on an unbounded support (rho-integral diverges)"
+        )
 
 
 def halfplane_measure(
@@ -452,28 +448,26 @@ def _moment_orders(mu: Measure, orders, cap: int) -> np.ndarray:
 
 def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
     lo, hi = p.support
-    if isinstance(p, CayleyPiece):
+    if len(p.factors) > 1:
         return _quadrature_moments(p, js, lo, hi)
-    if p.base in ("x", "lambda"):
-        return p.coeff * _power_primitive_diff(p.exponent + js, lo, hi)
-    # betainc needs e > -1; for e <= -1 the piece stays off the endpoint: quadrature
-    cut = 0.0 if p.exponent > -1.0 else 1.0
-    if p.base == "one_minus_x":
-        total = _quadrature_moments(p, js, lo, min(hi, cut))
-        if hi > cut:
-            total += p.coeff * _beta_moment(js, p.exponent, max(lo, cut), hi)
-        return total
-    # one_plus_x: reflect x -> -x, landing on the one_minus_x closed form.
-    total = _quadrature_moments(p, js, max(lo, -cut), hi)
-    if lo < -cut:
-        total += (-1.0) ** js * p.coeff * _beta_moment(js, p.exponent, max(-hi, cut), -lo)
+    (r, s, e), = p.factors
+    if r == 0.0:
+        return p.coeff * _power_primitive_diff(e + js, lo, hi)
+    # root r = -s = +-1, in y = -s x: betainc needs e > -1; for e <= -1 the
+    # piece stays off the endpoint y = 1: quadrature
+    y_lo, y_hi = sorted((-s * lo, -s * hi))
+    cut = 0.0 if e > -1.0 else 1.0
+    below = (-s * y_lo, -s * min(y_hi, cut))  # y < cut, in x
+    total = _quadrature_moments(p, js, *(below if s < 0.0 else below[::-1]))
+    if y_hi > cut:
+        total += (-s) ** js * p.coeff * _beta_moment(js, e, max(y_lo, cut), y_hi)
     return total
 
 
 def _power_primitive_diff(power, lo: float, hi: float) -> np.ndarray:
     """``int_lo^hi x^power dx`` by the power rule (log where power == -1)."""
     s = np.asarray(power, dtype=float) + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # C pow: 0^-s = inf, (-x)^j signed
+    with np.errstate(all="ignore"):  # C pow: 0^-s = inf, (-x)^j signed; unused logs overflow
         rule = (np.power(hi, s) - np.power(lo, s)) / s
         return np.where(s == 0.0, np.log(np.float64(hi) / lo), rule)
 
@@ -497,59 +491,28 @@ def _quadrature_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.nd
 # ---------------------------------------------------------------------------
 
 def _endpoint_exponents(piece: Piece, lo: float, hi: float) -> tuple[float, float]:
-    """Power-law exponents of the density at lo/hi (0.0 where regular, i.e.
-    off the endpoint or a nonnegative integer power)."""
-    def singular(e: float) -> float:
-        return 0.0 if e >= 0.0 and float(e).is_integer() else e
+    """Power-law exponents of the density at lo/hi: the sum over the factors
+    rooted there, leaving out regular ones (nonnegative integer powers)."""
+    def singular(end: float) -> float:
+        return sum(e for r, _, e in piece.factors
+                   if r == end and not (e >= 0.0 and float(e).is_integer()))
 
-    a_lo = a_hi = 0.0
-    if isinstance(piece, CayleyPiece):
-        if lo == -1.0:
-            a_lo = singular(piece.plus_exponent)
-        if hi == 1.0:
-            a_hi = singular(piece.minus_exponent)
-        return a_lo, a_hi
-    e = singular(piece.exponent)
-    if e == 0.0:
-        return 0.0, 0.0
-    if piece.base in ("x", "lambda"):
-        if lo == 0.0:
-            a_lo = e
-    elif piece.base == "one_minus_x":
-        if hi == 1.0:
-            a_hi = e
-    else:  # one_plus_x
-        if lo == -1.0:
-            a_lo = e
-    return a_lo, a_hi
-
-
-def _density_sans_singularity(piece: Piece, side: str):
-    """The density with its singular power factor at ``side`` removed.
-
-    What remains is finite on the closed (sub-)interval, so it can be safely
-    evaluated even when the substituted point rounds onto the endpoint itself.
-    """
-    if isinstance(piece, CayleyPiece):
-        if side == "lo":  # drop (1+x)^plus, keep (1-x)^minus
-            return lambda x: piece.coeff * np.power(1.0 - x, piece.minus_exponent)
-        return lambda x: piece.coeff * np.power(1.0 + x, piece.plus_exponent)
-    return lambda x: np.full(np.shape(x), piece.coeff)
+    return singular(lo), singular(hi)
 
 
 def _power_sub(f, piece: Piece, lo: float, hi: float, alpha: float, side: str, **tol):
     # x = lo + u^q (or hi - u^q) with q = 2/(1+alpha): the singular factor
     # |x - endpoint|^alpha times the Jacobian q u^{q-1} is exactly q u, which we
     # use directly — evaluating it in x-space would hit the pole once u^q
-    # underflows below the endpoint's floating-point spacing.
-    regular = _density_sans_singularity(piece, side)
+    # underflows below the endpoint's floating-point spacing.  The factors left
+    # are finite on the closed interval, even where x rounds onto the endpoint.
     q = 2.0 / (1.0 + alpha)
     end, sign = (lo, 1.0) if side == "lo" else (hi, -1.0)
 
     def substituted(u):
         u = np.asarray(u, dtype=float)
         x = end + sign * u**q
-        value = regular(x) * (q * u)
+        value = _density(piece, x, drop=end) * (q * u)
         return value if f is None else value * f(x)
 
     cuts = [abs(t - end) ** (1.0 / q) for t in tol.pop("breakpoints") if lo < t < hi]
@@ -649,7 +612,7 @@ def _atom_sums(mu: Measure, rho: bool = False) -> tuple[np.ndarray, np.ndarray, 
 def _mass_between(mu: Measure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``mu([lo_i, hi_i])`` for 1-d arrays of closed intervals.
 
-    A Cayley piece integrates one indicator row per interval in one stacked
+    A two-factor piece integrates one indicator row per interval in one stacked
     :func:`piece_integral`, with the endpoints as breakpoints; an empty cut
     holds no mass even where substituted nodes round onto its endpoint.
     """
@@ -657,7 +620,7 @@ def _mass_between(mu: Measure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     out = cum[np.searchsorted(pos, hi, "right")] - cum[np.searchsorted(pos, lo, "left")]
     for p in mu.pieces:
         a, b = np.clip(lo, *p.support), np.clip(hi, *p.support)
-        if isinstance(p, CayleyPiece):
+        if len(p.factors) > 1:
             rows = piece_integral(p, lambda x: (a[:, None] <= x) & (x <= b[:, None]),
                                   breakpoints=[*a, *b])
             out = out + np.where(b > a, rows, 0.0)
@@ -667,13 +630,11 @@ def _mass_between(mu: Measure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _piece_mass(p: PowerPiece, lo, hi):
-    """``int_lo^hi density`` of a power piece, elementwise over [lo, hi] inside the support."""
-    # the power rule in u = x, 1 - x or 1 + x covers hi = oo and the log at e = -1
-    if p.base == "one_minus_x":
-        lo, hi = 1.0 - hi, 1.0 - lo
-    elif p.base == "one_plus_x":
-        lo, hi = 1.0 + lo, 1.0 + hi
-    return p.coeff * _power_primitive_diff(p.exponent, lo, hi)
+    """``int_lo^hi density`` of a one-factor piece, elementwise over [lo, hi] inside the support."""
+    # the power rule in u = s (x - r) covers hi = oo and the log at e = -1
+    (r, s, e), = p.factors
+    lo, hi = s * (lo - r), s * (hi - r)
+    return p.coeff * _power_primitive_diff(e, *((lo, hi) if s > 0.0 else (hi, lo)))
 
 
 def laplace_transform(mu: Measure, t: float) -> float:
@@ -703,11 +664,11 @@ def stieltjes(mu: Measure, a, k: int = 1, **tol) -> np.ndarray:
     """``S_k(a) = int d mu(lambda) / (lambda + a)^k`` of a half-line measure.
 
     Vectorized over ``a`` off the cut ``(-oo, 0]``; ``k`` is 1 or 2.  Pieces
-    with an integer exponent other than 0 take one :func:`piece_integral` per
-    point, the only use of the ``abs_tol``/``rel_tol`` keywords.  Where S_1
-    diverges (unbounded support, ``0 <= e < 1``) its finite part is returned;
-    the real constant it drops does not depend on ``a``, so it cancels in
-    ``S(a) - S(b)`` and in ``Im S``.
+    with an integer exponent other than 0 or ``0 < |e| < 1e-5`` take one
+    :func:`piece_integral` per point, the only use of the ``abs_tol``/``rel_tol``
+    keywords.  Where S_1 diverges (unbounded support, ``0 <= e < 1``) its finite
+    part is returned (that quadrature raises instead); the real constant it
+    drops does not depend on ``a``, so it cancels in ``S(a) - S(b)`` and ``Im S``.
     """
     if mu.domain != "halfplane":
         raise ValueError("the Stieltjes transform is defined for half-line measures")
@@ -726,7 +687,8 @@ def stieltjes(mu: Measure, a, k: int = 1, **tol) -> np.ndarray:
 def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi, **tol):
     """``int_lo^hi p.density / (lambda + a)^k``; a, lo, hi broadcast (hi = oo: scalar)."""
     e, c = p.exponent, p.coeff
-    if e != 0.0 and e == int(e):  # the hypergeometric parameters hit poles
+    # integers hit hypergeometric poles; near 0 the tails' 1/(k - 1 - e) cancel
+    if e != 0.0 and (e == int(e) or abs(e) < 1e-5):
         a, lo, hi = np.broadcast_arrays(a, lo, hi)
         out = np.empty(a.shape, dtype=complex)
         for idx, av in np.ndenumerate(a):

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .kernels import szego_halfplane
 from .measures import Measure, widom_check
-from .pick import delta_values
+from .pick import _check_offset, _h_jumps, delta_values
 from .quadrature import integrate, integrate_real_line
 
 __all__ = [
@@ -61,21 +60,6 @@ __all__ = [
 
 #: Minimal distance to the boundary for outer evaluations.
 INTERIOR_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class _ConstantFactor:
-    value: float
-
-    def log_values(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(x), math.log(self.value))
-
-    bounded = True
-    inverse_bounded = True
-    jumps: tuple[float, ...] = ()
-
-    def reflected(self, domain: str) -> "_ConstantFactor":
-        return self
 
 
 @dataclass(frozen=True)
@@ -152,13 +136,13 @@ class _DeltaModulusFactor:
 
     @property
     def jumps(self) -> tuple[float, ...]:
-        return (0.0,) if any(p.support[0] == 0.0 for p in self.mu.pieces) else ()
+        return _h_jumps(self.mu)
 
     def reflected(self, domain: str) -> "_DeltaModulusFactor":
         return self  # |delta| is even: delta(-x) = conj(delta(x))
 
 
-_Factor = Union[_ConstantFactor, _RationalModulusFactor, _DeltaModulusFactor]
+_Factor = Union[_RationalModulusFactor, _DeltaModulusFactor]
 
 
 @dataclass(frozen=True)
@@ -217,10 +201,11 @@ class BoundaryWeight:
 
 
 def constant_weight(value: float, *, domain: str = "halfplane") -> BoundaryWeight:
-    """The constant weight k = value (value > 0)."""
+    """The constant weight k = value (value > 0): a rational modulus with no
+    zeros or poles."""
     if not value > 0.0:
         raise ValueError(f"constant weights must be positive, got {value}")
-    return BoundaryWeight(domain, ((_ConstantFactor(float(value)), 1.0),))
+    return BoundaryWeight(domain, ((_RationalModulusFactor(float(value), (), (), domain), 1.0),))
 
 
 def rational_modulus_weight(
@@ -242,8 +227,7 @@ def rational_modulus_weight(
 
 def delta_modulus_weight(mu: Measure, c: float) -> BoundaryWeight:
     """k = |c + h| for the bounded symbol h of ``mu`` (half-plane boundary)."""
-    if c == 0.0:
-        raise ValueError("the offset c must be nonzero (else 1/|delta| may blow up)")
+    _check_offset(c)  # else 1/|delta| may blow up
     if mu.domain != "halfplane":
         raise ValueError("delta weights are built from half-line measures")
     return BoundaryWeight("halfplane", ((_DeltaModulusFactor(mu, float(c)), 1.0),))
@@ -314,16 +298,6 @@ def outer_eval(
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
-@lru_cache(maxsize=32)
-def _checked_delta_weight(mu: Measure, c: float) -> BoundaryWeight:
-    report = widom_check(mu)
-    if report.verdict != "bounded":
-        raise ValueError(
-            f"the outer factor needs a Widom-bounded measure (verdict: {report.verdict})"
-        )
-    return delta_modulus_weight(mu, c)
-
-
 def g_from_delta(mu: Measure, c: float, z):
     """The invertible outer factor g = Out(|delta|^(1/2)) at z, delta = c + h.
 
@@ -332,10 +306,13 @@ def g_from_delta(mu: Measure, c: float, z):
     ``|g^*|^2 = |delta|`` on the boundary and ``g^sharp = g`` (the weight is
     even); g is invertible in H^infinity with ``|1/g| <= |c|^(-1/2)``.
     """
-    if c == 0.0 or not math.isfinite(c):
-        raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
-    weight = _checked_delta_weight(mu, float(c)) ** 0.5
-    return outer_eval(weight, z)
+    _check_offset(c)
+    report = widom_check(mu)
+    if report.verdict != "bounded":
+        raise ValueError(
+            f"the outer factor needs a Widom-bounded measure (verdict: {report.verdict})"
+        )
+    return outer_eval(delta_modulus_weight(mu, float(c)) ** 0.5, z)
 
 
 def weighted_szego(mu: Measure, c: float, z: complex, w: complex) -> complex:

@@ -188,8 +188,19 @@ def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
     return np.concatenate([-pos[::-1], pos])
 
 
+def _h_jumps(mu: Measure) -> tuple[float, ...]:
+    """Where h jumps: at 0 when a piece of ``mu`` starts at 0."""
+    return (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
+
+
+def _check_offset(c: float) -> None:
+    """Reject a real offset c of delta = c + h that is zero or not finite."""
+    if c == 0.0 or not math.isfinite(c):
+        raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
+
+
 def _line_samples(mu: Measure, func, grid, n: int, empty_sup: float) -> SymbolSamples:
-    """Samples of ``func`` (h or c + h); h jumps at 0 when a piece reaches 0."""
+    """Samples of ``func`` (h or c + h) with the jumps of h."""
     if grid is None:
         grid = default_symbol_grid(mu, n)
     values = func(grid)
@@ -200,7 +211,7 @@ def _line_samples(mu: Measure, func, grid, n: int, empty_sup: float) -> SymbolSa
         sharp_symmetric=True,
         sup_estimate=float(np.max(np.abs(values))) if np.size(values) else empty_sup,
         func=func,
-        jumps=(0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else (),
+        jumps=_h_jumps(mu),
     )
 
 
@@ -220,8 +231,7 @@ def delta_samples(
     mu: Measure, c: float, grid: np.ndarray | None = None, n: int = 1024
 ) -> SymbolSamples:
     """Sample delta = c + h; sharp-symmetric since c is real and h imaginary."""
-    if c == 0.0 or not math.isfinite(c):
-        raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
+    _check_offset(c)
     return _line_samples(mu, lambda x: delta_values(mu, c, x), grid, n, abs(c))
 
 

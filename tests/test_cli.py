@@ -378,6 +378,18 @@ def test_unconverged_stacked_kernel_integral_is_exit_4(write_spec, capsys, monke
     assert "quadrature did not converge" in err
 
 
+def test_near_zero_exponent_on_an_unbounded_support_is_exit_4(write_spec, capsys) -> None:
+    # its rho is finite, but S_1 diverges and the quadrature fallback raises
+    # rather than print a wrong rho (the closed form gave -10.3, "unbounded")
+    spec = write_spec({"domain": "halfplane", "densities": [
+        {"kind": "power", "coeff": 1.0, "exponent": 1e-17, "base": "lambda",
+         "support": [0.0, "inf"]}]})
+    code, out, err = _run(capsys, "widom", "--spec", str(spec))
+    assert code == 4
+    assert out == ""
+    assert "quadrature did not converge" in err
+
+
 def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:
     def explode(mu, n=1024):
         raise QuadratureError("requested tolerance not reached")

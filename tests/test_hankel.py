@@ -372,6 +372,7 @@ def test_norm_estimate_handles_the_empty_matrix() -> None:
     assert hp.norm_estimate(np.zeros((0, 0))) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectra_that_overflow_are_rejected() -> None:
     # finite entries whose trace and eigenvalues overflow double precision
     c = 1e308 / np.arange(1.0, 18.0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy.special import betainc, gammaln
@@ -79,6 +79,78 @@ def test_nonintegrable_endpoint_exponent_is_rejected() -> None:
 def test_integrable_endpoint_singularities_are_accepted() -> None:
     hp.halfplane_measure(pieces=[hp.power_piece(1.0, -0.5, "lambda", (0.0, 1.0))])
     hp.disc_measure(pieces=[hp.power_piece(1.0, -0.5, "one_minus_x", (0.0, 1.0))])
+
+
+@pytest.mark.parametrize(
+    ("domain", "piece", "message", "accepted_support"),
+    [
+        ("halfplane", hp.power_piece(1.0, -1.0, "lambda", (0.0, 1.0)),
+         "exponent must exceed -1 at the endpoint 0 (rho-integral diverges)", (0.5, 1.0)),
+        ("disc", hp.power_piece(1.0, -2.0, "x", (-0.5, 0.5)),
+         "exponent must exceed -1 at the endpoint 0", (0.25, 0.5)),
+        ("disc", hp.power_piece(1.0, -1.5, "one_minus_x", (0.0, 1.0)),
+         "(1-x) exponent must exceed -1 at the endpoint 1", (0.0, 0.5)),
+        ("disc", hp.power_piece(1.0, -1.0, "one_plus_x", (-1.0, 0.0)),
+         "(1+x) exponent must exceed -1 at the endpoint -1", (-0.5, 0.0)),
+        ("disc", CayleyPiece(1.0, -1.5, 0.5, (-1.0, 0.0)),
+         "(1+x) exponent must exceed -1 at the endpoint -1", (-0.5, 0.0)),
+        ("disc", CayleyPiece(1.0, 0.5, -1.0, (0.0, 1.0)),
+         "(1-x) exponent must exceed -1 at the endpoint 1", (0.0, 0.9)),
+    ],
+)
+def test_each_factor_rooted_in_the_closed_support_needs_an_exponent_above_minus_one(
+    domain: str, piece, message: str, accepted_support: tuple[float, float]
+) -> None:
+    build = hp.halfplane_measure if domain == "halfplane" else hp.disc_measure
+    with pytest.raises(MeasureSpecError, match=f"^{re.escape(message)}$"):
+        build(pieces=[piece])
+    # the same piece off the root is finite
+    mu = build(pieces=[dataclasses.replace(piece, support=accepted_support)])
+    assert 0.0 < hp.total_mass(mu) < INF
+
+
+_BASE_FORMULAS = {
+    "lambda": lambda x, e: np.power(x, e),
+    "x": lambda x, e: np.power(x, e),
+    "one_minus_x": lambda x, e: np.power(1.0 - x, e),
+    "one_plus_x": lambda x, e: np.power(1.0 + x, e),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from([*_BASE_FORMULAS, "cayley"]),
+    coeff=st.floats(1e-3, 1e3),
+    exponents=st.tuples(*[st.one_of(st.integers(-3, 4).map(float), st.floats(-0.999, 4.0))] * 2),
+    ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    unbounded=st.booleans(),
+    data=st.data(),
+)
+def test_density_is_the_per_base_formula_bit_for_bit(
+    kind: str, coeff: float, exponents, ends, unbounded: bool, data
+) -> None:
+    e, e2 = exponents
+    lo, hi = sorted(ends)
+    if kind == "lambda":
+        lo, hi = abs(lo), INF if unbounded else 2.0 + abs(hi)
+    try:
+        if kind == "cayley":
+            piece = CayleyPiece(coeff, e, e2, (lo, hi))
+            hp.disc_measure(pieces=[piece])
+        else:
+            piece = hp.power_piece(coeff, e, kind, (lo, hi))
+            (hp.halfplane_measure if kind == "lambda" else hp.disc_measure)(pieces=[piece])
+    except MeasureSpecError:
+        assume(False)
+    top = 1e6 if math.isinf(hi) else hi
+    x = np.array([lo, top, *data.draw(st.lists(st.floats(lo, top), max_size=16))])
+    with np.errstate(all="ignore"):  # poles at the roots
+        if kind == "cayley":
+            expected = coeff * np.power(1.0 + x, e) * np.power(1.0 - x, e2)
+        else:
+            expected = coeff * _BASE_FORMULAS[kind](x, e)
+        got = piece.density(x)
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_negative_coefficient_is_rejected() -> None:

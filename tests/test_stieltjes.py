@@ -110,6 +110,26 @@ def test_integer_exponent_takes_the_quadrature_fallback() -> None:
         assert complex(stieltjes(mu, a, 2)) == pytest.approx(s2, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("support", [(0.0, 2.0), (2.0, 5.0)])
+@pytest.mark.parametrize("e", [1e-17, -1e-17, 1e-12, -9e-6])
+def test_near_zero_exponents_take_the_quadrature_fallback(e: float, support) -> None:
+    # the closed form's tails carry 1/(k - 1 - e) and cancel as e -> 0:
+    # lambda^1e-17 on [0, 2] gave rho = -9.44 against atan 2 = 1.107
+    import mpmath
+
+    mpmath.mp.dps = 30
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", support)])
+    exact = mpmath.quad(lambda lam: lam**e / (1 + lam**2), support)
+    assert hp.rho_total(mu) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_near_zero_exponent_on_an_unbounded_support_raises() -> None:
+    # S_1 diverges and the quadrature fallback has no finite part to return
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 1e-17, "lambda", (0.0, math.inf))])
+    with pytest.raises(hp.QuadratureError):
+        hp.rho_total(mu)
+
+
 def test_stieltjes_rejects_disc_measures_and_other_orders(
     d1: hp.Measure, disc_leb: hp.Measure
 ) -> None:
