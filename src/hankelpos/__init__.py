@@ -21,188 +21,17 @@ if _threads.isdigit() and int(_threads) > 0:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .quadrature import (  # noqa: E402
-    QuadratureError,
-    integrate,
-    integrate_halfline,
-    integrate_real_line,
-)
-from .measures import (  # noqa: E402
-    Atom,
-    CayleyPiece,
-    Measure,
-    MeasureSpecError,
-    PowerPiece,
-    WidomReport,
-    atom,
-    cayley_pushforward,
-    disc_measure,
-    halfplane_measure,
-    laplace_transform,
-    lebesgue_piece,
-    load_measure,
-    mass_interval,
-    measure_from_spec,
-    measure_to_spec,
-    moment,
-    moments,
-    power_piece,
-    rho_interval,
-    rho_total,
-    total_mass,
-    widom_check,
-)
-from .kernels import (  # noqa: E402
-    TWO_PI,
-    DomainPoint,
-    HardyCoeffs,
-    cayley_map,
-    circle_nodes,
-    circle_quadrature,
-    disc_point,
-    gamma2_eval,
-    halfplane_point,
-    hardy_coeffs,
-    poisson,
-    sqrt_cayley_derivative,
-    szego,
-    szego_disc,
-    szego_halfplane,
-)
-from .pick import (  # noqa: E402
-    SymbolSamples,
-    default_symbol_grid,
-    delta_samples,
-    delta_values,
-    kappa,
-    psi_mu,
-    psi_mu_values,
-    symbol_bound,
-    symbol_h,
-    symbol_h_samples,
-    symbol_h_values,
-    symbol_samples_csv,
-)
-from .outer import (  # noqa: E402
-    BoundaryWeight,
-    constant_weight,
-    delta_modulus_weight,
-    g_from_delta,
-    outer_eval,
-    rational_modulus_weight,
-    reflect_weight,
-    weighted_szego,
-)
-from .hankel import (  # noqa: E402
-    OSContractionReport,
-    PolarReport,
-    PositivityCertificate,
-    SupportReport,
-    TransportReport,
-    boundary_kernels,
-    contraction_check,
-    disc_to_hp_symbol,
-    hilbert_section,
-    hp_to_disc_symbol,
-    norm_estimate,
-    polar_decomposition_check,
-    positivity_certificate,
-    quadratic_form,
-    section_from_measure,
-    section_from_moments,
-    section_from_symbol_disc,
-    support_sign_test,
-    symbol_kernel,
-    verify_rp_transport,
-)
-from .verify import SuiteResult, run_suites  # noqa: E402
+from .quadrature import *  # noqa: E402,F401,F403
+from .measures import *  # noqa: E402,F401,F403
+from .kernels import *  # noqa: E402,F401,F403
+from .pick import *  # noqa: E402,F401,F403
+from .outer import *  # noqa: E402,F401,F403
+from .hankel import *  # noqa: E402,F401,F403
+from .verify import *  # noqa: E402,F401,F403
+from . import hankel, kernels, measures, outer, pick, quadrature, verify  # noqa: E402
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QuadratureError",
-    "integrate",
-    "integrate_halfline",
-    "integrate_real_line",
-    "Atom",
-    "CayleyPiece",
-    "Measure",
-    "MeasureSpecError",
-    "PowerPiece",
-    "WidomReport",
-    "atom",
-    "cayley_pushforward",
-    "disc_measure",
-    "halfplane_measure",
-    "laplace_transform",
-    "lebesgue_piece",
-    "load_measure",
-    "mass_interval",
-    "measure_from_spec",
-    "measure_to_spec",
-    "moment",
-    "moments",
-    "power_piece",
-    "rho_interval",
-    "rho_total",
-    "total_mass",
-    "widom_check",
-    "TWO_PI",
-    "DomainPoint",
-    "HardyCoeffs",
-    "cayley_map",
-    "circle_nodes",
-    "circle_quadrature",
-    "disc_point",
-    "gamma2_eval",
-    "halfplane_point",
-    "hardy_coeffs",
-    "poisson",
-    "sqrt_cayley_derivative",
-    "szego",
-    "szego_disc",
-    "szego_halfplane",
-    "SymbolSamples",
-    "default_symbol_grid",
-    "delta_samples",
-    "delta_values",
-    "kappa",
-    "psi_mu",
-    "psi_mu_values",
-    "symbol_bound",
-    "symbol_h",
-    "symbol_h_samples",
-    "symbol_h_values",
-    "symbol_samples_csv",
-    "BoundaryWeight",
-    "constant_weight",
-    "delta_modulus_weight",
-    "g_from_delta",
-    "outer_eval",
-    "rational_modulus_weight",
-    "reflect_weight",
-    "weighted_szego",
-    "OSContractionReport",
-    "PolarReport",
-    "PositivityCertificate",
-    "SupportReport",
-    "TransportReport",
-    "contraction_check",
-    "disc_to_hp_symbol",
-    "hilbert_section",
-    "hp_to_disc_symbol",
-    "norm_estimate",
-    "polar_decomposition_check",
-    "positivity_certificate",
-    "quadratic_form",
-    "section_from_measure",
-    "section_from_moments",
-    "section_from_symbol_disc",
-    "support_sign_test",
-    "symbol_kernel",
-    "boundary_kernels",
-    "verify_rp_transport",
-    "SuiteResult",
-    "run_suites",
-    "__version__",
-]
+# The library layers; not ``cli``, so the command line stays out of ``import hankelpos``.
+__all__ = [name for layer in (quadrature, measures, kernels, pick, outer, hankel, verify)
+           for name in layer.__all__] + ["__version__"]

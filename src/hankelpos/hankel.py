@@ -84,6 +84,12 @@ __all__ = [
 
 _FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
+#: Eigenvalue allowance of the contraction and support-localization checks.
+_EIG_TOL = 1e-10
+
+#: Largest |kernel term| of the offset c that :func:`verify_rp_transport` accepts.
+_INVISIBILITY_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Sections from moments
@@ -144,12 +150,9 @@ def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
         def integrand(t: np.ndarray) -> np.ndarray:
             return np.asarray(samples(t), dtype=complex) * np.exp(-1j * np.outer(ns, t))
 
-        return integrate(
-            integrand, 0.0, TWO_PI, breakpoints=tuple(sorted(samples.jumps)),
-            abs_tol=1e-12, rel_tol=1e-10,
-        ) / TWO_PI
-    m = max(4096, 16 * top)
-    m += m % 2  # even, so theta = pi is never a node of the offset grid
+        return integrate(integrand, 0.0, TWO_PI,
+                         breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
+    m = max(4096, 16 * top)  # even, so theta = pi is never a node of the offset grid
     theta = circle_nodes(m)
     values = np.asarray(samples(theta), dtype=complex)
     phases = np.exp(-1j * np.outer(ns, theta))
@@ -201,7 +204,7 @@ def _line_from_angle(theta: np.ndarray) -> np.ndarray:
     return -1.0 / np.tan(np.asarray(theta, dtype=float) / 2.0)
 
 
-def hp_to_disc_symbol(samples: SymbolSamples, *, n_grid: int = 4096) -> SymbolSamples:
+def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     """Pull a line symbol back to the circle: k(e^{i theta}) = -h(-cot(theta/2)).
 
     The sign implements the reflection convention under which the section of
@@ -212,14 +215,11 @@ def hp_to_disc_symbol(samples: SymbolSamples, *, n_grid: int = 4096) -> SymbolSa
     """
     if samples.domain != "halfplane":
         raise ValueError("expected a half-plane (line) symbol")
-    if n_grid < 16:
-        raise ValueError(f"n_grid must be >= 16, got {n_grid}")
-    n_grid += n_grid % 2
 
     def func(theta):
         return -np.asarray(samples(_line_from_angle(theta)), dtype=complex)
 
-    theta = circle_nodes(n_grid)
+    theta = circle_nodes(4096)
     values = func(theta)
     jumps = tuple(sorted(float(_angle_from_line(x)) for x in samples.jumps))
     sup = max(samples.sup_estimate, float(np.max(np.abs(values))))
@@ -228,7 +228,7 @@ def hp_to_disc_symbol(samples: SymbolSamples, *, n_grid: int = 4096) -> SymbolSa
     )
 
 
-def disc_to_hp_symbol(samples: SymbolSamples, *, n_grid: int = 2048) -> SymbolSamples:
+def disc_to_hp_symbol(samples: SymbolSamples) -> SymbolSamples:
     """Push a circle symbol to the line: h(x) = -k(e^{i theta(x)}).
 
     Inverse of :func:`hp_to_disc_symbol` (the double sign cancels)."""
@@ -238,7 +238,7 @@ def disc_to_hp_symbol(samples: SymbolSamples, *, n_grid: int = 2048) -> SymbolSa
     def func(x):
         return -np.asarray(samples(_angle_from_line(x)), dtype=complex)
 
-    positive = np.unique(np.concatenate([np.logspace(-6.0, 6.0, n_grid // 2), [1.0]]))
+    positive = np.unique(np.concatenate([np.logspace(-6.0, 6.0, 1024), [1.0]]))
     grid = np.concatenate([-positive[::-1], positive])
     values = func(grid)
     jumps = tuple(sorted(float(_line_from_angle(t)) for t in samples.jumps))
@@ -308,13 +308,7 @@ def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return zs, np.array([np.conj(_require_upper(w, "w")) for _, w in pairs], dtype=complex)
 
 
-def boundary_kernels(
-    samples: SymbolSamples,
-    pairs: Sequence,
-    *,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-10,
-) -> np.ndarray:
+def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
     All pairs share one real-line panel tree (each still meets the tolerances
@@ -328,7 +322,7 @@ def boundary_kernels(
         return np.asarray(samples(x), dtype=complex) * _kernel_rows(x, zs, wbars)
 
     value = integrate_real_line(
-        integrand, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=tuple(samples.jumps)
+        integrand, abs_tol=1e-9, rel_tol=1e-10, breakpoints=tuple(samples.jumps)
     )
     return value / _FOUR_PI_SQ
 
@@ -342,15 +336,12 @@ def symbol_kernel(
     samples: Optional[SymbolSamples] = None,
     position: Optional[float] = None,
     mass: float = 1.0,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-10,
 ) -> complex:
     """K_h(z, w) for Im z, Im w > 0, in one of three equivalent modes.
 
     * ``measure`` — (1/4 pi^2) int d mu(lambda) / ((lambda - i z)(lambda + i conj(w))),
       through the Stieltjes transform (see the module docstring); the empty
-      measure gives 0.  ``abs_tol``/``rel_tol`` only reach density pieces with
-      an integer exponent other than 0, the one case integrated numerically.
+      measure gives 0.
     * ``boundary`` — (1/4 pi^2) int h(x) / ((x - z)(-x - conj(w))) dx from a
       line symbol; real constants added to h integrate to zero.  One pair of
       :func:`boundary_kernels`.
@@ -365,16 +356,13 @@ def symbol_kernel(
         if mu is None or mu.domain != "halfplane":
             raise ValueError("measure mode needs a half-line measure mu=")
         a, b = -1j * z, 1j * wbar
-        tol = {"abs_tol": abs_tol, "rel_tol": rel_tol}
         if a == b:
-            return complex(stieltjes(mu, a, 2, **tol) / _FOUR_PI_SQ)
-        s_a, s_b = stieltjes(mu, np.array([a, b]), **tol)
+            return complex(stieltjes(mu, a, 2) / _FOUR_PI_SQ)
+        s_a, s_b = stieltjes(mu, np.array([a, b]))
         return complex((s_a - s_b) / (_FOUR_PI_SQ * (b - a)))
 
     if mode == "boundary":
-        return complex(
-            boundary_kernels(samples, [(z, w)], abs_tol=abs_tol, rel_tol=rel_tol)[0]
-        )
+        return complex(boundary_kernels(samples, [(z, w)])[0])
 
     if mode == "rank_one":
         if position is None or not position > 0.0:
@@ -481,7 +469,6 @@ def contraction_check(
     n: Optional[int] = None,
     t_grid: Optional[Sequence[float]] = None,
     s: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> OSContractionReport:
     """Check the compression defect of the reflected shift / semigroup.
 
@@ -526,12 +513,12 @@ def contraction_check(
         raise ValueError(f"unknown mode {mode!r} (disc_shift, hp_gram)")
 
     min_eig = float(_spectrum(defect)[0][0])
-    verdict = "contractive" if min_eig >= -tol else "not_contractive"
+    verdict = "contractive" if min_eig >= -_EIG_TOL else "not_contractive"
     return OSContractionReport(
         mode=mode,
         dimension=defect.shape[0],
         min_eig=min_eig,
-        tol=tol,
+        tol=_EIG_TOL,
         verdict=verdict,
         params=params,
     )
@@ -567,7 +554,6 @@ def verify_rp_transport(
     probes: Sequence = ((1j, 1j), (1j, 2j)),
     *,
     residual_tol: float = 1e-6,
-    invisibility_tol: float = 1e-8,
 ) -> TransportReport:
     """Check K_h(z, w) (measure mode) against the transported boundary integral.
 
@@ -598,11 +584,7 @@ def verify_rp_transport(
     invisibility = np.abs(ghost).tolist()
     max_res = max(residuals, default=0.0)
     max_ghost = max(invisibility, default=0.0)
-    verdict = (
-        "pass"
-        if max_res <= residual_tol and max_ghost <= invisibility_tol
-        else "fail"
-    )
+    verdict = "pass" if max_res <= residual_tol and max_ghost <= _INVISIBILITY_TOL else "fail"
     return TransportReport(
         offset=float(c),
         probes=pair_list,
@@ -611,7 +593,7 @@ def verify_rp_transport(
         invisibility=tuple(invisibility),
         max_invisibility=max_ghost,
         residual_tol=residual_tol,
-        invisibility_tol=invisibility_tol,
+        invisibility_tol=_INVISIBILITY_TOL,
         verdict=verdict,
     )
 
@@ -641,25 +623,21 @@ def polar_decomposition_check(
     c: float,
     *,
     x_grid: Sequence[float] = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
-    epsilon: float = 1e-4,
     probes: Sequence[complex] = (1j, 1.0 + 1j),
-    modulus_tol: float = 1e-3,
-    symmetry_tol: float = 1e-8,
 ) -> PolarReport:
     """Check that h = delta / conj(g*)^2 is unimodular on the boundary.
 
     g is the outer function of |delta|^(1/2) (see
     :func:`hankelpos.outer.g_from_delta`); its boundary values are approached
     as g(x + i epsilon), which converges first order in epsilon at continuity
-    points — hence the default 1e-4 approach for a 1e-3 modulus tolerance.
+    points — hence the 1e-4 approach for a 1e-3 modulus tolerance.
     The sharp symmetries g(-conj(z)) = conj(g(z)) and h(-x) = conj(h(x)) are
     checked as well (the weight |delta| is even).
     """
     from .outer import g_from_delta  # local import: outer builds on pick, not on us
 
     _check_offset(c)
-    if not 0.0 < epsilon <= 1e-2:
-        raise ValueError(f"epsilon must be a small positive approach, got {epsilon}")
+    epsilon, modulus_tol, symmetry_tol = 1e-4, 1e-3, 1e-8
     grid = tuple(float(x) for x in x_grid)
     if any(x == 0.0 for x in grid):
         raise ValueError("the boundary grid must avoid x = 0 (possible jump of h)")
@@ -685,7 +663,7 @@ def polar_decomposition_check(
     )
     return PolarReport(
         offset=float(c),
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         boundary_grid=grid,
         modulus_defects=tuple(float(d) for d in defects),
         max_modulus_defect=float(max_defect),
@@ -713,7 +691,7 @@ class SupportReport:
 
 
 def support_sign_test(
-    source: Union[Measure, Sequence[float]], n: int, *, tol: float = 1e-10
+    source: Union[Measure, Sequence[float]], n: int
 ) -> SupportReport:
     """Localize the support of a moment sequence via two Hankel sections.
 
@@ -730,8 +708,8 @@ def support_sign_test(
     if isinstance(source, Measure):
         source = moments(source, 2 * n + 1)
     c = _as_moment_array(source, 2 * n + 1)
-    plain = positivity_certificate(_hankel(c, n, n), tol=tol)
-    shifted = positivity_certificate(_hankel(c, n, n, 1), tol=tol)
+    plain = positivity_certificate(_hankel(c, n, n), tol=_EIG_TOL)
+    shifted = positivity_certificate(_hankel(c, n, n, 1), tol=_EIG_TOL)
     if not plain.is_positive:
         verdict = "inconclusive"
     elif not shifted.is_positive:
@@ -742,6 +720,6 @@ def support_sign_test(
         dimension=n,
         min_eig_plain=plain.min_eig,
         min_eig_shifted=shifted.min_eig,
-        tol=tol,
+        tol=_EIG_TOL,
         verdict=verdict,
     )

@@ -45,10 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "TWO_PI",
     "DomainPoint",
     "disc_point",
     "halfplane_point",
     "HardyCoeffs",
+    "hardy_coeffs",
     "szego",
     "szego_disc",
     "szego_halfplane",

@@ -261,11 +261,13 @@ def _validate_piece(domain: str, p: Piece) -> None:
     if domain == "disc" and not (-1.0 <= lo < hi <= 1.0):
         raise MeasureSpecError(f"disc support must satisfy -1 <= lo < hi <= 1, got {p.support}")
     for r, s, e in p.factors:
+        base = "" if r == 0.0 else "(1+x) " if r < 0.0 else "(1-x) "
+        if not math.isfinite(e):
+            raise MeasureSpecError(f"{base}exponent must be finite, got {e}")
         # only base 'x' can be negative on a valid support
         if min(s * (lo - r), s * (hi - r)) < 0.0 and e != int(e):
             raise MeasureSpecError("base 'x' with fractional exponent needs support in [0, 1]")
         if lo <= r <= hi and e <= -1.0:  # a root in the closed support
-            base = "" if r == 0.0 else "(1+x) " if r < 0.0 else "(1-x) "
             why = " (rho-integral diverges)" if domain == "halfplane" else ""
             raise MeasureSpecError(f"{base}exponent must exceed -1 at the endpoint {r:g}{why}")
     if math.isinf(hi) and p.exponent >= 1.0:
@@ -418,14 +420,14 @@ def load_measure(path: str | Path) -> Measure:
 # Moments (disc domain)
 # ---------------------------------------------------------------------------
 
-def moment(mu: Measure, j: int, *, cap: int = MOMENT_CAP) -> float:
+def moment(mu: Measure, j: int) -> float:
     """j-th moment ``int x^j d mu`` of a disc measure (exact per piece)."""
-    return float(_moment_orders(mu, [j], cap)[0])
+    return float(_moment_orders(mu, [j], MOMENT_CAP)[0])
 
 
-def moments(mu: Measure, count: int, *, cap: int = MOMENT_CAP) -> np.ndarray:
+def moments(mu: Measure, count: int) -> np.ndarray:
     """Moment vector ``c_0 .. c_{count-1}``."""
-    return _moment_orders(mu, range(count), cap)
+    return _moment_orders(mu, range(count), MOMENT_CAP)
 
 
 def _moment_orders(mu: Measure, orders, cap: int) -> np.ndarray:
@@ -467,9 +469,12 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
 def _power_primitive_diff(power, lo: float, hi: float) -> np.ndarray:
     """``int_lo^hi x^power dx`` by the power rule (log where power == -1)."""
     s = np.asarray(power, dtype=float) + 1.0
-    with np.errstate(all="ignore"):  # C pow: 0^-s = inf, (-x)^j signed; unused logs overflow
+    with np.errstate(all="ignore"):  # C pow: 0^-s = inf, (-x)^j signed; hi / 0 = inf
         rule = (np.power(hi, s) - np.power(lo, s)) / s
-        return np.where(s == 0.0, np.log(np.float64(hi) / lo), rule)
+        ratio = np.float64(hi) / lo
+        # where hi / lo overflows (lo near 0) a difference of logs, of |.| left of 0
+        log = np.where(np.isinf(ratio), np.log(np.abs(hi)) - np.log(np.abs(lo)), np.log(ratio))
+        return np.where(s == 0.0, log, rule)
 
 
 def _beta_moment(j, e: float, a: float, b: float) -> np.ndarray:
@@ -660,15 +665,15 @@ def _piece_laplace(p: PowerPiece, t: float) -> float:
     return float(piece_integral(p, lambda lam: np.exp(-t * lam)))
 
 
-def stieltjes(mu: Measure, a, k: int = 1, **tol) -> np.ndarray:
+def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
     """``S_k(a) = int d mu(lambda) / (lambda + a)^k`` of a half-line measure.
 
     Vectorized over ``a`` off the cut ``(-oo, 0]``; ``k`` is 1 or 2.  Pieces
     with an integer exponent other than 0 or ``0 < |e| < 1e-5`` take one
-    :func:`piece_integral` per point, the only use of the ``abs_tol``/``rel_tol``
-    keywords.  Where S_1 diverges (unbounded support, ``0 <= e < 1``) its finite
-    part is returned (that quadrature raises instead); the real constant it
-    drops does not depend on ``a``, so it cancels in ``S(a) - S(b)`` and ``Im S``.
+    :func:`piece_integral` per point.  Where S_1 diverges (unbounded support,
+    ``0 <= e < 1``) its finite part is returned (that quadrature raises
+    instead); the real constant it drops does not depend on ``a``, so it
+    cancels in ``S(a) - S(b)`` and ``Im S``.
     """
     if mu.domain != "halfplane":
         raise ValueError("the Stieltjes transform is defined for half-line measures")
@@ -680,11 +685,11 @@ def stieltjes(mu: Measure, a, k: int = 1, **tol) -> np.ndarray:
         out += at.mass * (at.position + a) ** -k
     for p in mu.pieces:
         with np.errstate(all="ignore"):  # e.g. a = 0 on a piece reaching 0: inf or nan
-            out += _piece_stieltjes(p, a, k, *p.support, **tol)
+            out += _piece_stieltjes(p, a, k, *p.support)
     return out
 
 
-def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi, **tol):
+def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     """``int_lo^hi p.density / (lambda + a)^k``; a, lo, hi broadcast (hi = oo: scalar)."""
     e, c = p.exponent, p.coeff
     # integers hit hypergeometric poles; near 0 the tails' 1/(k - 1 - e) cancel
@@ -693,7 +698,7 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi, **tol):
         out = np.empty(a.shape, dtype=complex)
         for idx, av in np.ndenumerate(a):
             out[idx] = piece_integral(p, lambda lam: (lam + av) ** -k,
-                                      lo=lo[idx], hi=hi[idx], **tol)
+                                      lo=lo[idx], hi=hi[idx])
         return out
     unbounded = np.ndim(hi) == 0 and math.isinf(hi)
     if e == 0.0:  # tail() below has a pole at e = k - 1 for k = 1; elementary forms

@@ -244,20 +244,13 @@ def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def outer_eval(
-    k: BoundaryWeight,
-    z,
-    *,
-    C: complex = 1.0,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-):
+def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
     """Evaluate Out(k, C)(z) at a strictly interior point, or at an array of them.
 
     An array ``z`` gives an array of its shape: the points share one panel
     tree, and each value meets the tolerances on its own.  ``|C| = 1`` is
     required (the phase is the only free parameter of an outer function).
-    Quadrature tolerances default to the package-wide 1e-12/1e-10;
+    The quadrature meets the package-wide tolerances 1e-12/1e-10;
     non-convergence raises :class:`hankelpos.quadrature.QuadratureError`
     rather than silently truncating.
     """
@@ -275,9 +268,7 @@ def outer_eval(
         def integrand(p: np.ndarray) -> np.ndarray:
             return (1.0 / (p - pts) - p / (1.0 + p * p)) * k.log_values(p)
 
-        integral = integrate_real_line(
-            integrand, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=k.jumps
-        )
+        integral = integrate_real_line(integrand, breakpoints=k.jumps)
         values = C * np.exp(integral / (math.pi * 1j))
     else:
         if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():
@@ -290,10 +281,7 @@ def outer_eval(
             u = np.exp(1j * t)
             return (u + pts) / (u - pts) * k.log_values(t)
 
-        integral = integrate(
-            integrand, 0.0, 2.0 * math.pi,
-            abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=k.jumps,
-        )
+        integral = integrate(integrand, 0.0, 2.0 * math.pi, breakpoints=k.jumps)
         values = C * np.exp(integral / (2.0 * math.pi))
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 

@@ -333,6 +333,26 @@ def test_halfline_atoms_without_a_cayley_image_are_exit_2(
     assert f"atom at {shown}" in err
 
 
+@pytest.mark.parametrize(
+    "exponent, support", [(math.inf, [-0.5, 0.5]), (math.nan, [0.0, 0.5])]
+)
+@pytest.mark.parametrize(
+    "command",
+    ["report", "widom", "symbol", "kernel-check", "positivity", "transport", "verify-all"],
+)
+def test_non_finite_exponents_are_exit_2(
+    write_spec, capsys, command: str, exponent: float, support: list
+) -> None:
+    # Python's json reads and writes Infinity and NaN
+    spec = write_spec({"domain": "disc", "densities": [{
+        "kind": "power", "coeff": 1.0, "exponent": exponent, "base": "x", "support": support,
+    }]})
+    code, out, err = _run(capsys, command, "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert f"exponent must be finite, got {exponent}" in err
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 

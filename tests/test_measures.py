@@ -153,6 +153,20 @@ def test_density_is_the_per_base_formula_bit_for_bit(
     assert np.array_equal(got, expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("value", [INF, -INF, math.nan])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda e: hp.power_piece(1.0, e, "x", (0.0, 0.5)), "exponent must be finite"),
+        (lambda e: CayleyPiece(1.0, e, 0.5, (0.0, 0.5)), "(1+x) exponent must be finite"),
+        (lambda e: CayleyPiece(1.0, 0.5, e, (0.0, 0.5)), "(1-x) exponent must be finite"),
+    ],
+)
+def test_non_finite_exponents_are_rejected(make, message: str, value: float) -> None:
+    with pytest.raises(MeasureSpecError, match=f"^{re.escape(message)}, got {value}$"):
+        hp.disc_measure(pieces=[make(value)])
+
+
 def test_negative_coefficient_is_rejected() -> None:
     with pytest.raises(MeasureSpecError, match="coefficient"):
         hp.halfplane_measure(pieces=[hp.power_piece(-1.0, 0.0, "lambda", (0.0, 1.0))])
@@ -244,6 +258,15 @@ def test_moments_of_pieces_with_exponent_at_most_minus_one(coeff, e, base, lo, h
     for j in range(9):
         assert got[j] == pytest.approx(coeff * float(_binomial_moment(j, e, lo, hi, base)),
                                        rel=1e-12, abs=0)
+
+
+def test_reciprocal_power_masses_do_not_overflow_and_keep_their_sign() -> None:
+    # hi / lo = 1 / 5e-324 overflows; the mass is ln(1 / 5e-324)
+    near_zero = hp.disc_measure(pieces=[hp.power_piece(1.0, -1.0, "x", (5e-324, 1.0))])
+    assert hp.total_mass(near_zero) == pytest.approx(744.4400719213812, rel=1e-15)
+    # base x left of 0: c_1 = int x^-1 = ln 0.2
+    left = hp.disc_measure(pieces=[hp.power_piece(1.0, -2.0, "x", (-0.5, -0.1))])
+    np.testing.assert_allclose(hp.moments(left, 3), [8.0, math.log(0.2), 0.4], rtol=1e-15)
 
 
 def test_signed_odd_moments_of_a_symmetric_measure_vanish() -> None:
@@ -366,8 +389,8 @@ def test_moment_order_edge_cases_keep_their_results_and_messages(
     assert hp.moments(d1, 0).shape == (0,)
     with pytest.raises(ValueError, match="moment order 4097 exceeds the cap 4096"):
         hp.moments(disc_leb, 4098)
-    with pytest.raises(ValueError, match="moment order 9 exceeds the cap 8"):
-        hp.moment(disc_leb, 9, cap=8)
+    with pytest.raises(ValueError, match="moment order 4097 exceeds the cap 4096"):
+        hp.moment(disc_leb, 4097)
     with pytest.raises(ValueError, match="moment order must be nonnegative, got -1"):
         hp.moment(disc_leb, -1)
     with pytest.raises(ValueError, match="push the measure forward first"):
