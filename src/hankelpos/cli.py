@@ -1,6 +1,12 @@
 """Command-line interface.
 
-    hankelpos <command> --spec PATH [--N INT] [--out PATH] [--tol FLOAT] [--grid INT]
+    hankelpos report       --spec PATH [--grid INT] [--out PATH]
+    hankelpos widom        --spec PATH [--out PATH]
+    hankelpos symbol       --spec PATH [--grid INT] [--out PATH]
+    hankelpos kernel-check --spec PATH [--tol FLOAT] [--grid INT] [--out PATH]
+    hankelpos positivity   --spec PATH [--N INT] [--tol FLOAT] [--out PATH]
+    hankelpos transport    --spec PATH [--tol FLOAT] [--offset FLOAT] [--out PATH]
+    hankelpos verify-all   --spec PATH [--out PATH]
 
 Commands
 --------
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,9 +57,8 @@ from .hankel import (
 )
 from .measures import (
     Measure,
-    MeasureSpecError,
     cayley_pushforward,
-    load_measure,
+    measure_from_spec,
     moments,
     widom_check,
 )
@@ -63,9 +69,6 @@ from .verify import kernel_residuals, run_suites
 __all__ = ["main"]
 
 SCHEMA_VERSION = "1"
-
-#: Commands that require a Widom-bounded half-line measure.
-_BOUNDED_ONLY = ("report", "symbol", "kernel-check", "transport")
 
 #: Section sizes reported by the ``report`` command.
 _REPORT_SIZES = (8, 16, 32, 64)
@@ -79,62 +82,29 @@ class _CommandError(Exception):
         self.code = code
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="hankelpos",
-        description="Hankel positivity toolkit: Widom bounds, symbol kernels, "
-        "section positivity, and reflection-positivity checks.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--spec", required=True, metavar="PATH", help="JSON measure description"
-    )
-    common.add_argument(
-        "--N", type=int, default=64, metavar="INT", help="section size (default 64)"
-    )
-    common.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write output here atomically (default: stdout)",
-    )
-    common.add_argument(
-        "--tol", type=float, default=None, metavar="FLOAT",
-        help="verdict tolerance (command-specific default)",
-    )
-    common.add_argument(
-        "--grid", type=int, default=1024, metavar="INT",
-        help="symbol grid size (default 1024)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, doc in (
-        ("report", "full JSON report for a bounded half-line measure"),
-        ("widom", "boundedness test"),
-        ("symbol", "CSV samples of the boundary symbol"),
-        ("kernel-check", "measure-mode vs boundary-mode kernel residuals"),
-        ("positivity", "eigenvalue certificate of the size-N moment section"),
-        ("transport", "polar-transport residuals"),
-        ("verify-all", "run every applicable invariant suite"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=doc)
-        if name == "transport":
-            p.add_argument(
-                "--offset", type=float, default=1.0, metavar="FLOAT",
-                help="real offset c of delta = c + h (default 1.0)",
-            )
-    return parser.parse_args(argv)
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value (NaN prints as non-JSON; a negative one flips verdicts)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _load(path: str) -> tuple[Measure, str]:
+    """The measure in ``path`` and the SHA-256 of the bytes it was parsed from."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise _CommandError(f"cannot read measure file {path!r}: {exc}", 2)
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        mu = load_measure(path)
-    except (MeasureSpecError, ValueError, json.JSONDecodeError) as exc:
+        mu = measure_from_spec(json.loads(raw))
+    except ValueError as exc:  # MeasureSpecError, JSONDecodeError, UnicodeDecodeError
         raise _CommandError(f"invalid measure file {path!r}: {exc}", 2)
-    return mu, digest
+    return mu, hashlib.sha256(raw).hexdigest()
 
 
 def _require_bounded_halfplane(mu: Measure, command: str) -> None:
@@ -153,10 +123,6 @@ def _require_bounded_halfplane(mu: Measure, command: str) -> None:
         )
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _sections_block(mu: Measure) -> dict:
     base = cayley_pushforward(mu) if mu.domain == "halfplane" else mu
     c = moments(base, 2 * max(_REPORT_SIZES) - 1)
@@ -169,11 +135,11 @@ def _sections_block(mu: Measure) -> dict:
     return {"N": list(_REPORT_SIZES), "norms": norms, "min_eigs": min_eigs}
 
 
-def _cmd_report(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str, int]:
+# Each handler returns (payload: a dict for the JSON envelope, or CSV text; exit code).
+
+def _cmd_report(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
     samples = symbol_h_samples(mu, n=args.grid)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
+    return {
         "widom": asdict(widom_check(mu)),
         "sections": _sections_block(mu),
         "symbol": {
@@ -183,98 +149,83 @@ def _cmd_report(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str
             "jumps": list(samples.jumps),
         },
         "residuals": kernel_residuals(mu, samples),
-    }
-    return _json_text(payload), 0
+    }, 0
 
 
-def _cmd_widom(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str, int]:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
-        "command": "widom",
-        "widom": asdict(widom_check(mu)),
-    }
-    return _json_text(payload), 0
+def _cmd_widom(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+    return {"widom": asdict(widom_check(mu))}, 0
 
 
-def _cmd_symbol(mu: Measure, digest: str, args: argparse.Namespace) -> tuple[str, int]:
-    samples = symbol_h_samples(mu, n=args.grid)
-    return symbol_samples_csv(samples), 0
+def _cmd_symbol(mu: Measure, args: argparse.Namespace) -> tuple[str, int]:
+    return symbol_samples_csv(symbol_h_samples(mu, n=args.grid)), 0
 
 
-def _cmd_kernel_check(
-    mu: Measure, digest: str, args: argparse.Namespace
-) -> tuple[str, int]:
-    tol = args.tol if args.tol is not None else 1e-6
-    samples = symbol_h_samples(mu, n=args.grid)
-    residuals = kernel_residuals(mu, samples)
-    ok = residuals["max_rel_residual"] <= tol
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
-        "command": "kernel-check",
-        "tol": tol,
-        "residuals": residuals,
-        "verdict": "pass" if ok else "fail",
-    }
-    return _json_text(payload), 0 if ok else 1
+def _cmd_kernel_check(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+    residuals = kernel_residuals(mu, symbol_h_samples(mu, n=args.grid))
+    verdict = "pass" if residuals["max_rel_residual"] <= args.tol else "fail"
+    payload = {"tol": args.tol, "residuals": residuals, "verdict": verdict}
+    return payload, 0 if verdict == "pass" else 1
 
 
-def _cmd_positivity(
-    mu: Measure, digest: str, args: argparse.Namespace
-) -> tuple[str, int]:
+def _cmd_positivity(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
     if args.N < 1:
         raise _CommandError(f"--N must be >= 1, got {args.N}", 2)
     base = cayley_pushforward(mu) if mu.domain == "halfplane" else mu
-    tol = args.tol if args.tol is not None else 1e-10
-    cert = positivity_certificate(section_from_measure(base, args.N), tol=tol)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
-        "command": "positivity",
-        "N": args.N,
-        "certificate": asdict(cert),
-    }
-    return _json_text(payload), 0
+    cert = positivity_certificate(section_from_measure(base, args.N), tol=args.tol)
+    return {"N": args.N, "certificate": asdict(cert)}, 0
 
 
-def _cmd_transport(
-    mu: Measure, digest: str, args: argparse.Namespace
-) -> tuple[str, int]:
-    tol = args.tol if args.tol is not None else 1e-6
-    report = verify_rp_transport(mu, args.offset, residual_tol=tol)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
-        "command": "transport",
-        "transport": report.to_dict(),
-    }
-    return _json_text(payload), 0 if report.verdict == "pass" else 1
+def _cmd_transport(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+    report = verify_rp_transport(mu, args.offset, residual_tol=args.tol)
+    return {"transport": asdict(report)}, 0 if report.verdict == "pass" else 1
 
 
-def _cmd_verify_all(
-    mu: Measure, digest: str, args: argparse.Namespace
-) -> tuple[str, int]:
-    results = run_suites(mu)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": digest,
-        "command": "verify-all",
-        "suites": [asdict(r) for r in results],
-        "verdict": "fail" if any(r.status == "fail" for r in results) else "pass",
-    }
-    return _json_text(payload), 0 if payload["verdict"] == "pass" else 1
+def _cmd_verify_all(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+    suites = [asdict(r) for r in run_suites(mu)]
+    verdict = "fail" if any(s["status"] == "fail" for s in suites) else "pass"
+    return {"suites": suites, "verdict": verdict}, 0 if verdict == "pass" else 1
 
 
-_DISPATCH = {
-    "report": _cmd_report,
-    "widom": _cmd_widom,
-    "symbol": _cmd_symbol,
-    "kernel-check": _cmd_kernel_check,
-    "positivity": _cmd_positivity,
-    "transport": _cmd_transport,
-    "verify-all": _cmd_verify_all,
+#: argparse settings of each flag; the defaults come from ``_COMMANDS``.
+_FLAGS = {
+    "spec": dict(required=True, metavar="PATH", help="JSON measure description"),
+    "N": dict(type=int, metavar="INT", help="section size (default %(default)s)"),
+    "tol": dict(type=_tolerance, metavar="FLOAT", help="verdict tolerance (default %(default)s)"),
+    "grid": dict(type=int, metavar="INT", help="symbol grid size (default %(default)s)"),
+    "offset": dict(type=float, metavar="FLOAT",
+                   help="real offset c of delta = c + h (default %(default)s)"),
+    "out": dict(metavar="PATH", help="write output here atomically (default: stdout)"),
 }
+
+#: name -> (handler, help, needs a Widom-bounded half-line measure,
+#: {flag it reads: default}).  Every command also reads ``--spec`` and ``--out``.
+_COMMANDS = {
+    "report": (_cmd_report, "full JSON report for a bounded half-line measure",
+               True, {"grid": 1024}),
+    "widom": (_cmd_widom, "boundedness test", False, {}),
+    "symbol": (_cmd_symbol, "CSV samples of the boundary symbol", True, {"grid": 1024}),
+    "kernel-check": (_cmd_kernel_check, "measure-mode vs boundary-mode kernel residuals",
+                     True, {"tol": 1e-6, "grid": 1024}),
+    "positivity": (_cmd_positivity, "eigenvalue certificate of the size-N moment section",
+                   False, {"N": 64, "tol": 1e-10}),
+    "transport": (_cmd_transport, "polar-transport residuals",
+                  True, {"tol": 1e-6, "offset": 1.0}),
+    "verify-all": (_cmd_verify_all, "run every applicable invariant suite", False, {}),
+}
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="hankelpos",
+        description="Hankel positivity toolkit: Widom bounds, symbol kernels, "
+        "section positivity, and reflection-positivity checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (_, doc, _, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=doc)
+        for flag, default in {"spec": None, **defaults, "out": None}.items():
+            p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
+    return parser.parse_args(argv)
 
 
 def _write_output(text: str, out_path: Optional[str]) -> None:
@@ -297,11 +248,12 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
+    handler, _, bounded, _ = _COMMANDS[args.command]
     try:
         mu, digest = _load(args.spec)
-        if args.command in _BOUNDED_ONLY:
+        if bounded:
             _require_bounded_halfplane(mu, args.command)
-        text, code = _DISPATCH[args.command](mu, digest, args)
+        payload, code = handler(mu, args)
     except _CommandError as exc:
         print(f"hankelpos: {exc}", file=sys.stderr)
         return exc.code
@@ -311,7 +263,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QuadratureError as exc:
         print(f"hankelpos: quadrature did not converge: {exc}", file=sys.stderr)
         return 4
-    _write_output(text, args.out)
+    if isinstance(payload, dict):
+        command = {} if args.command == "report" else {"command": args.command}
+        envelope = {"schema_version": SCHEMA_VERSION, "input_digest": digest, **command}
+        payload = json.dumps({**envelope, **payload}, indent=2, sort_keys=True) + "\n"
+    _write_output(payload, args.out)
     return code
 
 

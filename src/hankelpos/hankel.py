@@ -49,7 +49,7 @@ Operator-theoretic checks:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -533,7 +533,7 @@ class TransportReport:
     """Residuals of the polar-transport identity at a list of probe pairs."""
 
     offset: float
-    probes: tuple
+    probes: tuple  # (Re z, Im z, Re w, Im w) per pair, so asdict gives plain JSON
     residuals: tuple
     max_residual: float
     invisibility: tuple
@@ -541,11 +541,6 @@ class TransportReport:
     residual_tol: float
     invisibility_tol: float
     verdict: str  # "pass" | "fail"
-
-    def to_dict(self) -> dict:
-        """:func:`dataclasses.asdict`, with each complex probe pair as [re, im, re, im]."""
-        return {**asdict(self),
-                "probes": [[z.real, z.imag, w.real, w.imag] for z, w in self.probes]}
 
 
 def verify_rp_transport(
@@ -587,7 +582,7 @@ def verify_rp_transport(
     verdict = "pass" if max_res <= residual_tol and max_ghost <= _INVISIBILITY_TOL else "fail"
     return TransportReport(
         offset=float(c),
-        probes=pair_list,
+        probes=tuple((z.real, z.imag, w.real, w.imag) for z, w in pair_list),
         residuals=tuple(residuals),
         max_residual=max_res,
         invisibility=tuple(invisibility),

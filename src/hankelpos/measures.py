@@ -250,7 +250,7 @@ def _validate_piece(domain: str, p: Piece) -> None:
     if isinstance(p, CayleyPiece):
         if domain != "disc":
             raise MeasureSpecError("cayley_power pieces live on the disc domain")
-    elif p.base not in _POWER_BASES:
+    elif not isinstance(p.base, str) or p.base not in _POWER_BASES:
         raise MeasureSpecError(f"unknown density base {p.base!r}")
     elif domain == "halfplane" and p.base != "lambda":
         raise MeasureSpecError("half-line densities use base 'lambda'")
@@ -303,6 +303,13 @@ def _as_atoms(atoms: Iterable[tuple[float, float] | Atom]) -> tuple[Atom, ...]:
 # JSON schema
 # ---------------------------------------------------------------------------
 
+#: Density kind -> piece class and its spec fields other than ``support``.
+_SPEC_KINDS = {
+    "power": (PowerPiece, ("coeff", "exponent", "base")),
+    "cayley_power": (CayleyPiece, ("coeff", "plus_exponent", "minus_exponent")),
+}
+
+
 def measure_from_spec(obj: dict) -> Measure:
     """Build a measure from its JSON description.
 
@@ -337,36 +344,16 @@ def measure_from_spec(obj: dict) -> Measure:
         if not isinstance(entry, dict):
             raise MeasureSpecError(f"bad density entry {entry!r}")
         kind = entry.get("kind")
-        if kind == "power":
-            expected = {"kind", "coeff", "exponent", "base", "support"}
-            if set(entry) != expected:
-                raise MeasureSpecError(
-                    f"power density needs exactly keys {sorted(expected)}, got {sorted(entry)}"
-                )
-            pieces.append(
-                PowerPiece(
-                    _as_number(entry["coeff"]),
-                    _as_number(entry["exponent"]),
-                    entry["base"],
-                    _as_support(entry["support"]),
-                )
-            )
-        elif kind == "cayley_power":
-            expected = {"kind", "coeff", "plus_exponent", "minus_exponent", "support"}
-            if set(entry) != expected:
-                raise MeasureSpecError(
-                    f"cayley_power density needs exactly keys {sorted(expected)}"
-                )
-            pieces.append(
-                CayleyPiece(
-                    _as_number(entry["coeff"]),
-                    _as_number(entry["plus_exponent"]),
-                    _as_number(entry["minus_exponent"]),
-                    _as_support(entry["support"]),
-                )
-            )
-        else:
+        if not isinstance(kind, str) or kind not in _SPEC_KINDS:
             raise MeasureSpecError(f"unknown density kind {kind!r}")
+        cls, names = _SPEC_KINDS[kind]
+        expected = {"kind", *names, "support"}
+        if set(entry) != expected:
+            raise MeasureSpecError(
+                f"{kind} density needs exactly keys {sorted(expected)}, got {sorted(entry)}"
+            )
+        fields = {n: entry[n] if n == "base" else _as_number(entry[n]) for n in names}
+        pieces.append(cls(**fields, support=_as_support(entry["support"])))
     return _validate(Measure(domain, tuple(atoms), tuple(pieces)))
 
 
@@ -386,20 +373,11 @@ def _as_support(value) -> tuple[float, float]:
 
 def measure_to_spec(mu: Measure) -> dict:
     """Inverse of :func:`measure_from_spec`."""
-    densities = []
-    for p in mu.pieces:
-        support = [p.support[0], "inf" if math.isinf(p.support[1]) else p.support[1]]
-        if isinstance(p, PowerPiece):
-            densities.append(
-                {"kind": "power", "coeff": p.coeff, "exponent": p.exponent,
-                 "base": p.base, "support": support}
-            )
-        else:
-            densities.append(
-                {"kind": "cayley_power", "coeff": p.coeff,
-                 "plus_exponent": p.plus_exponent,
-                 "minus_exponent": p.minus_exponent, "support": support}
-            )
+    densities = [
+        {"kind": kind, **{n: getattr(p, n) for n in names},
+         "support": [p.support[0], "inf" if math.isinf(p.support[1]) else p.support[1]]}
+        for p in mu.pieces for kind, (cls, names) in _SPEC_KINDS.items() if isinstance(p, cls)
+    ]
     return {
         "domain": mu.domain,
         "atoms": [{"pos": a.position, "mass": a.mass} for a in mu.atoms],

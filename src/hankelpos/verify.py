@@ -60,10 +60,6 @@ def _result(name: str, ok: bool, worst: Optional[float], detail: str) -> SuiteRe
     return SuiteResult(name, "pass" if ok else "fail", worst, detail)
 
 
-def _skipped(name: str, why: str) -> SuiteResult:
-    return SuiteResult(name, "skipped", None, why)
-
-
 # ---------------------------------------------------------------------------
 # Half-plane suites
 # ---------------------------------------------------------------------------
@@ -238,50 +234,44 @@ def _suite_support(mu: Measure) -> SuiteResult:
 # Driver
 # ---------------------------------------------------------------------------
 
-_HP_ALWAYS: tuple[tuple[str, Callable[[Measure], SuiteResult]], ...] = (
-    ("widom", _suite_widom),
-    ("difference_quotient", _suite_difference_quotient),
-    ("gram_contraction", _suite_gram_contraction),
-)
-_HP_BOUNDED_ONLY: tuple[tuple[str, Callable[[Measure], SuiteResult]], ...] = (
-    ("symbol_bound", _suite_symbol_bound),
-    ("kernel_modes", _suite_kernel_modes),
-    ("section_chain", _suite_section_chain),
-    ("transport", _suite_transport),
-    ("polar", _suite_polar),
-)
-_DISC_SUITES: tuple[tuple[str, Callable[[Measure], SuiteResult]], ...] = (
-    ("widom", _suite_widom),
-    ("shift_contraction", _suite_shift_contraction),
-    ("sections_positive", _suite_sections_positive),
-    ("norm_monotonicity", _suite_norm_monotonicity),
-    ("support_localization", _suite_support),
-)
-
-SUITE_NAMES = {
-    "halfplane": tuple(n for n, _ in _HP_ALWAYS + _HP_BOUNDED_ONLY),
-    "disc": tuple(n for n, _ in _DISC_SUITES),
+#: (name, suite, bounded_only) per domain, in report order.  A bounded-only
+#: suite is skipped unless the Widom test certifies a bounded symbol.
+_SUITES: dict[str, tuple[tuple[str, Callable[[Measure], SuiteResult], bool], ...]] = {
+    "halfplane": (
+        ("widom", _suite_widom, False),
+        ("difference_quotient", _suite_difference_quotient, False),
+        ("gram_contraction", _suite_gram_contraction, False),
+        ("symbol_bound", _suite_symbol_bound, True),
+        ("kernel_modes", _suite_kernel_modes, True),
+        ("section_chain", _suite_section_chain, True),
+        ("transport", _suite_transport, True),
+        ("polar", _suite_polar, True),
+    ),
+    "disc": (
+        ("widom", _suite_widom, False),
+        ("shift_contraction", _suite_shift_contraction, False),
+        ("sections_positive", _suite_sections_positive, False),
+        ("norm_monotonicity", _suite_norm_monotonicity, False),
+        ("support_localization", _suite_support, False),
+    ),
 }
+
+SUITE_NAMES = {domain: tuple(s[0] for s in suites) for domain, suites in _SUITES.items()}
 
 
 def run_suites(mu: Measure) -> list[SuiteResult]:
     """Run every suite applicable to ``mu``; bounded-only suites are skipped
     (not failed) when the Widom test does not certify boundedness."""
     results: list[SuiteResult] = []
-    if mu.domain == "halfplane":
-        for name, suite in _HP_ALWAYS:
-            results.append(_run_guarded(name, suite, mu))
-        verdict = widom_check(mu).verdict
-        for name, suite in _HP_BOUNDED_ONLY:
+    verdict = None  # the Widom verdict, read once the first bounded-only suite is reached
+    for name, suite, bounded_only in _SUITES[mu.domain]:
+        if bounded_only:
+            verdict = verdict or widom_check(mu).verdict
             if verdict != "bounded":
-                results.append(
-                    _skipped(name, f"needs a bounded symbol (Widom verdict: {verdict})")
-                )
-            else:
-                results.append(_run_guarded(name, suite, mu))
-    else:
-        for name, suite in _DISC_SUITES:
-            results.append(_run_guarded(name, suite, mu))
+                why = f"needs a bounded symbol (Widom verdict: {verdict})"
+                results.append(SuiteResult(name, "skipped", None, why))
+                continue
+        results.append(_run_guarded(name, suite, mu))
     return results
 
 

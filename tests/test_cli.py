@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -433,3 +435,74 @@ def test_digest_tracks_the_file_bytes(write_spec, capsys) -> None:
     a, b = json.loads(out_a), json.loads(out_b)
     assert a["input_digest"] != b["input_digest"]
     assert a["widom"] == b["widom"]
+
+
+# ---------------------------------------------------------------------------
+# Flags: each command accepts exactly the flags it reads
+# ---------------------------------------------------------------------------
+
+#: The flags each command reads besides --spec and --out, with their defaults.
+READS = {
+    "report": {"--grid": "1024"},
+    "widom": {},
+    "symbol": {"--grid": "1024"},
+    "kernel-check": {"--tol": "1e-06", "--grid": "1024"},
+    "positivity": {"--N": "64", "--tol": "1e-10"},
+    "transport": {"--tol": "1e-06", "--offset": "1.0"},
+    "verify-all": {},
+}
+UNREAD = [
+    (command, flag)
+    for command, reads in READS.items()
+    for flag in ("--N", "--tol", "--grid")
+    if flag not in reads
+]
+
+
+def _exit_code(capsys, *argv: str) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_a_flag_the_command_does_not_read_is_exit_2(
+    write_spec, capsys, command: str, flag: str
+) -> None:
+    spec = write_spec(D1_SPEC)
+    code, out, err = _exit_code(capsys, command, "--spec", str(spec), flag, "1")
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_flags_read_with_their_defaults(capsys, command: str) -> None:
+    code, out, _ = _exit_code(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert set(re.findall(r"--\w+", text)) == {"--help", "--spec", "--out", *READS[command]}
+    for flag, default in READS[command].items():
+        assert re.search(rf"{flag} \w+ [^-]*\(default {re.escape(default)}\)", text), flag
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["kernel-check", "positivity", "transport"])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_exit_2(
+    write_spec, capsys, command: str, value: str
+) -> None:
+    spec = write_spec(D1_SPEC)
+    code, out, err = _exit_code(capsys, command, "--spec", str(spec), "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol" in err
+
+
+def test_input_digest_is_the_sha256_of_the_file_bytes(write_spec, capsys) -> None:
+    spec = write_spec(D1_SPEC)
+    spec.write_bytes(b'{"domain": "halfplane",\r\n "atoms": [{"pos": 1.0, "mass": 1.0}]}')
+    for command in ("report", "widom", "kernel-check", "positivity", "transport", "verify-all"):
+        code, out, _ = _run(capsys, command, "--spec", str(spec))
+        assert code == 0
+        assert json.loads(out)["input_digest"] == hashlib.sha256(spec.read_bytes()).hexdigest()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
@@ -683,3 +684,31 @@ def test_malformed_specs_are_rejected() -> None:
         hp.measure_from_spec(
             {"domain": "disc", "densities": [{"kind": "spline"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        hp.cayley_pushforward(hp.halfplane_measure(
+            atoms=[(2.0, 0.5)], pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])),
+        hp.halfplane_measure(pieces=[hp.power_piece(2.0, -0.5, "lambda", (0.0, math.inf))]),
+    ],
+    ids=["cayley_power", "halfline_to_inf"],
+)
+def test_spec_round_trips_through_strict_json(mu: hp.Measure) -> None:
+    # strict JSON: an unbounded support must come out as the string "inf"
+    text = json.dumps(hp.measure_to_spec(mu), allow_nan=False)
+    assert hp.measure_from_spec(json.loads(text)) == mu
+
+
+def test_spec_key_errors_name_the_keys_given() -> None:
+    entry = {"kind": "cayley_power", "coeff": 1.0, "plus_exponent": 0.5, "support": [0, 1]}
+    with pytest.raises(MeasureSpecError, match=r"got \['coeff', 'kind', 'plus_exponent'"):
+        hp.measure_from_spec({"domain": "disc", "densities": [entry]})
+
+
+@pytest.mark.parametrize("field, value", [("base", ["x"]), ("kind", ["power"])])
+def test_unhashable_spec_strings_are_spec_errors(field: str, value: list) -> None:
+    entry = {"kind": "power", "coeff": 1.0, "exponent": 0.0, "base": "x", "support": [0, 1]}
+    with pytest.raises(MeasureSpecError, match=f"unknown density {field}"):
+        hp.measure_from_spec({"domain": "disc", "densities": [{**entry, field: value}]})
