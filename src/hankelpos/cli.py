@@ -93,6 +93,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A ``--grid`` value (NumPy rejects a negative one; 0 samples only the added points)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _load(path: str) -> tuple[Measure, str]:
     """The measure in ``path`` and the SHA-256 of the bytes it was parsed from."""
     try:
@@ -191,7 +202,7 @@ _FLAGS = {
     "spec": dict(required=True, metavar="PATH", help="JSON measure description"),
     "N": dict(type=int, metavar="INT", help="section size (default %(default)s)"),
     "tol": dict(type=_tolerance, metavar="FLOAT", help="verdict tolerance (default %(default)s)"),
-    "grid": dict(type=int, metavar="INT", help="symbol grid size (default %(default)s)"),
+    "grid": dict(type=_positive_int, metavar="INT", help="symbol grid size (default %(default)s)"),
     "offset": dict(type=float, metavar="FLOAT",
                    help="real offset c of delta = c + h (default %(default)s)"),
     "out": dict(metavar="PATH", help="write output here atomically (default: stdout)"),

@@ -312,7 +312,7 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
     All pairs share one real-line panel tree (each still meets the tolerances
-    on its own), so the symbol is evaluated once per panel for all of them.
+    on its own), so the symbol is evaluated once per node for all of them.
     """
     if samples is None or samples.domain != "halfplane":
         raise ValueError("boundary mode needs a half-plane symbol samples=")

@@ -646,7 +646,11 @@ def _piece_laplace(p: PowerPiece, t: float) -> float:
 def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
     """``S_k(a) = int d mu(lambda) / (lambda + a)^k`` of a half-line measure.
 
-    Vectorized over ``a`` off the cut ``(-oo, 0]``; ``k`` is 1 or 2.  Pieces
+    Vectorized over ``a`` off the cut ``(-oo, 0]``; ``k`` is 1 or 2.  A
+    ``lambda^e`` piece on [lo, hi] is split at ``|a|`` into a head from lo
+    and a tail to hi, each a difference of two ``hyp2f1`` terms; only the
+    nonempty ones are evaluated, so a point with ``|a|`` outside (lo, hi)
+    costs two terms (one if hi is infinite and ``|a| <= lo``).  Pieces
     with an integer exponent other than 0 or ``0 < |e| < 1e-5`` take one
     :func:`piece_integral` per point.  Where S_1 diverges (unbounded support,
     ``0 <= e < 1``) its finite part is returned (that quadrature raises
@@ -691,17 +695,28 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
         # not c * (x + iy): its 0 * inf is nan once x overflows (a -> -lo)
         return c * modulus + 1j * c * np.arctan2(im, 1.0 + re)
 
-    def head(x):  # int_0^x, continued analytically in e
+    def head(x, a):  # int_0^x, continued analytically in e
         return x ** (e + 1) / (e + 1) * (x + a) ** -k * hyp2f1(k, 1, e + 2, x / (x + a))
 
-    def tail(x):  # int_x^oo, continued analytically in e (finite part)
+    def tail(x, a):  # int_x^oo, continued analytically in e (finite part)
         r = np.divide(a, x, out=np.zeros_like(a), where=a != 0)
         return x ** (e + 1 - k) / (k - 1 - e) * (1 + r) ** -k * hyp2f1(k, 1, k - e, r / (1 + r))
 
+    # v where m holds; a 0-d v stays whole, so every value is the one the unmasked
+    # formula gives (NumPy's scalar and array powers differ in the last bit)
+    def at(m, v):
+        return np.broadcast_to(v, m.shape)[m] if np.ndim(v) else v
+
     split = np.clip(np.abs(a), lo, hi)
-    # only the nonempty parts: head(lo) is 0/0 at a = 0, tail(hi) overflows as |a| -> oo
-    below = np.where(split > lo, head(split) - head(lo), 0.0)
-    above = np.where(split < hi, tail(split) - (0.0 if unbounded else tail(hi)), 0.0)
+    below, above = np.zeros(np.shape(split), complex), np.zeros(np.shape(split), complex)
+    # only the nonempty parts, so |a| outside (lo, hi) costs two hyp2f1 terms, not four;
+    # head(lo) is 0/0 at a = 0, tail(hi) overflows as |a| -> oo
+    m = split > lo
+    if m.any():
+        below[m] = head(at(m, split), at(m, a)) - head(at(m, lo), at(m, a))
+    m = split < hi
+    if m.any():
+        above[m] = tail(at(m, split), at(m, a)) - (0.0 if unbounded else tail(at(m, hi), at(m, a)))
     return c * (below + above)
 
 

@@ -1,13 +1,17 @@
 """Adaptive Gauss-Legendre quadrature for smooth-per-panel integrands.
 
 The integration scheme is globally adaptive: every panel carries a
-7-vs-15-point Gauss-Legendre error estimate, and the panel with the largest
-estimated error is bisected until the summed estimate meets the requested
-tolerance.  This handles integrable endpoint singularities (dyadic refinement
-toward the endpoint) and piecewise-smooth integrands (seed the panel list with
-the known breakpoints) without any problem-specific tuning.  Each panel calls
-the integrand once, on the 22 nodes of both rules, so the fixed cost of a call
-is paid once per panel.
+7-vs-15-point Gauss-Legendre error estimate, and each sweep bisects the
+fewest worst panels whose removal would leave the rest within tolerance,
+until the summed estimate meets it.  This handles integrable endpoint
+singularities (dyadic refinement toward the endpoint) and piecewise-smooth
+integrands (seed the panel list with the known breakpoints) without any
+problem-specific tuning.  The integrand sees the 22 nodes of both rules on
+whole panels: the first panel alone (its result tells how many integrands
+are stacked), then all other initial panels in one call, then all children
+of a sweep in one call, so the fixed cost of a call is paid once per
+refinement level.  A call that would return more than ``_MAX_CALL_VALUES``
+values (integrands x nodes) is split.
 
 Unbounded ranges are folded to compact ones with the tangent substitution
 x = tan(u), dx = (1 + tan(u)^2) du, which turns algebraically decaying tails
@@ -46,6 +50,9 @@ DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 #: Default cap on the number of panels before giving up.
 DEFAULT_MAX_PANELS = 4096
+#: Most integrand values (rows x nodes) one call may return; a sweep that
+#: needs more is split over several calls.
+_MAX_CALL_VALUES = 2**18
 
 
 class QuadratureError(RuntimeError):
@@ -56,18 +63,29 @@ class QuadratureError(RuntimeError):
     """
 
 
-def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (value, error_estimate) for one panel [a, b], per integrand row.
+def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                     rows: int = 0):
+    """Return (values, error_estimates) of the panels [lo_p, hi_p], one row per panel.
 
     The value is the 15-point Gauss-Legendre rule; the error estimate is the
-    difference against the embedded 7-point rule.  ``f`` is called once.
+    difference against the embedded 7-point rule.  ``f`` is called on the 22
+    nodes of whole panels, in as few calls as keep its ``rows`` x nodes values
+    within ``_MAX_CALL_VALUES``; with ``rows`` unknown (0), the first call
+    takes one panel and tells it.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * _NODES))
-    hi = half * (y[..., :_N_HI] @ _WEIGHTS_HI)
-    lo = half * (y[..., _N_HI:] @ _WEIGHTS_LO)
-    return hi, abs(hi - lo)
+    vals, errs, i = [], [], 0
+    while i < len(lo):
+        step = max(1, _MAX_CALL_VALUES // (rows * len(_NODES))) if rows else 1
+        mid = 0.5 * (lo[i:i + step] + hi[i:i + step])
+        half = 0.5 * (hi[i:i + step] - lo[i:i + step])
+        y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+        y = y.reshape(*y.shape[:-1], len(mid), len(_NODES))
+        v_hi = half * (y[..., :_N_HI] @ _WEIGHTS_HI)
+        v_lo = half * (y[..., _N_HI:] @ _WEIGHTS_LO)
+        vals.append(v_hi.T)
+        errs.append(abs(v_hi - v_lo).T)
+        rows, i = max(v_hi.size // len(mid), 1), i + step
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def integrate(
@@ -87,18 +105,22 @@ def integrate(
     f:
         Vectorized integrand; called with a 1-d array of n abscissae, it
         returns n values, or an ``(m, n)`` array for m integrals, shape ``(m,)``.
+        The abscissae are the 22 nodes of one or more whole panels.
     a, b:
         Finite endpoints, a < b.
     abs_tol, rel_tol:
         The iteration stops once, in every column c, the summed panel error
-        estimate is below ``tol_c = max(abs_tol, rel_tol * |I_c|)``; until
-        then the panel with the largest ``max_c err_c / tol_c`` is bisected.
+        estimate is below ``tol_c = max(abs_tol, rel_tol * |I_c|)``.  Until
+        then each sweep ranks the panels by ``max_c err_c / tol_c`` and
+        bisects the fewest worst ones whose removal leaves every column of
+        the rest summing to at most its tolerance.
     breakpoints:
         Interior points where the integrand (or a derivative) jumps; the
         initial panel list is split there so each panel sees a smooth
         integrand.
     max_panels:
-        Panel budget; exceeding it raises :class:`QuadratureError`.
+        Panel budget; a sweep bisects no more panels than it leaves room for,
+        and exceeding it raises :class:`QuadratureError`.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate() needs finite endpoints; use the "
@@ -106,41 +128,43 @@ def integrate(
     if not b > a:
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
 
-    cuts = sorted({float(t) for t in breakpoints if a < t < b})
-    edges = [a, *cuts, b]
-    bounds = list(zip(edges[:-1], edges[1:]))
-    # Row p of vals/errs belongs to panel bounds[p]; both double when full.
-    vals, errs = map(np.array, zip(*(_panel_estimates(f, lo, hi) for lo, hi in bounds)))
+    edges = np.array([a, *sorted({float(t) for t in breakpoints if a < t < b}), b])
+    los, his = edges[:-1], edges[1:]  # row p of vals/errs is the panel [los[p], his[p]]
+    vals, errs = _panel_estimates(f, los, his)
+    rows = max(vals[0].size, 1)
     floor = max(abs_tol, np.finfo(float).tiny)  # a tolerance of 0 makes err / tol nan
     while True:
-        n = len(bounds)
-        total = vals[:n].sum(axis=0)
+        n = len(los)
+        total = vals.sum(axis=0)
         tol = np.maximum(floor, rel_tol * abs(total))
-        ratio = errs[:n] / tol  # summed over the panels: total_err / tol per column
+        ratio = errs / tol  # summed over the panels: total_err / tol per column
         if (ratio.sum(axis=0) <= 1.0).all():
             return total.item() if total.ndim == 0 else total
         if n >= max_panels:
             raise QuadratureError(
                 f"adaptive quadrature did not converge on [{a}, {b}]: "
-                f"estimated error {np.max(errs[:n].sum(axis=0)):.3e} after {n} panels "
+                f"estimated error {np.max(errs.sum(axis=0)):.3e} after {n} panels "
                 f"(tolerance abs={abs_tol:.1e}, rel={rel_tol:.1e})"
             )
-        k = int((ratio if ratio.ndim == 1 else ratio.max(axis=1)).argmax())
-        lo, hi = bounds[k]
+        # bisect the fewest worst panels that leave the rest within tolerance
+        ratio = ratio.reshape(n, -1)
+        order = np.argsort(-ratio.max(axis=1), kind="stable")
+        done = (ratio.sum(axis=0) - np.cumsum(ratio[order], axis=0) <= 1.0).all(axis=1)
+        worst = order[:min(int(done.argmax()) + 1 if done.any() else n, max_panels - n)]
+        lo, hi = los[worst], his[worst]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        stuck = (mid <= lo) | (mid >= hi)
+        if stuck.any():
+            k = int(stuck.argmax())
             raise QuadratureError(
-                f"panel [{lo}, {hi}] cannot be refined further "
+                f"panel [{lo[k]}, {hi[k]}] cannot be refined further "
                 f"(floating-point limit) with tolerance unmet"
             )
-        (v_lo, e_lo), (v_hi, e_hi) = _panel_estimates(f, lo, mid), _panel_estimates(f, mid, hi)
-        dtype = np.result_type(vals, v_lo, v_hi)  # complex once any panel is
-        if n == len(vals) or dtype != vals.dtype:
-            vals = np.concatenate([vals, np.empty_like(vals)]).astype(dtype)
-            errs = np.concatenate([errs, np.empty_like(errs)])
-        bounds[k] = (lo, mid)
-        bounds.append((mid, hi))
-        vals[k], errs[k], vals[n], errs[n] = v_lo, e_lo, v_hi, e_hi
+        v, e = _panel_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]), rows)
+        los = np.concatenate([np.delete(los, worst), lo, mid])
+        his = np.concatenate([np.delete(his, worst), mid, hi])
+        vals = np.concatenate([np.delete(vals, worst, axis=0), v])  # complex once any panel is
+        errs = np.concatenate([np.delete(errs, worst, axis=0), e])
 
 
 def integrate_real_line(

@@ -499,6 +499,25 @@ def test_a_tolerance_that_is_not_finite_and_non_negative_is_exit_2(
     assert "argument --tol" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "1.5", "x"])
+@pytest.mark.parametrize("command", ["report", "symbol", "kernel-check"])
+def test_a_grid_that_is_not_a_positive_integer_is_exit_2(
+    write_spec, capsys, command: str, value: str
+) -> None:
+    spec = write_spec(D1_SPEC)
+    code, out, err = _exit_code(capsys, command, "--spec", str(spec), "--grid", value)
+    assert code == 2
+    assert out == ""
+    assert "argument --grid: must be an integer >= 1" in err
+
+
+def test_a_one_point_grid_is_accepted(write_spec, capsys) -> None:
+    spec = write_spec(D1_SPEC)
+    code, out, _ = _run(capsys, "report", "--spec", str(spec), "--grid", "1")
+    assert code == 0
+    assert json.loads(out)["symbol"]["grid_points"] >= 1
+
+
 def test_input_digest_is_the_sha256_of_the_file_bytes(write_spec, capsys) -> None:
     spec = write_spec(D1_SPEC)
     spec.write_bytes(b'{"domain": "halfplane",\r\n "atoms": [{"pos": 1.0, "mass": 1.0}]}')

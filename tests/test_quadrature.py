@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
+import hankelpos.quadrature as quadrature
+
 from hankelpos import (
     QuadratureError,
     integrate,
@@ -191,15 +193,102 @@ def test_an_integrand_that_turns_complex_on_a_refined_panel_keeps_its_imaginary_
     assert value == pytest.approx(real + 0.03j, rel=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# Sweeps: every panel a sweep bisects is evaluated in one integrand call
+# ---------------------------------------------------------------------------
+
+_RULE = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 7)])
+
+
+def _panels(x: np.ndarray) -> list[tuple[float, float]]:
+    """The panels [lo, hi] whose 15 + 7 rule nodes make up ``x``, checked whole."""
+    assert x.size % _RULE.size == 0
+    out = []
+    for nodes in x.reshape(-1, _RULE.size):
+        half = (nodes[0] - nodes[1]) / (_RULE[0] - _RULE[1])
+        mid = nodes[0] - half * _RULE[0]
+        np.testing.assert_allclose(nodes, mid + half * _RULE, rtol=0.0, atol=1e-14)
+        out.append((mid - half, mid + half))
+    return out
+
+
 def test_each_panel_calls_the_integrand_once_on_both_rules() -> None:
-    panels = []
+    calls, first_nodes = [], []
 
     def f(x: np.ndarray) -> np.ndarray:
-        panels.append((x.size, x.min(), x.max()))
+        calls.append(len(_panels(x)))
+        first_nodes.extend(x[:: _RULE.size])
         return np.array([np.sqrt(x), np.cos(40.0 * x)])
 
     value = integrate(f, 0.0, 1.0, breakpoints=[0.5])
     np.testing.assert_allclose(value, [2.0 / 3.0, math.sin(40.0) / 40.0], rtol=1e-10)
-    assert len(panels) > 20  # the sqrt column forces refinement toward 0
-    assert {size for size, _, _ in panels} == {22}  # 15 value nodes + 7 error nodes
-    assert len({(lo, hi) for _, lo, hi in panels}) == len(panels)  # no panel twice
+    assert sum(calls) > 20  # the sqrt column forces refinement toward 0
+    assert len(calls) < sum(calls) / 2 and max(calls) > 2  # sweeps share calls
+    assert len(set(first_nodes)) == len(first_nodes)  # no panel twice
+
+
+def test_a_square_root_needs_one_call_per_refinement_level() -> None:
+    calls = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        calls.append(_panels(x))
+        return np.sqrt(x)
+
+    assert integrate(f, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-10)
+    narrowest = min(hi - lo for call in calls for lo, hi in call)
+    levels = round(math.log2(1.0 / narrowest))
+    assert levels > 10
+    assert len(calls) <= levels + 1
+
+
+def test_breakpoint_panels_share_calls() -> None:
+    calls = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        calls.append(_panels(x))
+        return np.exp(x)
+
+    cuts = np.linspace(0.0, 1.0, 12)[1:-1]
+    assert integrate(f, 0.0, 1.0, breakpoints=cuts) == pytest.approx(math.e - 1.0, rel=1e-14)
+    # the first panel alone tells the row count, the other ten share one call
+    assert [len(call) for call in calls] == [1, 10]
+
+
+def test_a_stacked_integrand_keeps_every_call_within_the_value_cap() -> None:
+    js = np.arange(4097)
+    sizes = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        y = x ** js[:, None]
+        sizes.append(y.size)
+        return y
+
+    edge = 1.0 - 0.5 ** np.arange(1, 14)
+    values = integrate(f, 0.0, 1.0, breakpoints=edge, abs_tol=0.0, rel_tol=1e-12)
+    np.testing.assert_allclose(values, 1.0 / (js + 1.0), rtol=1e-11)
+    assert max(sizes) <= quadrature._MAX_CALL_VALUES
+    assert len(sizes) < sum(sizes) / (js.size * 22)  # calls still carry several panels
+
+
+def test_the_panel_budget_caps_a_sweep() -> None:
+    calls = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        calls.append(x.size // 22)
+        return np.abs(np.sin(200.0 * x))  # 63 kinks: every panel needs bisecting
+
+    with pytest.raises(QuadratureError, match="after 50 panels"):
+        integrate(f, 0.0, 1.0, max_panels=50)
+    # the sweep from 32 panels bisects only the 18 the budget leaves room for
+    assert calls == [1, 2, 4, 8, 16, 32, 2 * 18]
+
+
+def test_a_panel_at_the_floating_point_limit_raises() -> None:
+    # [c, c + ulp] has no float inside; its nodes below the midpoint round down
+    # onto c - ulp / 2 (floats below a power of two are twice as dense), so it
+    # straddles the jump of f at c and its error estimate never vanishes
+    c = 2.0**20
+    top = math.nextafter(c, math.inf)
+    with pytest.raises(QuadratureError, match=r"panel \[1048576.0, 1048576.0000000002\] "
+                       r"cannot be refined further \(floating-point limit\)"):
+        integrate(lambda x: np.where(x >= c, 1.0, 0.0), c - 1.0, top, breakpoints=[c])

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 import hankelpos as hp
+from hankelpos import measures
 from hankelpos.measures import piece_integral, stieltjes
 
 PI = math.pi
@@ -137,3 +139,79 @@ def test_stieltjes_rejects_disc_measures_and_other_orders(
         stieltjes(disc_leb, 1.0)
     with pytest.raises(ValueError, match="k must be"):
         stieltjes(d1, 1.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# The masked kernel: only the hypergeometric terms that contribute
+# ---------------------------------------------------------------------------
+
+
+def _four_terms(p, a, k: int, lo, hi):
+    """``_piece_stieltjes`` with all four hyp2f1 terms at every point, the
+    empty ones discarded afterwards."""
+    e, c = p.exponent, p.coeff
+    a = np.asarray(a, dtype=complex)
+
+    def head(x):
+        return x ** (e + 1) / (e + 1) * (x + a) ** -k * hyp2f1(k, 1, e + 2, x / (x + a))
+
+    def tail(x):
+        r = np.divide(a, x, out=np.zeros_like(a), where=a != 0)
+        return x ** (e + 1 - k) / (k - 1 - e) * (1 + r) ** -k * hyp2f1(k, 1, k - e, r / (1 + r))
+
+    unbounded = np.ndim(hi) == 0 and math.isinf(hi)
+    split = np.clip(np.abs(a), lo, hi)
+    below = np.where(split > lo, head(split) - head(lo), 0.0)
+    above = np.where(split < hi, tail(split) - (0.0 if unbounded else tail(hi)), 0.0)
+    return c * (below + above)
+
+
+def _bits(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+def test_masked_kernel_is_bit_identical_to_the_four_term_formula() -> None:
+    rng = np.random.default_rng(7)
+    for i in range(60):  # every pairing of lo = 0 or > 0 with hi = oo or finite
+        e = float(rng.uniform(-0.95, 2.5))
+        lo = 0.0 if i % 2 else float(rng.uniform(0.0, 2.0))
+        hi = math.inf if i % 3 == 0 else lo + float(rng.uniform(1e-3, 5.0))
+        piece = hp.power_piece(float(rng.uniform(0.1, 3.0)), e, "lambda", (lo, hi))
+        a = rng.lognormal(0.0, 1.5, 12) * np.exp(1j * rng.uniform(-0.5 * PI, 0.5 * PI, 12))
+        a[0] = 0.0
+        cut = np.clip(rng.uniform(lo - 1.0, min(hi, lo + 6.0) + 1.0, 12), lo, hi)
+        cases = [(a, lo, hi), (a[3], lo, hi), (a[0], lo, hi)]  # arrays, scalars, a = 0
+        cases += [(a, lo, cut), (a, cut, hi)]  # array cuts, as the Widom scan passes them
+        for k in (1, 2):
+            for point, start, stop in cases:
+                with np.errstate(all="ignore"):
+                    got = measures._piece_stieltjes(piece, point, k, start, stop)
+                    want = _four_terms(piece, point, k, start, stop)
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_a_point_outside_the_support_costs_two_hypergeometric_terms(monkeypatch) -> None:
+    evaluated = []
+    real = measures.hyp2f1
+
+    def counting(*args):
+        out = real(*args)
+        evaluated.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(measures, "hyp2f1", counting)
+    piece = hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))
+    outside = np.array([0.5j, 0.3 + 0.1j, 3.0 - 1.0j, 20.0j, 0.0])  # |a| <= 1 or >= 2
+    inside = np.array([1.5j, 1.2 + 0.4j])
+    for k in (1, 2):
+        evaluated.clear()
+        measures._piece_stieltjes(piece, outside, k, 1.0, 2.0)
+        assert sum(evaluated) == 2 * outside.size
+        evaluated.clear()
+        measures._piece_stieltjes(piece, np.concatenate([outside, inside]), k, 1.0, 2.0)
+        assert sum(evaluated) == 2 * outside.size + 4 * inside.size
+    # an unbounded support has no tail(hi): points below lo cost one term
+    evaluated.clear()
+    measures._piece_stieltjes(hp.power_piece(1.0, 0.5, "lambda", (1.0, math.inf)),
+                              np.array([0.5j, 3.0j]), 1, 1.0, math.inf)
+    assert sum(evaluated) == 1 + 3
