@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import hankelpos as hp
+
+# HYPOTHESIS_PROFILE=ci: derandomized, so that a property failure in CI
+# repeats locally, with more examples where a test leaves the count open.
+settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

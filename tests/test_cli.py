@@ -400,16 +400,17 @@ def test_unconverged_stacked_kernel_integral_is_exit_4(write_spec, capsys, monke
     assert "quadrature did not converge" in err
 
 
-def test_near_zero_exponent_on_an_unbounded_support_is_exit_4(write_spec, capsys) -> None:
-    # its rho is finite, but S_1 diverges and the quadrature fallback raises
-    # rather than print a wrong rho (the closed form gave -10.3, "unbounded")
+def test_near_zero_exponent_on_an_unbounded_support_is_exit_0(write_spec, capsys) -> None:
+    # S_1 diverges but rho is finite: a closed form gave -10.3, a quadrature
+    # fallback exit 4; the finite part's -M^e/e is real and leaves Im S whole
+    e = 1e-17
     spec = write_spec({"domain": "halfplane", "densities": [
-        {"kind": "power", "coeff": 1.0, "exponent": 1e-17, "base": "lambda",
+        {"kind": "power", "coeff": 1.0, "exponent": e, "base": "lambda",
          "support": [0.0, "inf"]}]})
-    code, out, err = _run(capsys, "widom", "--spec", str(spec))
-    assert code == 4
-    assert out == ""
-    assert "quadrature did not converge" in err
+    code, out, _ = _run(capsys, "widom", "--spec", str(spec))
+    assert code == 0
+    assert json.loads(out)["widom"]["rho_total"] == pytest.approx(
+        math.pi / (2.0 * math.cos(math.pi * e / 2.0)), rel=1e-13, abs=0.0)
 
 
 def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:

@@ -227,7 +227,6 @@ def _binomial_moment(j: int, e: int, lo: Fraction, hi: Fraction, base: str):
     """int_lo^hi x^j (1 -+ x)^e dx for an integer e, exactly, through u = 1 -+ x."""
     import mpmath
 
-    mpmath.mp.dps = 40
     if base == "one_minus_x":  # x = 1 - u
         a, b, sign = 1 - hi, 1 - lo, lambda k: (-1) ** k
     else:  # x = u - 1
@@ -239,9 +238,10 @@ def _binomial_moment(j: int, e: int, lo: Fraction, hi: Fraction, base: str):
             logs += weight
         else:
             rational += weight * (b ** (k + e + 1) - a ** (k + e + 1)) / (k + e + 1)
-    exact = mpmath.mpf(rational.numerator) / rational.denominator
-    return exact + logs * mpmath.log(mpmath.mpf(b.numerator * a.denominator)
-                                     / (b.denominator * a.numerator))
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(rational.numerator) / rational.denominator
+        return exact + logs * mpmath.log(mpmath.mpf(b.numerator * a.denominator)
+                                         / (b.denominator * a.numerator))
 
 
 @pytest.mark.parametrize(

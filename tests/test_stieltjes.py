@@ -6,12 +6,13 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import hyp2f1
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hankelpos as hp
-from hankelpos import measures
 from hankelpos.measures import piece_integral, stieltjes
 
 PI = math.pi
@@ -117,19 +118,36 @@ def test_integer_exponent_takes_the_quadrature_fallback() -> None:
 def test_near_zero_exponents_take_the_quadrature_fallback(e: float, support) -> None:
     # the closed form's tails carry 1/(k - 1 - e) and cancel as e -> 0:
     # lambda^1e-17 on [0, 2] gave rho = -9.44 against atan 2 = 1.107
-    import mpmath
-
-    mpmath.mp.dps = 30
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", support)])
-    exact = mpmath.quad(lambda lam: lam**e / (1 + lam**2), support)
+    with mpmath.workdps(30):
+        exact = mpmath.quad(lambda lam: lam**e / (1 + lam**2), support)
     assert hp.rho_total(mu) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
-def test_near_zero_exponent_on_an_unbounded_support_raises() -> None:
-    # S_1 diverges and the quadrature fallback has no finite part to return
-    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 1e-17, "lambda", (0.0, math.inf))])
-    with pytest.raises(hp.QuadratureError):
-        hp.rho_total(mu)
+def test_rho_of_a_near_zero_exponent_ray() -> None:
+    # S_1 diverges, so its finite part carries -M^e/e = -1e17, all of it real
+    e = 1e-17
+    assert hp.rho_total(_power_ray(e)) == pytest.approx(
+        PI / (2.0 * math.cos(PI * e / 2.0)), rel=1e-13, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("e, hi", [(1.5, 1e200), (2.2, 1e100)])
+def test_rho_of_a_long_support(e: float, hi: float) -> None:
+    # Re S ~ hi^e dwarfs rho = Im S(-i) ~ hi^(e-1), which a tail series
+    # cut where its real part had converged would drop
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (0.0, hi))])
+    expected = _hypergeometric_reference(e, -1j, 1, 0.0, hi).imag
+    assert hp.rho_total(mu) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("e, support", [(0.5, (1.0, 1.0 + 1e-6)), (-0.3, (5.0, 5.0 + 1e-6))])
+def test_rho_of_a_narrow_band(e: float, support) -> None:
+    # a difference of two closed-form primitives lost 8 of 16 digits here
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", support)])
+    with mpmath.workdps(40):
+        exact = mpmath.quad(lambda lam: lam**e / (1 + lam**2), support)
+    assert hp.rho_total(mu) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_stieltjes_rejects_disc_measures_and_other_orders(
@@ -142,76 +160,63 @@ def test_stieltjes_rejects_disc_measures_and_other_orders(
 
 
 # ---------------------------------------------------------------------------
-# The masked kernel: only the hypergeometric terms that contribute
+# Against the hypergeometric closed forms at high precision
 # ---------------------------------------------------------------------------
 
 
-def _four_terms(p, a, k: int, lo, hi):
-    """``_piece_stieltjes`` with all four hyp2f1 terms at every point, the
-    empty ones discarded afterwards."""
-    e, c = p.exponent, p.coeff
-    a = np.asarray(a, dtype=complex)
+def _hypergeometric_reference(e: float, a: complex, k: int, lo: float, hi: float) -> complex:
+    """``int_lo^hi lambda^e / (lambda + a)^k`` from the head and tail closed forms
 
-    def head(x):
-        return x ** (e + 1) / (e + 1) * (x + a) ** -k * hyp2f1(k, 1, e + 2, x / (x + a))
+        int_0^x = x^(e+1) (x+a)^-k F(k, 1; e+2; x/(x+a)) / (e+1),
+        int_x^oo = x^(e+1-k) (1+a/x)^-k F(k, 1; k-e; a/(x+a)) / (k-1-e)
 
-    def tail(x):
-        r = np.divide(a, x, out=np.zeros_like(a), where=a != 0)
-        return x ** (e + 1 - k) / (k - 1 - e) * (1 + r) ** -k * hyp2f1(k, 1, k - e, r / (1 + r))
+    (the finite part where the tail diverges), at 50 digits plus those that
+    cancel: in a difference of two heads on a short support, at a small e, and
+    where x/(x+a) nears 1 at hi >> |a|."""
+    extra = -math.log10(abs(e))
+    if not math.isinf(hi):
+        extra += math.log10(max(hi, abs(a)) / (hi - lo)) + math.log10(max(hi / abs(a), 1.0))
+    with mpmath.workdps(50 + max(0, math.ceil(extra))):
+        e_, a_ = mpmath.mpf(e), mpmath.mpc(a)
 
-    unbounded = np.ndim(hi) == 0 and math.isinf(hi)
-    split = np.clip(np.abs(a), lo, hi)
-    below = np.where(split > lo, head(split) - head(lo), 0.0)
-    above = np.where(split < hi, tail(split) - (0.0 if unbounded else tail(hi)), 0.0)
-    return c * (below + above)
+        def head(x):
+            x = mpmath.mpf(x)
+            f = mpmath.hyp2f1(k, 1, e_ + 2, x / (x + a_))
+            return x ** (e_ + 1) / (e_ + 1) * (x + a_) ** -k * f
 
+        def tail(x):
+            x = mpmath.mpf(x)
+            f = mpmath.hyp2f1(k, 1, k - e_, a_ / (x + a_))
+            return x ** (e_ + 1 - k) / (k - 1 - e_) * (1 + a_ / x) ** -k * f
 
-def _bits(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64)
-
-
-def test_masked_kernel_is_bit_identical_to_the_four_term_formula() -> None:
-    rng = np.random.default_rng(7)
-    for i in range(60):  # every pairing of lo = 0 or > 0 with hi = oo or finite
-        e = float(rng.uniform(-0.95, 2.5))
-        lo = 0.0 if i % 2 else float(rng.uniform(0.0, 2.0))
-        hi = math.inf if i % 3 == 0 else lo + float(rng.uniform(1e-3, 5.0))
-        piece = hp.power_piece(float(rng.uniform(0.1, 3.0)), e, "lambda", (lo, hi))
-        a = rng.lognormal(0.0, 1.5, 12) * np.exp(1j * rng.uniform(-0.5 * PI, 0.5 * PI, 12))
-        a[0] = 0.0
-        cut = np.clip(rng.uniform(lo - 1.0, min(hi, lo + 6.0) + 1.0, 12), lo, hi)
-        cases = [(a, lo, hi), (a[3], lo, hi), (a[0], lo, hi)]  # arrays, scalars, a = 0
-        cases += [(a, lo, cut), (a, cut, hi)]  # array cuts, as the Widom scan passes them
-        for k in (1, 2):
-            for point, start, stop in cases:
-                with np.errstate(all="ignore"):
-                    got = measures._piece_stieltjes(piece, point, k, start, stop)
-                    want = _four_terms(piece, point, k, start, stop)
-                np.testing.assert_array_equal(_bits(got), _bits(want))
+        if not math.isinf(hi):
+            return complex(head(hi) - head(lo))
+        split = max(abs(a), lo)
+        return complex(head(split) - head(lo) + tail(split))
 
 
-def test_a_point_outside_the_support_costs_two_hypergeometric_terms(monkeypatch) -> None:
-    evaluated = []
-    real = measures.hyp2f1
+@st.composite
+def kernel_cases(draw) -> tuple[float, complex, int, float, float]:
+    tiny = st.floats(-17.0, -4.0).map(lambda u: 10.0**u)  # 0 < |e| < 1e-4
+    wide = st.floats(-0.95, 2.5).filter(lambda e: abs(e) >= 1e-17)
+    near = st.sampled_from([1.0, 2.0]).flatmap(lambda n: st.floats(n - 1e-4, n + 1e-4))
+    e = draw(wide | near | tiny | tiny.map(lambda t: -t))
+    lo = draw(st.just(0.0) | st.floats(-4.0, 4.0).map(lambda u: 10.0**u))
+    if e < 1.0 and draw(st.booleans()):
+        hi = math.inf
+    else:
+        hi = lo + max(lo, 1.0) * 10.0 ** draw(st.floats(-12.0, 3.0))
+    a = 10.0 ** draw(st.floats(-5.0, 4.0)) * cmath.exp(1j * draw(st.floats(-0.5 * PI, 0.5 * PI)))
+    return e, a, draw(st.sampled_from([1, 2])), lo, hi
 
-    def counting(*args):
-        out = real(*args)
-        evaluated.append(np.size(out))
-        return out
 
-    monkeypatch.setattr(measures, "hyp2f1", counting)
-    piece = hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))
-    outside = np.array([0.5j, 0.3 + 0.1j, 3.0 - 1.0j, 20.0j, 0.0])  # |a| <= 1 or >= 2
-    inside = np.array([1.5j, 1.2 + 0.4j])
-    for k in (1, 2):
-        evaluated.clear()
-        measures._piece_stieltjes(piece, outside, k, 1.0, 2.0)
-        assert sum(evaluated) == 2 * outside.size
-        evaluated.clear()
-        measures._piece_stieltjes(piece, np.concatenate([outside, inside]), k, 1.0, 2.0)
-        assert sum(evaluated) == 2 * outside.size + 4 * inside.size
-    # an unbounded support has no tail(hi): points below lo cost one term
-    evaluated.clear()
-    measures._piece_stieltjes(hp.power_piece(1.0, 0.5, "lambda", (1.0, math.inf)),
-                              np.array([0.5j, 3.0j]), 1, 1.0, math.inf)
-    assert sum(evaluated) == 1 + 3
+@settings(deadline=None)
+@given(case=kernel_cases())
+def test_stieltjes_of_a_power_piece_matches_the_hypergeometric_forms(case) -> None:
+    e, a, k, lo, hi = case
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    expected = _hypergeometric_reference(e, a, k, lo, hi)
+    # a real measure has S(conj a) = conj S(a); two points share one call's panels
+    got = stieltjes(mu, np.array([a, np.conj(a)]), k)
+    assert complex(got[0]) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert complex(got[1]) == pytest.approx(expected.conjugate(), rel=1e-13, abs=0.0)
