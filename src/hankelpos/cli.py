@@ -57,6 +57,7 @@ from .hankel import (
 )
 from .measures import (
     Measure,
+    _widom_bounded,
     cayley_pushforward,
     measure_from_spec,
     moments,
@@ -125,12 +126,9 @@ def _require_bounded_halfplane(mu: Measure, command: str) -> None:
             f"got domain {mu.domain!r}",
             2,
         )
-    verdict = widom_check(mu).verdict
-    if verdict != "bounded":
+    if not _widom_bounded(mu):
         raise _CommandError(
-            f"the {command} command needs a Widom-bounded measure "
-            f"(verdict: {verdict})",
-            3,
+            f"the {command} command needs a Widom-bounded measure (verdict: unbounded)", 3
         )
 
 

@@ -48,10 +48,16 @@ toward +-1 by breakpoints at ``+-(1 - 2^-k)``, ``2^k <= 2 max(js)``: x^j peaks
 within ~1/j of +-1, and on a wider panel the 7- and 15-point rules can agree
 without resolving the peak.
 
-The Widom scan (:func:`widom_check`) reads one distribution function per
-domain over its whole probe array — ``rho((0, t])`` and ``rho([t, oo))`` on
-the half-line, ``mu([lo, hi])`` on the disc — as do :func:`rho_interval`,
-:func:`mass_interval` and :func:`total_mass`.
+The Widom test (:func:`widom_check`) follows Widom's theorem in
+Carleson-measure form (H. Widom, "Hankel matrices", Trans. AMS 121, 1966):
+boundedness depends only on the mass near 0 and oo on the half-line and near
++-1 on the disc.  There each piece's mass is a power law whose exponent the
+factor list gives exactly, so the verdict is exact and takes no probe.  The
+reported constants beta and gamma come from one scan reading one
+distribution function per domain over its whole probe array —
+``rho((0, t])`` and ``rho([t, oo))`` on the half-line, ``mu([lo, hi])`` on
+the disc — as do :func:`rho_interval`, :func:`mass_interval` and
+:func:`total_mass`.
 """
 
 from __future__ import annotations
@@ -193,9 +199,6 @@ class Measure:
     domain: str
     atoms: tuple[Atom, ...] = ()
     pieces: tuple[Piece, ...] = ()
-
-    def is_empty(self) -> bool:
-        return not self.atoms and not self.pieces
 
 
 def atom(position: float, mass: float) -> Atom:
@@ -825,30 +828,27 @@ def _rho_cdf(mu: Measure, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Widom-type boundedness check
 # ---------------------------------------------------------------------------
 
-#: Probe grids of the boundedness scan, as reported in ``WidomReport.grid``.
-#: The coarse one spans the inner dyad of the fine one, so refining widens the
-#: window too: a supremum that keeps growing with it marks a failed O(.) bound.
-_GRID = {
-    "coarse": 64,
-    "fine": 128,
-    "coarse_span": (1e-3, 1e3),
-    "fine_span": (1e-6, 1e6),
-    "augmented_with": "atom positions and support endpoints",
-}
+#: Probe grid of the Widom scan, as reported in ``WidomReport.grid``.
+_GRID = {"fine": 128, "fine_span": (1e-6, 1e6),
+         "augmented_with": "atom positions and support endpoints"}
 
 
 @dataclass(frozen=True)
 class WidomReport:
-    """Outcome of the head/tail boundedness scan.
+    """Outcome of the Widom test.
 
-    ``beta`` bounds the head behaviour (``rho((0, eps]) / eps`` on the
-    half-line; ``(j+1) c_j`` on the disc), ``gamma`` the tail behaviour
-    (``t rho([t, oo))``; boundary mass ratios ``mu([x,1])/(1-x)`` and
-    ``mu([-1,x])/(1+x)``).  ``alpha_estimate`` is the induced Carleson
-    embedding estimate ``(1/2) sup (j+1) c_j`` (via Hilbert's inequality and
-    the length-measure dictionary); it is reported as an estimate only.
-    ``rho_total`` carries ``rho((0, oo))`` for half-line measures and the
-    total mass for disc measures.
+    ``verdict`` is ``"bounded"`` or ``"unbounded"``, decided by the exponent
+    rule of :func:`widom_check`; ``"inconclusive"`` stays a legal value for
+    consumers that record expected verdicts, but is no longer produced.
+    The other fields are reported values, read off one probe scan, and are
+    not the basis of the verdict.  ``beta`` is the head supremum
+    (``rho((0, eps]) / eps`` on the half-line; ``(j+1) c_j`` on the disc),
+    ``gamma`` the tail one (``t rho([t, oo))``; boundary mass ratios
+    ``mu([x,1])/(1-x)`` and ``mu([-1,x])/(1+x)``).  ``alpha_estimate`` is the
+    induced Carleson embedding estimate ``(1/2) sup (j+1) c_j`` (via Hilbert's
+    inequality and the length-measure dictionary).  ``rho_total`` carries
+    ``rho((0, oo))`` for half-line measures and the total mass for disc
+    measures.
     """
 
     domain: str
@@ -860,16 +860,31 @@ class WidomReport:
     grid: dict = field(compare=False)
 
 
+def _widom_bounded(mu: Measure) -> bool:
+    """Widom's condition from the factor exponents.  Near a boundary end r
+    (0 on the half-line, +-1 on the disc) a piece reaching r has density
+    ~ |x - r|^e, e the sum of its factors rooted at r, so its mass within d
+    of r is ~ d^(e+1) = O(d) iff e >= 0; on [lo, oo) the density is ~ lambda^e,
+    e the sum of all its exponents, and t rho([t, oo)) ~ t^e is O(1) iff
+    e <= 0.  Atoms sit inside the domain and never matter."""
+    ends = (0.0,) if mu.domain == "halfplane" else (-1.0, 1.0)
+    return all(
+        all(e >= 0.0 for r, e in zip(p.support, _endpoint_exponents(p, *p.support)) if r in ends)
+        and not (math.isinf(p.support[1]) and sum(e for _, _, e in p.factors) > 0.0)
+        for p in mu.pieces
+    )
+
+
 def _log_grid(span: tuple[float, float], n: int) -> np.ndarray:
     return np.logspace(math.log10(span[0]), math.log10(span[1]), n)
 
 
-def _hp_constants(mu: Measure, span: tuple[float, float], n: int) -> tuple[float, float]:
+def _hp_constants(mu: Measure) -> tuple[float, float]:
     # The suprema of the piecewise-smooth ratios sit at atoms and support
     # endpoints; probing them keeps closed-form cases exact.
     marks = [a.position for a in mu.atoms]
     marks += [e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0]
-    t = np.unique(np.append(_log_grid(span, n), marks))
+    t = np.unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), marks))
     head, tail = _rho_cdf(mu, t)
     return float(np.max(head / t)), float(np.max(t * tail))
 
@@ -888,9 +903,8 @@ def _moment_sup(mu: Measure, hi: float, n: int) -> float:
     return float(np.max((js + 1) * np.abs(_moment_orders(mu, js, cap))))
 
 
-def _disc_constants(
-    mu: Measure, span: tuple[float, float], n: int
-) -> tuple[float, float]:
+def _disc_constants(mu: Measure) -> tuple[float, float]:
+    span, n = _GRID["fine_span"], _GRID["fine"]
     beta = _moment_sup(mu, span[1], n)
     marks = np.array([a.position for a in mu.atoms] + [e for p in mu.pieces for e in p.support])
     gaps = np.concatenate([np.clip(_log_grid(span, n), None, 2.0), 1.0 - marks, 1.0 + marks])
@@ -903,49 +917,27 @@ def _disc_constants(
 
 @lru_cache(maxsize=64)
 def widom_check(mu: Measure) -> WidomReport:
-    """Estimate the boundedness constants and classify the measure.
+    """The Widom test: decide boundedness exactly and report the constants.
 
-    The head/tail suprema are evaluated on the coarse grid and again on the
-    finer, wider grid.  Verdict: ``bounded`` when both constants move by less
-    than 1 % under refinement, ``unbounded`` when either grows by 10 % or
-    more, ``inconclusive`` otherwise.
+    By Widom's theorem in Carleson-measure form (H. Widom, "Hankel matrices",
+    Trans. AMS 121, 1966) the operator is bounded iff ``rho((0, eps]) = O(eps)``
+    and ``rho([t, oo)) = O(1/t)`` on the half-line, and the mass of ``mu``
+    within d of +-1 is O(d) on the disc.  A piece's mass there is a power law with a known
+    exponent, so the verdict is ``bounded`` iff every piece has exponent >= 0
+    at each boundary end its support reaches (the sum of its factors' exponents
+    rooted there) and, on an unbounded support, exponent <= 0 at oo (the sum of
+    all of them).  No probe grid enters the verdict; beta, gamma and alpha come
+    from one scan of the grid in ``WidomReport.grid`` and are reported values.
     """
-    constants = _hp_constants if mu.domain == "halfplane" else _disc_constants
-    beta_c, gamma_c = constants(mu, _GRID["coarse_span"], _GRID["coarse"])
-    beta_f, gamma_f = constants(mu, _GRID["fine_span"], _GRID["fine"])
-
-    tiny = 1e-300
-    growth = max(
-        (beta_f - beta_c) / max(beta_c, tiny),
-        (gamma_f - gamma_c) / max(gamma_c, tiny),
-    )
-    change = max(
-        abs(beta_f - beta_c) / max(beta_f, tiny),
-        abs(gamma_f - gamma_c) / max(gamma_f, tiny),
-    )
-    if mu.is_empty():
-        verdict = "bounded"
-    elif growth >= 0.10:
-        verdict = "unbounded"
-    elif change < 0.01:
-        verdict = "bounded"
-    else:
-        verdict = "inconclusive"
-
-    if mu.domain == "disc":  # beta_f is this supremum, over the same fine j-grid
-        alpha = 0.5 * beta_f
-    else:
+    if mu.domain == "halfplane":
+        beta, gamma = _hp_constants(mu)
         alpha = 0.5 * _moment_sup(cayley_pushforward(mu), _GRID["fine_span"][1], _GRID["fine"])
-
-    return WidomReport(
-        domain=mu.domain,
-        beta=beta_f,
-        gamma=gamma_f,
-        alpha_estimate=alpha,
-        rho_total=rho_total(mu) if mu.domain == "halfplane" else total_mass(mu),
-        verdict=verdict,
-        grid=dict(_GRID),
-    )
+        total = rho_total(mu)
+    else:  # beta is the supremum sup (j+1) c_j of alpha, over the same j-grid
+        beta, gamma = _disc_constants(mu)
+        alpha, total = 0.5 * beta, total_mass(mu)
+    verdict = "bounded" if _widom_bounded(mu) else "unbounded"
+    return WidomReport(mu.domain, beta, gamma, alpha, total, verdict, dict(_GRID))
 
 
 # ---------------------------------------------------------------------------

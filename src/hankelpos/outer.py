@@ -42,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from .kernels import szego_halfplane
-from .measures import Measure, widom_check
+from .measures import Measure, _widom_bounded
 from .pick import _check_offset, _h_jumps, delta_values
 from .quadrature import integrate, integrate_real_line
 
@@ -128,7 +128,7 @@ class _DeltaModulusFactor:
 
     @property
     def bounded(self) -> bool:
-        return widom_check(self.mu).verdict == "bounded"
+        return _widom_bounded(self.mu)
 
     @property
     def inverse_bounded(self) -> bool:
@@ -295,11 +295,8 @@ def g_from_delta(mu: Measure, c: float, z):
     even); g is invertible in H^infinity with ``|1/g| <= |c|^(-1/2)``.
     """
     _check_offset(c)
-    report = widom_check(mu)
-    if report.verdict != "bounded":
-        raise ValueError(
-            f"the outer factor needs a Widom-bounded measure (verdict: {report.verdict})"
-        )
+    if not _widom_bounded(mu):
+        raise ValueError("the outer factor needs a Widom-bounded measure (verdict: unbounded)")
     return outer_eval(delta_modulus_weight(mu, float(c)) ** 0.5, z)
 
 

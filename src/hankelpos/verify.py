@@ -5,7 +5,8 @@ around, against the given measure, and reports pass/fail with the worst
 residual actually observed.  Suites that only make sense for a Widom-bounded
 measure (anything that needs the bounded symbol h or the outer factor) are
 *skipped*, not failed, when the boundedness test says otherwise — a divergent
-symbol is a property of the measure, not a defect of the library.
+symbol is a property of the measure, not a defect of the library.  They share
+one sampling of h on the default grid per run.
 
 The suites are deliberately small (probe grids, sections of size 4–8): they
 are consistency checks, not benchmarks.  The full-tolerance versions live in
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +35,7 @@ from .hankel import (
     symbol_kernel,
     verify_rp_transport,
 )
-from .measures import Measure, cayley_pushforward, moments, widom_check
+from .measures import Measure, _widom_bounded, cayley_pushforward, moments, widom_check
 from .pick import kappa, symbol_bound, symbol_h_samples
 from .quadrature import QuadratureError
 
@@ -65,12 +67,15 @@ def _result(name: str, ok: bool, worst: Optional[float], detail: str) -> SuiteRe
 # ---------------------------------------------------------------------------
 
 def _suite_widom(mu: Measure) -> SuiteResult:
+    """A definite verdict; a bounded one with finite reported constants."""
     report = widom_check(mu)
+    finite = all(map(math.isfinite, (report.beta, report.gamma, report.rho_total)))
     return _result(
         "widom",
-        report.verdict in ("bounded", "unbounded", "inconclusive"),
+        report.verdict == "unbounded" or (report.verdict == "bounded" and finite),
         None,
-        f"verdict={report.verdict} beta={report.beta:.6g} gamma={report.gamma:.6g}",
+        f"verdict={report.verdict} beta={report.beta:.6g} gamma={report.gamma:.6g} "
+        f"rho_total={report.rho_total:.6g}",
     )
 
 
@@ -109,9 +114,8 @@ def _suite_gram_contraction(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_symbol_bound(mu: Measure) -> SuiteResult:
+def _suite_symbol_bound(mu: Measure, samples) -> SuiteResult:
     bound = symbol_bound(mu)
-    samples = symbol_h_samples(mu)
     sup = float(np.max(np.abs(samples.values)))
     slack = sup - bound
     return _result(
@@ -136,17 +140,17 @@ def kernel_residuals(mu: Measure, samples) -> dict:
     return {"probes": entries, "max_rel_residual": worst}
 
 
-def _suite_kernel_modes(mu: Measure) -> SuiteResult:
-    worst = kernel_residuals(mu, symbol_h_samples(mu))["max_rel_residual"]
+def _suite_kernel_modes(mu: Measure, samples) -> SuiteResult:
+    worst = kernel_residuals(mu, samples)["max_rel_residual"]
     return _result(
         "kernel_modes", worst <= 1e-6, worst,
         "boundary-mode vs measure-mode symbol kernel",
     )
 
 
-def _suite_section_chain(mu: Measure, n: int = 4) -> SuiteResult:
+def _suite_section_chain(mu: Measure, samples, n: int = 4) -> SuiteResult:
     """Sections of the transferred disc symbol match pushforward moments."""
-    disc_symbol = hp_to_disc_symbol(symbol_h_samples(mu))
+    disc_symbol = hp_to_disc_symbol(samples)
     via_symbol = section_from_symbol_disc(disc_symbol, n, pairing="moment")
     via_moments = section_from_measure(cayley_pushforward(mu), n)
     worst = float(np.max(np.abs(via_symbol - via_moments)))
@@ -156,7 +160,7 @@ def _suite_section_chain(mu: Measure, n: int = 4) -> SuiteResult:
     )
 
 
-def _suite_transport(mu: Measure) -> SuiteResult:
+def _suite_transport(mu: Measure, samples) -> SuiteResult:
     report = verify_rp_transport(mu, 1.0)
     return _result(
         "transport",
@@ -167,7 +171,7 @@ def _suite_transport(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_polar(mu: Measure) -> SuiteResult:
+def _suite_polar(mu: Measure, samples) -> SuiteResult:
     report = polar_decomposition_check(mu, 1.0, x_grid=(-1.0, -0.5, 0.5, 1.0))
     worst = max(
         report.max_modulus_defect, report.g_symmetry_defect, report.h_symmetry_defect
@@ -235,8 +239,9 @@ def _suite_support(mu: Measure) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 #: (name, suite, bounded_only) per domain, in report order.  A bounded-only
-#: suite is skipped unless the Widom test certifies a bounded symbol.
-_SUITES: dict[str, tuple[tuple[str, Callable[[Measure], SuiteResult], bool], ...]] = {
+#: suite is skipped unless the Widom test certifies a bounded symbol; it is
+#: called as ``suite(mu, samples)`` with the samples of h on the default grid.
+_SUITES: dict[str, tuple[tuple[str, Callable[..., SuiteResult], bool], ...]] = {
     "halfplane": (
         ("widom", _suite_widom, False),
         ("difference_quotient", _suite_difference_quotient, False),
@@ -261,25 +266,25 @@ SUITE_NAMES = {domain: tuple(s[0] for s in suites) for domain, suites in _SUITES
 
 def run_suites(mu: Measure) -> list[SuiteResult]:
     """Run every suite applicable to ``mu``; bounded-only suites are skipped
-    (not failed) when the Widom test does not certify boundedness."""
+    (not failed) when the Widom test does not certify boundedness, and read h
+    from one sampling, taken when the first of them runs."""
     results: list[SuiteResult] = []
-    verdict = None  # the Widom verdict, read once the first bounded-only suite is reached
+    bounded = _widom_bounded(mu)
+    samples = cache(lambda: symbol_h_samples(mu))  # sampled on the first call
     for name, suite, bounded_only in _SUITES[mu.domain]:
-        if bounded_only:
-            verdict = verdict or widom_check(mu).verdict
-            if verdict != "bounded":
-                why = f"needs a bounded symbol (Widom verdict: {verdict})"
-                results.append(SuiteResult(name, "skipped", None, why))
-                continue
-        results.append(_run_guarded(name, suite, mu))
+        if not bounded_only:
+            results.append(_run_guarded(name, lambda: suite(mu)))
+        elif bounded:
+            results.append(_run_guarded(name, lambda: suite(mu, samples())))
+        else:
+            why = "needs a bounded symbol (Widom verdict: unbounded)"
+            results.append(SuiteResult(name, "skipped", None, why))
     return results
 
 
-def _run_guarded(
-    name: str, suite: Callable[[Measure], SuiteResult], mu: Measure
-) -> SuiteResult:
+def _run_guarded(name: str, suite: Callable[[], SuiteResult]) -> SuiteResult:
     try:
-        return suite(mu)
+        return suite()
     except QuadratureError:
         raise  # quadrature failure must surface as exit code 4, not a fail line
     except (ValueError, RuntimeError) as exc:

@@ -109,6 +109,16 @@ def test_report_rejects_disc_measures(write_spec, capsys) -> None:
     assert "half-line" in err
 
 
+def test_report_refuses_an_exponent_just_below_the_threshold(write_spec, capsys) -> None:
+    spec = write_spec({"domain": "halfplane", "densities": [
+        {"kind": "power", "coeff": 1.0, "exponent": -0.001, "base": "lambda",
+         "support": [0.0, 1.0]}]})
+    code, out, err = _run(capsys, "report", "--spec", str(spec))
+    assert code == 3
+    assert out == ""
+    assert "unbounded" in err
+
+
 def test_report_refuses_unbounded_symbols(write_spec, capsys) -> None:
     spec = write_spec(SING_SPEC)
     code, _, err = _run(capsys, "report", "--spec", str(spec))

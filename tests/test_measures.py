@@ -563,6 +563,66 @@ def test_widom_report_serializes(d1: hp.Measure) -> None:
     assert set(data) >= {"domain", "beta", "gamma", "rho_total", "verdict", "grid"}
 
 
+def _halfline_power(e: float, lo: float, hi: float) -> hp.Measure:
+    return hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+
+
+def _disc_piece(piece) -> hp.Measure:
+    return hp.disc_measure(pieces=[piece])
+
+
+# Each exponent is at or next to the threshold of its end: 0 at a boundary end
+# the support reaches (0 on the half-line, +-1 on the disc), 0 at oo.
+WIDOM_VERDICTS = {
+    "lambda^-0.001 on [0, 1]": (_halfline_power(-0.001, 0.0, 1.0), "unbounded"),
+    "lambda^0.0005 on [1, oo)": (_halfline_power(0.0005, 1.0, INF), "unbounded"),
+    "lambda^1e-17 on (0, oo)": (_halfline_power(1e-17, 0.0, INF), "unbounded"),
+    "lambda^0.005 on [1, oo)": (_halfline_power(0.005, 1.0, INF), "unbounded"),
+    "lambda^-0.999 on [0, 1]": (_halfline_power(-0.999, 0.0, 1.0), "unbounded"),
+    "disc (1-x)^-0.001 on [0, 1]": (
+        _disc_piece(hp.power_piece(1.0, -0.001, "one_minus_x", (0.0, 1.0))), "unbounded"),
+    "lambda^0 on [0, oo)": (_halfline_power(0.0, 0.0, INF), "bounded"),
+    "lambda^1e-17 on [0, 1]": (_halfline_power(1e-17, 0.0, 1.0), "bounded"),
+    "lambda^-0.5 on [1, oo)": (_halfline_power(-0.5, 1.0, INF), "bounded"),
+    "Cayley (1+t)^0 (1-t)^-0.7 on [-1, 0.5]": (
+        _disc_piece(CayleyPiece(1.0, 0.0, -0.7, (-1.0, 0.5))), "bounded"),
+    "x^3 on [-1, 1]": (_disc_piece(hp.power_piece(1.0, 3.0, "x", (-1.0, 1.0))), "bounded"),
+    "(1-x)^-2 on [0, 0.5], off the end 1": (
+        _disc_piece(hp.power_piece(1.0, -2.0, "one_minus_x", (0.0, 0.5))), "bounded"),
+}
+
+
+@pytest.mark.parametrize("name", WIDOM_VERDICTS)
+def test_widom_verdict_follows_the_exponents_at_the_threshold(name: str) -> None:
+    mu, verdict = WIDOM_VERDICTS[name]
+    assert hp.widom_check(mu).verdict == verdict
+
+
+def _count(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(hp.measures, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hp.measures, name, counted)
+    return calls
+
+
+def test_widom_check_scans_a_halfline_piece_once(monkeypatch) -> None:
+    calls = _count(monkeypatch, "_rho_cdf")
+    hp.widom_check(_halfline_power(0.5, 0.0, 2.0))
+    assert len(calls) == 2  # the scan and rho_total
+
+
+def test_widom_check_scans_a_disc_piece_once(monkeypatch) -> None:
+    masses = _count(monkeypatch, "_mass_between")
+    orders = _count(monkeypatch, "_moment_orders")
+    hp.widom_check(_disc_piece(hp.power_piece(1.0, 0.5, "one_minus_x", (0.0, 1.0))))
+    assert (len(masses), len(orders)) == (2, 1)  # the scan and total_mass; the j-grid
+
+
 # ---------------------------------------------------------------------------
 # Cayley pushforward
 # ---------------------------------------------------------------------------

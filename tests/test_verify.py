@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import pytest
+
 import hankelpos as hp
+import hankelpos.verify
 
 HALFPLANE_SUITES = {
     "widom",
@@ -76,3 +82,35 @@ def test_suite_results_are_plain_records(d1: hp.Measure) -> None:
     assert isinstance(result.name, str)
     assert result.status in {"pass", "fail", "skipped"}
     assert isinstance(result.detail, str)
+
+
+@pytest.mark.parametrize("fixture, samplings", [("d1", 1), ("sqrt_sing_hp", 0)])
+def test_the_bounded_only_suites_share_one_sampling_of_h(
+    fixture: str, samplings: int, request, monkeypatch
+) -> None:
+    calls = []
+    inner = hankelpos.verify.symbol_h_samples
+
+    def counted(mu):
+        calls.append(mu)
+        return inner(mu)
+
+    monkeypatch.setattr(hankelpos.verify, "symbol_h_samples", counted)
+    hp.run_suites(request.getfixturevalue(fixture))
+    assert len(calls) == samplings
+
+
+@pytest.mark.parametrize("change, status", [
+    ({}, "pass"),
+    ({"verdict": "inconclusive"}, "fail"),
+    ({"beta": math.inf}, "fail"),
+    ({"gamma": math.nan}, "fail"),
+    ({"rho_total": math.inf}, "fail"),
+    ({"verdict": "unbounded", "beta": math.inf}, "pass"),
+])
+def test_the_widom_suite_needs_a_definite_verdict_and_finite_constants(
+    change: dict, status: str, d1: hp.Measure, monkeypatch
+) -> None:
+    report = dataclasses.replace(hp.widom_check(d1), **change)
+    monkeypatch.setattr(hankelpos.verify, "widom_check", lambda mu: report)
+    assert hp.run_suites(d1)[0].status == status

@@ -14,6 +14,7 @@ quadrature are held to the quadrature's relative tolerance instead.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -221,3 +222,38 @@ def test_a_disc_atom_next_to_the_boundary_is_bounded() -> None:
         report = hp.widom_check(hp.disc_measure(atoms=[(x, 1.0)]))
         assert report.verdict == "bounded"
         assert math.isclose(report.beta, 3678.978362165921, rel_tol=1e-12, abs_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: the verdict under scaling and dilation
+# ---------------------------------------------------------------------------
+
+
+def scaled(mu: hp.Measure, s: float) -> hp.Measure:
+    """s mu: every mass and coefficient times s."""
+    atoms = [(a.position, s * a.mass) for a in mu.atoms]
+    pieces = [dataclasses.replace(p, coeff=s * p.coeff) for p in mu.pieces]
+    build = hp.halfplane_measure if mu.domain == "halfplane" else hp.disc_measure
+    return build(atoms=atoms, pieces=pieces)
+
+
+def dilated(mu: hp.Measure, s: float) -> hp.Measure:
+    """The image of mu under lambda -> s lambda, the action of (R, R_+, -id):
+    c lambda^e on [lo, hi] goes to c s^(-e-1) lambda^e on [s lo, s hi]."""
+    atoms = [(s * a.position, a.mass) for a in mu.atoms]
+    pieces = [hp.power_piece(p.coeff * s ** (-p.exponent - 1.0), p.exponent, "lambda",
+                             (s * p.support[0], s * p.support[1])) for p in mu.pieces]
+    return hp.halfplane_measure(atoms=atoms, pieces=pieces)
+
+
+@settings(deadline=None)
+@given(mu=halfline_measures(integer_exponents=True) | disc_measures(),
+       s=st.sampled_from([1e-100, 1e100]))
+def test_the_verdict_does_not_see_a_scale(mu: hp.Measure, s: float) -> None:
+    assert hp.widom_check(scaled(mu, s)).verdict == hp.widom_check(mu).verdict
+
+
+@settings(deadline=None)
+@given(mu=halfline_measures(integer_exponents=True), s=st.sampled_from([1e-3, 1e3]))
+def test_the_verdict_does_not_see_a_dilation(mu: hp.Measure, s: float) -> None:
+    assert hp.widom_check(dilated(mu, s)).verdict == hp.widom_check(mu).verdict
