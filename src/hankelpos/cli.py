@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401  argparse's gettext loads it on first use; load it with the CLI
 import math
 import os
 import sys
@@ -224,13 +225,17 @@ _COMMANDS = {
 
 
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="hankelpos",
         description="Hankel positivity toolkit: Widom bounds, symbol kernels, "
         "section positivity, and reflection-positivity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, doc, _, defaults) in _COMMANDS.items():
+    # a command in front parses alone; anything else (help, a typo) needs the full list
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _, doc, _, defaults = _COMMANDS[name]
         p = sub.add_parser(name, help=doc)
         for flag, default in {"spec": None, **defaults, "out": None}.items():
             p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])

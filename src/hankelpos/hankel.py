@@ -54,7 +54,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import Measure, laplace_transform, moments, stieltjes
+from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import SymbolSamples, _check_offset, _h_jumps, delta_values
 from .quadrature import integrate, integrate_real_line
 from .kernels import TWO_PI, circle_nodes
@@ -238,7 +238,7 @@ def disc_to_hp_symbol(samples: SymbolSamples) -> SymbolSamples:
     def func(x):
         return -np.asarray(samples(_angle_from_line(x)), dtype=complex)
 
-    positive = np.unique(np.concatenate([np.logspace(-6.0, 6.0, 1024), [1.0]]))
+    positive = _sorted_unique(np.append(np.logspace(-6.0, 6.0, 1024), 1.0))
     grid = np.concatenate([-positive[::-1], positive])
     values = func(grid)
     jumps = tuple(sorted(float(_line_from_angle(t)) for t in samples.jumps))
@@ -501,13 +501,13 @@ def contraction_check(
             raise ValueError("t_grid must be a nonempty one-dimensional array")
         if not np.all(t > 0.0):
             raise ValueError("all Gram times must be positive")
-        if len(np.unique(t)) != len(t):
+        if _sorted_unique(t).size != t.size:
             raise ValueError("Gram times must be distinct")
         if not s > 0.0:
             raise ValueError(f"the semigroup time s must be positive, got {s}")
         sums = t[:, None] + t[None, :]
-        phi = np.vectorize(lambda u: laplace_transform(mu, u))
-        defect = phi(sums) - phi(sums + 2.0 * float(s))
+        phi = laplace_transform(mu, np.stack([sums, sums + 2.0 * float(s)]))
+        defect = phi[0] - phi[1]
         params = {"t_grid": [float(x) for x in t], "s": float(s)}
     else:
         raise ValueError(f"unknown mode {mode!r} (disc_shift, hp_gram)")

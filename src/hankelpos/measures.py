@@ -21,13 +21,16 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
 * atoms: ``int x^j d(m delta_p) = m p^j``;
 * pieces rooted at 0: power rule
   ``int_a^b x^(e+j) dx = (b^(e+j+1) - a^(e+j+1)) / (e+j+1)``;
-* pieces rooted at r = -s = +-1, in ``y = -s x`` on [a, b] within [0, 1]:
-  ``(-s)^j`` times the regularized incomplete beta form ``int_a^b y^j (1-y)^e dy
-  = B(j+1, e+1) (I_b - I_a)`` with ``I_y = betainc(j+1, e+1, y)`` and ``B``
-  evaluated through ``gammaln`` so the formula is stable up to the moment cap;
-* Laplace transforms of ``lambda^e`` pieces with ``e > -1``: lower incomplete
-  gamma, ``int_l^r lambda^e exp(-lambda t) dlambda
-  = t^-(e+1) Gamma(e+1) (P(e+1, rt) - P(e+1, lt))``;
+* pieces rooted at r = -s = +-1, in ``y = -s x`` on [a, b] within [0, 1]
+  and ``e > -1``: ``(-s)^j`` times ``M_j = int_a^b y^j (1-y)^e dy``, from the
+  recurrence of integration by parts
+  ``M_j = (j M_{j-1} + a^j (1-a)^(e+1) - b^j (1-b)^(e+1)) / (j+e+1)``, run
+  forward where the piece reaches its root (b = 1: every term >= 0) and, off
+  the root, backward from above the top order (Miller) once the forward sum
+  loses digits (:func:`_beta_moment`); the part at y < 0 and pieces with
+  ``e <= -1`` take the quadrature below;
+* Laplace transforms ``int exp(-lambda t) d mu``: one stacked quadrature per
+  piece, one row per t;
 * Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
   pieces on [lo, hi] (:func:`stieltjes`), with no difference of nearly equal
   terms.  The head [lo, m], m = min(|a|/2, hi), and the tail [M, hi],
@@ -70,7 +73,6 @@ from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaln
 
 from .quadrature import (
     DEFAULT_ABS_TOL,
@@ -272,9 +274,11 @@ def _validate_piece(domain: str, p: Piece) -> None:
         base = "" if r == 0.0 else "(1+x) " if r < 0.0 else "(1-x) "
         if not math.isfinite(e):
             raise MeasureSpecError(f"{base}exponent must be finite, got {e}")
-        # only base 'x' can be negative on a valid support
-        if min(s * (lo - r), s * (hi - r)) < 0.0 and e != int(e):
-            raise MeasureSpecError("base 'x' with fractional exponent needs support in [0, 1]")
+        # only base 'x' can be negative on a valid support: x^e is positive there
+        # for an even integer e only (undefined for a fractional one, negative for an odd one)
+        if min(s * (lo - r), s * (hi - r)) < 0.0 and e % 2.0 != 0.0:
+            raise MeasureSpecError(
+                f"base 'x' needs an even integer exponent on a support below 0, got {e:g}")
         if lo <= r <= hi and e <= -1.0:  # a root in the closed support
             why = " (rho-integral diverges)" if domain == "halfplane" else ""
             raise MeasureSpecError(f"{base}exponent must exceed -1 at the endpoint {r:g}{why}")
@@ -441,14 +445,15 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
     (r, s, e), = p.factors
     if r == 0.0:
         return p.coeff * _power_primitive_diff(e + js, lo, hi)
-    # root r = -s = +-1, in y = -s x: betainc needs e > -1; for e <= -1 the
-    # piece stays off the endpoint y = 1: quadrature
+    # root r = -s = +-1, in y = -s x: the recurrence serves y >= 0 where e > -1;
+    # the rest (y < 0, or a piece off the endpoint y = 1 with e <= -1) quadrature
     y_lo, y_hi = sorted((-s * lo, -s * hi))
-    cut = 0.0 if e > -1.0 else 1.0
+    beta = _beta_moment(js, e, max(y_lo, 0.0), y_hi) if e > -1.0 and y_hi > 0.0 else None
+    cut = 1.0 if beta is None else 0.0
     below = (-s * y_lo, -s * min(y_hi, cut))  # y < cut, in x
     total = _quadrature_moments(p, js, *(below if s < 0.0 else below[::-1]))
-    if y_hi > cut:
-        total += (-s) ** js * p.coeff * _beta_moment(js, e, max(y_lo, cut), y_hi)
+    if beta is not None:
+        total += (-s) ** js * p.coeff * beta
     return total
 
 
@@ -463,17 +468,59 @@ def _power_primitive_diff(power, lo: float, hi: float) -> np.ndarray:
         return np.where(s == 0.0, log, rule)
 
 
-def _beta_moment(j, e: float, a: float, b: float) -> np.ndarray:
-    """``int_a^b x^j (1-x)^e dx`` for 0 <= a < b <= 1 via incomplete beta."""
-    log_beta = gammaln(j + 1.0) + gammaln(e + 1.0) - gammaln(j + e + 2.0)
-    return np.exp(log_beta) * (betainc(j + 1.0, e + 1.0, b) - betainc(j + 1.0, e + 1.0, a))
+def _beta_moment(js: np.ndarray, e: float, a: float, b: float) -> np.ndarray | None:
+    """``int_a^b y^j (1-y)^e dy`` for 0 <= a < b <= 1 and e > -1, over the orders ``js``.
+
+    Integration by parts gives M_j = (j M_{j-1} + t_j) / (j + e + 1), with
+    t_j = a^j (1-a)^(e+1) - b^j (1-b)^(e+1).  Divided by the homogeneous
+    solution P_j = prod_{i<=j} i / (i + e + 1), it is a sum:
+    S_j = M_j / P_j = S_{j-1} + t_j / (j P_{j-1}).  Summed forward from M_0
+    while S stays within 8x of its running maximum — always where b = 1,
+    where every t_j >= 0.  Past that point (b < 1: M_j falls like b^j, P_j
+    only like j^-(e+1)) S is summed backward (Miller), from an order J where
+    the terms left out are 2^-53 below those at the top order.  ``None`` where
+    P leaves the float range (e in the hundreds).
+    """
+    e1, top = e + 1.0, int(js.max(initial=0))
+
+    def terms(i: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
+        # 1 - e1/(i+e1), not i/(i+e1): its rounding does not pile up as e1 -> 0
+        p = p0 * np.cumprod(1.0 - e1 / (i + e1))
+        t = a**i * (1.0 - a) ** e1 - b**i * (1.0 - b) ** e1
+        return p, t / (i * np.append(p0, p[:-1]))
+
+    ratio = (1.0 - b) / (1.0 - a)  # M_0 = (1-a)^e1 (1 - ratio^e1) / e1, with no cancellation
+    with np.errstate(all="ignore"):  # log(0) = -inf where b = 1; P out of range: None
+        log_ratio = np.log1p((a - b) / (1.0 - a)) if ratio > 0.5 else np.log(ratio)
+        m0 = -((1.0 - a) ** e1) * np.expm1(e1 * log_ratio) / e1
+        p, d = terms(np.arange(1.0, top + 1.0), 1.0)
+        s = np.append(m0, m0 + np.cumsum(d))
+        lost = np.logical_or.accumulate(np.abs(s) < np.maximum.accumulate(np.abs(s)) / 8.0)
+        if lost.any():
+            log_b = math.log(b)
+            k = math.ceil(-37.0 / log_b)
+            while k * log_b + (e1 - 1.0) * math.log1p(k / top) > -37.0:
+                k = math.ceil(1.25 * k)
+            _, tail = terms(np.arange(top + 1.0, top + k + 1.0), p[-1])
+            back = np.append(np.cumsum(d[::-1])[::-1], 0.0)  # sum_{j < i <= top} d_i
+            s = np.where(lost, -np.sum(tail[::-1]) - back, s)
+        out = np.append(1.0, p) * s
+    return out[js] if np.isfinite(out).all() else None
 
 
 def _quadrature_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``int_lo^hi x^j p.density dx`` for all j in ``js`` from one panel tree,
-    graded toward +-1 (see the module docstring)."""
+    graded toward +-1 (see the module docstring).  The absolute tolerance,
+    which holds a moment that vanishes (odd j, symmetric piece), grows with
+    the piece's mass m, a bound on every |c_j| of it: ``DEFAULT_ABS_TOL``
+    times max(1, m/10), so that a piece of mass 1e100 is not held to 1e-12
+    while every piece of mass up to 10 keeps it."""
+    if hi <= lo:
+        return 0.0
+    mass = piece_integral(p, abs_tol=0.0, rel_tol=1e-3)
     edge = 1.0 - 0.5 ** np.arange(1, int(2 * js.max(initial=0)).bit_length())
     return piece_integral(p, lambda x: x ** js[:, None], lo=lo, hi=hi,
+                          abs_tol=DEFAULT_ABS_TOL * max(1.0, mass / 10.0),
                           breakpoints=[*-edge, *edge])
 
 
@@ -628,27 +675,24 @@ def _piece_mass(p: PowerPiece, lo, hi):
     return p.coeff * _power_primitive_diff(e, *((lo, hi) if s > 0.0 else (hi, lo)))
 
 
-def laplace_transform(mu: Measure, t: float) -> float:
-    """``phi(t) = int exp(-lambda t) d mu(lambda)`` for a half-line measure."""
+def laplace_transform(mu: Measure, t):
+    """``phi(t) = int exp(-lambda t) d mu(lambda)`` of a half-line measure,
+    elementwise over ``t > 0``; each piece takes one stacked
+    :func:`piece_integral`, one row per t, held to a relative tolerance
+    alone: every row is positive, and its scale is unknown beforehand."""
     if mu.domain != "halfplane":
         raise ValueError("the Laplace transform is defined for half-line measures")
-    if not t > 0:
+    t = np.asarray(t, dtype=float)
+    if not (t > 0).all():
         raise ValueError(f"need t > 0, got {t}")
-    out = sum(a.mass * math.exp(-a.position * t) for a in mu.atoms)
+    out = np.zeros(t.shape)
+    for a in mu.atoms:
+        out += a.mass * np.exp(-a.position * t)
+    rows = t.reshape(-1, 1)
     for p in mu.pieces:
-        out += _piece_laplace(p, t)
-    return out
-
-
-def _piece_laplace(p: PowerPiece, t: float) -> float:
-    lo, hi = p.support
-    e = p.exponent
-    if e > -1.0:
-        # int lambda^e exp(-lambda t) = t^-(e+1) Gamma(e+1) [P(e+1, t hi) - P(e+1, t lo)]
-        upper = 1.0 if math.isinf(hi) else gammainc(e + 1.0, t * hi)
-        lower = gammainc(e + 1.0, t * lo)
-        return p.coeff * math.gamma(e + 1.0) * (upper - lower) / t ** (e + 1.0)
-    return float(piece_integral(p, lambda lam: np.exp(-t * lam)))
+        out += piece_integral(p, lambda lam: np.exp(-rows * lam), abs_tol=0.0,
+                              rel_tol=1e-12).reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
@@ -875,6 +919,15 @@ def _widom_bounded(mu: Measure) -> bool:
     )
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d float array, which in NumPy 2 imports ``numpy.ma``
+    on first use (~20 ms of a command)."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _log_grid(span: tuple[float, float], n: int) -> np.ndarray:
     return np.logspace(math.log10(span[0]), math.log10(span[1]), n)
 
@@ -884,7 +937,7 @@ def _hp_constants(mu: Measure) -> tuple[float, float]:
     # endpoints; probing them keeps closed-form cases exact.
     marks = [a.position for a in mu.atoms]
     marks += [e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0]
-    t = np.unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), marks))
+    t = _sorted_unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), marks))
     head, tail = _rho_cdf(mu, t)
     return float(np.max(head / t)), float(np.max(t * tail))
 
@@ -898,8 +951,8 @@ def _moment_sup(mu: Measure, hi: float, n: int) -> float:
     peaks = -1.0 / np.log([abs(a.position) for a in mu.atoms if a.position]) - 1.0
     cap = MOMENT_CAP if mu.pieces else math.inf
     peaks = peaks[(peaks > top) & (peaks <= cap)]
-    js = np.unique(np.concatenate([np.round(_log_grid((1.0, top), n)), [0.0],
-                                   np.floor(peaks), np.ceil(peaks)])).astype(np.int64)
+    js = _sorted_unique(np.concatenate([np.round(_log_grid((1.0, top), n)), [0.0],
+                                        np.floor(peaks), np.ceil(peaks)])).astype(np.int64)
     return float(np.max((js + 1) * np.abs(_moment_orders(mu, js, cap))))
 
 
@@ -908,7 +961,7 @@ def _disc_constants(mu: Measure) -> tuple[float, float]:
     beta = _moment_sup(mu, span[1], n)
     marks = np.array([a.position for a in mu.atoms] + [e for p in mu.pieces for e in p.support])
     gaps = np.concatenate([np.clip(_log_grid(span, n), None, 2.0), 1.0 - marks, 1.0 + marks])
-    g = np.unique(gaps[(gaps > 0.0) & (gaps <= 2.0)])
+    g = _sorted_unique(gaps[(gaps > 0.0) & (gaps <= 2.0)])
     lo = np.concatenate([1.0 - g, np.full(g.shape, -1.0)])
     hi = np.concatenate([np.ones(g.shape), -1.0 + g])
     gamma = float(np.max(_mass_between(mu, lo, hi) / np.tile(g, 2)))

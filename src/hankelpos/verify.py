@@ -44,6 +44,11 @@ __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES", "kernel_residuals"]
 #: Probe points in the open right half-plane (arguments of kappa).
 _RHP_PROBES = (1.0 + 0.0j, 0.5 + 0.5j, 2.0 - 1.0j, 0.25 + 2.0j)
 
+#: Four more, scattered: uniform draws from [-2, 2]^2 (NumPy ``default_rng(7)``)
+#: with a real part x <= 0 moved to |x| + 0.25, written out.
+_RHP_SCATTERED = (0.5003818664186679 + 1.588855203878302j, 1.102742760980774 - 1.0991712400376326j,
+                  1.0493348603550983 + 1.4942137815850476j, 2.228938781737701 + 1.2849136735310651j)
+
 #: Probe points in the open upper half-plane (arguments of the symbol kernel).
 _UHP_PROBES = (1j, 2j, 1.0 + 1j)
 
@@ -82,12 +87,8 @@ def _suite_widom(mu: Measure) -> SuiteResult:
 def _suite_difference_quotient(mu: Measure) -> SuiteResult:
     """(kappa(z) - conj(kappa(w))) / (z - conj(w)) == 4 pi^2 K(iz, iw)."""
     worst = 0.0
-    rng = np.random.default_rng(7)
-    pts = list(_RHP_PROBES)
-    pts += [complex(a, b) for a, b in rng.uniform(-2.0, 2.0, size=(4, 2))]
-    pts = [z if z.real > 0 else complex(abs(z.real) + 0.25, z.imag) for z in pts]
-    for z in pts[:4]:
-        for w in pts[4:]:
+    for z in _RHP_PROBES:
+        for w in _RHP_SCATTERED:
             if abs(z - np.conj(w)) < 1e-9:
                 continue
             quotient = (kappa(mu, z) - np.conj(kappa(mu, w))) / (z - np.conj(w))

@@ -365,6 +365,33 @@ def test_non_finite_exponents_are_exit_2(
     assert f"exponent must be finite, got {exponent}" in err
 
 
+@pytest.mark.parametrize("exponent, support", [
+    (3.0, [-1.0, 1.0]),  # odd: negative left of 0
+    (1.0, [-1.0, -0.5]),
+    (0.5, [-0.5, 0.5]),  # fractional: undefined left of 0
+])
+@pytest.mark.parametrize("command", ["widom", "positivity", "verify-all"])
+def test_a_signed_density_is_exit_2(
+    write_spec, capsys, command: str, exponent: float, support: list
+) -> None:
+    spec = write_spec({"domain": "disc", "densities": [{
+        "kind": "power", "coeff": 1.0, "exponent": exponent, "base": "x", "support": support,
+    }]})
+    code, out, err = _run(capsys, command, "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert "base 'x' needs an even integer exponent on a support below 0" in err
+
+
+def test_an_even_power_left_of_zero_is_a_positive_density(write_spec, capsys) -> None:
+    spec = write_spec({"domain": "disc", "densities": [{
+        "kind": "power", "coeff": 1.0, "exponent": 2.0, "base": "x", "support": [-1.0, 1.0],
+    }]})
+    code, out, _ = _run(capsys, "positivity", "--spec", str(spec), "--N", "4")
+    assert code == 0
+    assert json.loads(out)["certificate"]["min_eig"] > 0.0
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -496,6 +523,13 @@ def test_help_lists_exactly_the_flags_read_with_their_defaults(capsys, command: 
     assert set(re.findall(r"--\w+", text)) == {"--help", "--spec", "--out", *READS[command]}
     for flag, default in READS[command].items():
         assert re.search(rf"{flag} \w+ [^-]*\(default {re.escape(default)}\)", text), flag
+
+
+def test_the_top_level_help_lists_every_command(capsys) -> None:
+    code, out, _ = _exit_code(capsys, "--help")
+    assert code == 0
+    for command, (_, doc, _, _) in hankelpos.cli._COMMANDS.items():
+        assert re.search(rf"^\s+{command}\s+{re.escape(doc)}$", out, re.M), command
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -18,7 +18,7 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
@@ -249,6 +249,11 @@ def dilated(mu: hp.Measure, s: float) -> hp.Measure:
 @settings(deadline=None)
 @given(mu=halfline_measures(integer_exponents=True) | disc_measures(),
        s=st.sampled_from([1e-100, 1e100]))
+# odd moments 0, held to a tolerance that scales with the piece, not to 1e-12
+@example(mu=hp.disc_measure(pieces=[CayleyPiece(1.0, 0.0, 0.0, (-1.0, 1.0))]), s=1e100)
+# a sliver of (1-x)^0 left of 0, whose own mass rounds to 0 in u = 1 - x
+@example(mu=hp.disc_measure(pieces=[hp.power_piece(1.0, 0.0, "one_minus_x", (-4.7e-54, 1.0))]),
+         s=1e100)
 def test_the_verdict_does_not_see_a_scale(mu: hp.Measure, s: float) -> None:
     assert hp.widom_check(scaled(mu, s)).verdict == hp.widom_check(mu).verdict
 
