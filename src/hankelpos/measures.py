@@ -49,7 +49,9 @@ moments straddling an awkward point) goes through :mod:`hankelpos.quadrature`;
 all orders of a piece share one vector-valued integral, its panels graded
 toward +-1 by breakpoints at ``+-(1 - 2^-k)``, ``2^k <= 2 max(js)``: x^j peaks
 within ~1/j of +-1, and on a wider panel the 7- and 15-point rules can agree
-without resolving the peak.
+without resolving the peak.  x^j is ``exp(j log|x|)``, signed at odd j where
+x < 0 (one log per node, not a ``pow`` per order and node): within 2u = 2^-52
+absolute, so c_j is within ~2u times the piece's mass, far below the tolerance.
 
 The Widom test (:func:`widom_check`) follows Widom's theorem in
 Carleson-measure form (H. Widom, "Hankel matrices", Trans. AMS 121, 1966):
@@ -510,18 +512,29 @@ def _beta_moment(js: np.ndarray, e: float, a: float, b: float) -> np.ndarray | N
 
 def _quadrature_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``int_lo^hi x^j p.density dx`` for all j in ``js`` from one panel tree,
-    graded toward +-1 (see the module docstring).  The absolute tolerance,
-    which holds a moment that vanishes (odd j, symmetric piece), grows with
-    the piece's mass m, a bound on every |c_j| of it: ``DEFAULT_ABS_TOL``
-    times max(1, m/10), so that a piece of mass 1e100 is not held to 1e-12
-    while every piece of mass up to 10 keeps it."""
+    graded toward +-1 (see the module docstring), with x^j from
+    :func:`_powers`, which adds at most ~2u times the mass to each c_j.
+    The absolute tolerance, which holds a moment that vanishes (odd j,
+    symmetric piece), grows with the piece's mass m, a bound on every |c_j|
+    of it: ``DEFAULT_ABS_TOL`` times max(1, m/10), so that a piece of mass
+    1e100 is not held to 1e-12 while every piece of mass up to 10 keeps it."""
     if hi <= lo:
         return 0.0
     mass = piece_integral(p, abs_tol=0.0, rel_tol=1e-3)
     edge = 1.0 - 0.5 ** np.arange(1, int(2 * js.max(initial=0)).bit_length())
-    return piece_integral(p, lambda x: x ** js[:, None], lo=lo, hi=hi,
+    return piece_integral(p, lambda x: _powers(x, js), lo=lo, hi=hi,
                           abs_tol=DEFAULT_ABS_TOL * max(1.0, mass / 10.0),
                           breakpoints=[*-edge, *edge])
+
+
+def _powers(x: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """x^j, one row per order in ``js``, as ``exp(j log|x|)`` signed by x at odd j; with
+    t = j |log|x|| an entry in [-1, 1] errs by <= (2t + 1) u e^-t <= 2u (u = 2^-53)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: log -inf, 0 * -inf at j = 0
+        out = np.multiply.outer(js, np.log(np.abs(x)))
+    out[js == 0] = 0.0  # x^0 = 1, also at x = 0
+    np.exp(out, out=out)
+    return np.copysign(out, x, out=out, where=js[:, None] % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +769,7 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
         s[low] -= _end_series(e, a[low], k, lo[low], True)
         s[tail] += _end_series(e, a[tail], k, big[tail], False)
         s[up] -= _end_series(e, a[up], k, hi[up], False)
-        s = c * s
+        s = c * s.real + 1j * (c * s.imag)  # not c * s: 0 * inf = nan where Re s is inf
     out[live] = s
     return out.reshape(pad.shape)
 
@@ -785,9 +798,13 @@ def _end_series(e: float, a: np.ndarray, k: int, x: np.ndarray, head: bool) -> n
     # one term more than 2^-60 of the sum needs: the first term is real at the tail,
     # and the imaginary part starts one term later
     n = np.arange(1 + math.ceil(-60.0 / math.log2(max(np.abs(q).max(), 2.0**-60))))
-    total = np.vander(q, n.size, increasing=True) @ ((n + 1.0) ** (k - 1) / (n + shift))
-    # x^e x/a, not x^(e+1) a^-1: e + 1 rounds, and x^(e+1) underflows for tiny x
-    return x**e * ((x / a) * a ** (1 - k) if head else x ** (1 - k)) * total
+    coef = (n + 1.0) ** (k - 1) / (n + shift)
+    if head:  # x^e x/a, not x^(e+1) a^-1: e + 1 rounds, and x^(e+1) underflows for tiny x
+        return x**e * (x / a) * a ** (1 - k) * (np.vander(q, n.size, increasing=True) @ coef)
+    # x^(e+1-k) coef_0 - a x^(e-k) sum_n coef_(n+1) q^n, not x^e x^(1-k) sum: the real
+    # first term may pass the float range (Re S = +-inf) where the rest does not
+    return coef[0] * x ** (e + (1 - k)) - a * x ** (e - k) * (
+        np.vander(q, n.size - 1, increasing=True) @ coef[1:])
 
 
 #: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per evaluation chunk.
@@ -863,8 +880,9 @@ def _rho_cdf(mu: Measure, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for p in mu.pieces:
         lo, hi = p.support
         cut = np.clip(t, lo, hi)
-        head = head + _piece_stieltjes(p, -1j, 1, lo, cut).imag
-        tail = tail + _piece_stieltjes(p, -1j, 1, cut, hi).imag
+        with np.errstate(over="ignore"):  # Re S may pass the float range where Im S does not
+            head = head + _piece_stieltjes(p, -1j, 1, lo, cut).imag
+            tail = tail + _piece_stieltjes(p, -1j, 1, cut, hi).imag
     return head, tail
 
 

@@ -6,7 +6,8 @@ residual actually observed.  Suites that only make sense for a Widom-bounded
 measure (anything that needs the bounded symbol h or the outer factor) are
 *skipped*, not failed, when the boundedness test says otherwise — a divergent
 symbol is a property of the measure, not a defect of the library.  They share
-one sampling of h on the default grid per run.
+one sampling of h on the default grid per run; the disc suites share one
+moment vector.
 
 The suites are deliberately small (probe grids, sections of size 4–8): they
 are consistency checks, not benchmarks.  The full-tolerance versions live in
@@ -30,6 +31,7 @@ from .hankel import (
     polar_decomposition_check,
     positivity_certificate,
     section_from_measure,
+    section_from_moments,
     section_from_symbol_disc,
     support_sign_test,
     symbol_kernel,
@@ -189,8 +191,8 @@ def _suite_polar(mu: Measure, samples) -> SuiteResult:
 # Disc suites
 # ---------------------------------------------------------------------------
 
-def _suite_shift_contraction(mu: Measure) -> SuiteResult:
-    report = contraction_check(mode="disc_shift", mu=mu, n=4)
+def _suite_shift_contraction(mu: Measure, c) -> SuiteResult:
+    report = contraction_check(mode="disc_shift", moment_seq=c[:9], n=4)
     return _result(
         "shift_contraction",
         report.is_contractive,
@@ -199,8 +201,8 @@ def _suite_shift_contraction(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_sections_positive(mu: Measure) -> SuiteResult:
-    cert = positivity_certificate(section_from_measure(mu, 6))
+def _suite_sections_positive(mu: Measure, c) -> SuiteResult:
+    cert = positivity_certificate(section_from_moments(c[:11], 6))
     return _result(
         "sections_positive",
         cert.is_positive,
@@ -209,8 +211,8 @@ def _suite_sections_positive(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_norm_monotonicity(mu: Measure) -> SuiteResult:
-    norms = [norm_estimate(section_from_measure(mu, n)) for n in (2, 4, 8)]
+def _suite_norm_monotonicity(mu: Measure, c) -> SuiteResult:
+    norms = [norm_estimate(section_from_moments(c[:2 * n - 1], n)) for n in (2, 4, 8)]
     gaps = [norms[i] - norms[i + 1] for i in range(len(norms) - 1)]
     worst = max(0.0, max(gaps))
     return _result(
@@ -221,8 +223,8 @@ def _suite_norm_monotonicity(mu: Measure) -> SuiteResult:
     )
 
 
-def _suite_support(mu: Measure) -> SuiteResult:
-    report = support_sign_test(mu, 4)
+def _suite_support(mu: Measure, c) -> SuiteResult:
+    report = support_sign_test(c[:9], 4)
     structurally_nonneg = all(a.position >= 0.0 for a in mu.atoms) and all(
         p.support[0] >= 0.0 for p in mu.pieces
     )
@@ -239,26 +241,27 @@ def _suite_support(mu: Measure) -> SuiteResult:
 # Driver
 # ---------------------------------------------------------------------------
 
-#: (name, suite, bounded_only) per domain, in report order.  A bounded-only
-#: suite is skipped unless the Widom test certifies a bounded symbol; it is
-#: called as ``suite(mu, samples)`` with the samples of h on the default grid.
-_SUITES: dict[str, tuple[tuple[str, Callable[..., SuiteResult], bool], ...]] = {
+#: (name, suite, reads) per domain, in report order.  A suite reading ``"h"``
+#: is called as ``suite(mu, samples)`` with h on the default grid, and skipped
+#: unless the Widom test certifies a bounded symbol; one reading ``"c"`` as
+#: ``suite(mu, c)`` with c_0 .. c_14 (n = 8 needs 2n - 1), of which it takes a prefix.
+_SUITES: dict[str, tuple[tuple[str, Callable[..., SuiteResult], Optional[str]], ...]] = {
     "halfplane": (
-        ("widom", _suite_widom, False),
-        ("difference_quotient", _suite_difference_quotient, False),
-        ("gram_contraction", _suite_gram_contraction, False),
-        ("symbol_bound", _suite_symbol_bound, True),
-        ("kernel_modes", _suite_kernel_modes, True),
-        ("section_chain", _suite_section_chain, True),
-        ("transport", _suite_transport, True),
-        ("polar", _suite_polar, True),
+        ("widom", _suite_widom, None),
+        ("difference_quotient", _suite_difference_quotient, None),
+        ("gram_contraction", _suite_gram_contraction, None),
+        ("symbol_bound", _suite_symbol_bound, "h"),
+        ("kernel_modes", _suite_kernel_modes, "h"),
+        ("section_chain", _suite_section_chain, "h"),
+        ("transport", _suite_transport, "h"),
+        ("polar", _suite_polar, "h"),
     ),
     "disc": (
-        ("widom", _suite_widom, False),
-        ("shift_contraction", _suite_shift_contraction, False),
-        ("sections_positive", _suite_sections_positive, False),
-        ("norm_monotonicity", _suite_norm_monotonicity, False),
-        ("support_localization", _suite_support, False),
+        ("widom", _suite_widom, None),
+        ("shift_contraction", _suite_shift_contraction, "c"),
+        ("sections_positive", _suite_sections_positive, "c"),
+        ("norm_monotonicity", _suite_norm_monotonicity, "c"),
+        ("support_localization", _suite_support, "c"),
     ),
 }
 
@@ -266,20 +269,20 @@ SUITE_NAMES = {domain: tuple(s[0] for s in suites) for domain, suites in _SUITES
 
 
 def run_suites(mu: Measure) -> list[SuiteResult]:
-    """Run every suite applicable to ``mu``; bounded-only suites are skipped
-    (not failed) when the Widom test does not certify boundedness, and read h
-    from one sampling, taken when the first of them runs."""
+    """Run every suite applicable to ``mu``; suites of h are skipped (not
+    failed) when the Widom test does not certify boundedness.  h and the
+    moments are each computed once, when the first suite that reads them
+    runs; a failure there fails that suite, and the next reader tries again."""
     results: list[SuiteResult] = []
     bounded = _widom_bounded(mu)
-    samples = cache(lambda: symbol_h_samples(mu))  # sampled on the first call
-    for name, suite, bounded_only in _SUITES[mu.domain]:
-        if not bounded_only:
-            results.append(_run_guarded(name, lambda: suite(mu)))
-        elif bounded:
-            results.append(_run_guarded(name, lambda: suite(mu, samples())))
-        else:
+    shared = {"h": cache(lambda: symbol_h_samples(mu)), "c": cache(lambda: moments(mu, 15))}
+    for name, suite, reads in _SUITES[mu.domain]:
+        if reads == "h" and not bounded:
             why = "needs a bounded symbol (Widom verdict: unbounded)"
             results.append(SuiteResult(name, "skipped", None, why))
+        else:
+            results.append(_run_guarded(
+                name, lambda: suite(mu, shared[reads]()) if reads else suite(mu)))
     return results
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -139,6 +140,21 @@ def test_rho_of_a_long_support(e: float, hi: float) -> None:
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (0.0, hi))])
     expected = _hypergeometric_reference(e, -1j, 1, 0.0, hi).imag
     assert hp.rho_total(mu) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("e, hi", [(1.5, 1e300), (1.9, 1e300), (2.5, 1e200)])
+def test_rho_and_s2_where_a_tail_power_overflows(e: float, hi: float) -> None:
+    # hi^e is past the float range: taken as hi^e hi^(1-k), S_2 was inf, and
+    # rho = Im S_1(-i) nan from c (inf + iy), though only Re S_1 overflows
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (0.0, hi))])
+    a = 1.0 + 1.0j
+    rho = _hypergeometric_reference(e, -1j, 1, 0.0, hi).imag
+    s2 = _hypergeometric_reference(e, a, 2, 0.0, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got_rho, got_s2 = hp.rho_total(mu), complex(stieltjes(mu, a, 2))
+    assert got_rho == pytest.approx(rho, rel=1e-13, abs=0.0)
+    assert got_s2 == pytest.approx(s2, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("e, support", [(0.5, (1.0, 1.0 + 1e-6)), (-0.3, (5.0, 5.0 + 1e-6))])

@@ -100,6 +100,32 @@ def test_the_bounded_only_suites_share_one_sampling_of_h(
     assert len(calls) == samplings
 
 
+def test_the_disc_suites_share_one_moment_vector(disc_leb: hp.Measure, monkeypatch) -> None:
+    calls = []
+    inner = hankelpos.verify.moments
+
+    def counted(mu, count):
+        calls.append(count)
+        return inner(mu, count)
+
+    monkeypatch.setattr(hankelpos.verify, "moments", counted)
+    monkeypatch.setattr(hankelpos.hankel, "moments", counted)
+    assert all(r.status == "pass" for r in hp.run_suites(disc_leb))
+    assert calls == [15]
+
+
+def test_a_moment_failure_fails_each_suite_that_reads_the_moments(
+    disc_leb: hp.Measure, monkeypatch
+) -> None:
+    def failing(mu, count):
+        raise ValueError("no moments")
+
+    monkeypatch.setattr(hankelpos.verify, "moments", failing)
+    by_name = {r.name: r for r in hp.run_suites(disc_leb)}
+    assert by_name.pop("widom").status == "pass"
+    assert all(r.status == "fail" and "no moments" in r.detail for r in by_name.values())
+
+
 @pytest.mark.parametrize("change, status", [
     ({}, "pass"),
     ({"verdict": "inconclusive"}, "fail"),
