@@ -19,6 +19,14 @@ positivity    eigenvalue certificate for the moment section of size N
 transport     polar-transport residuals (``--offset`` sets the real offset c)
 verify-all    every invariant suite applicable to the measure
 
+The command comes first, then its flags, each as ``--flag VALUE`` or
+``--flag=VALUE``.  A unique prefix stands for a flag (``--sp`` for
+``--spec``) and a repeated flag keeps its last value.  A value that starts
+with ``-`` must be a plain negative decimal (``--offset -1``) or follow ``=``
+(``--offset=-1e-3``).  ``-h``/``--help``, before or after the command, prints
+the help and exits 0; any other misuse prints a usage line and
+``hankelpos COMMAND: error: MESSAGE`` to stderr and exits 2.
+
 Measures are described by a small JSON file (see
 :func:`hankelpos.measures.measure_from_spec` for the schema).  Output goes to
 stdout, or — atomically, via a temp file and rename — to ``--out``; identical
@@ -36,21 +44,20 @@ before the first ``import hankelpos``; see the package ``__init__``).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import locale  # noqa: F401  argparse's gettext loads it on first use; load it with the CLI
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
 from .hankel import (
-    norm_estimate,
     positivity_certificate,
     section_from_measure,
     section_from_moments,
@@ -91,7 +98,7 @@ def _tolerance(text: str) -> float:
     except ValueError:
         value = math.nan
     if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise ValueError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -102,7 +109,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise ValueError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -139,15 +146,15 @@ def _sections_block(mu: Measure) -> dict:
     norms = []
     min_eigs = []
     for n in _REPORT_SIZES:
-        section = section_from_moments(c, n)
-        norms.append(norm_estimate(section))
-        min_eigs.append(positivity_certificate(section).min_eig)
+        cert = positivity_certificate(section_from_moments(c, n))
+        norms.append(max(abs(cert.min_eig), abs(cert.max_eig)))  # max |eig|: eigvalsh sorts
+        min_eigs.append(cert.min_eig)
     return {"N": list(_REPORT_SIZES), "norms": norms, "min_eigs": min_eigs}
 
 
 # Each handler returns (payload: a dict for the JSON envelope, or CSV text; exit code).
 
-def _cmd_report(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_report(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     samples = symbol_h_samples(mu, n=args.grid)
     return {
         "widom": asdict(widom_check(mu)),
@@ -162,22 +169,22 @@ def _cmd_report(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_widom(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_widom(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     return {"widom": asdict(widom_check(mu))}, 0
 
 
-def _cmd_symbol(mu: Measure, args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_symbol(mu: Measure, args: SimpleNamespace) -> tuple[str, int]:
     return symbol_samples_csv(symbol_h_samples(mu, n=args.grid)), 0
 
 
-def _cmd_kernel_check(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_kernel_check(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     residuals = kernel_residuals(mu, symbol_h_samples(mu, n=args.grid))
     verdict = "pass" if residuals["max_rel_residual"] <= args.tol else "fail"
     payload = {"tol": args.tol, "residuals": residuals, "verdict": verdict}
     return payload, 0 if verdict == "pass" else 1
 
 
-def _cmd_positivity(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_positivity(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     if args.N < 1:
         raise _CommandError(f"--N must be >= 1, got {args.N}", 2)
     base = cayley_pushforward(mu) if mu.domain == "halfplane" else mu
@@ -185,26 +192,25 @@ def _cmd_positivity(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
     return {"N": args.N, "certificate": asdict(cert)}, 0
 
 
-def _cmd_transport(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_transport(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     report = verify_rp_transport(mu, args.offset, residual_tol=args.tol)
     return {"transport": asdict(report)}, 0 if report.verdict == "pass" else 1
 
 
-def _cmd_verify_all(mu: Measure, args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_verify_all(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
     suites = [asdict(r) for r in run_suites(mu)]
     verdict = "fail" if any(s["status"] == "fail" for s in suites) else "pass"
     return {"suites": suites, "verdict": verdict}, 0 if verdict == "pass" else 1
 
 
-#: argparse settings of each flag; the defaults come from ``_COMMANDS``.
+#: flag -> (type, metavar, help); the defaults come from ``_COMMANDS``.
 _FLAGS = {
-    "spec": dict(required=True, metavar="PATH", help="JSON measure description"),
-    "N": dict(type=int, metavar="INT", help="section size (default %(default)s)"),
-    "tol": dict(type=_tolerance, metavar="FLOAT", help="verdict tolerance (default %(default)s)"),
-    "grid": dict(type=_positive_int, metavar="INT", help="symbol grid size (default %(default)s)"),
-    "offset": dict(type=float, metavar="FLOAT",
-                   help="real offset c of delta = c + h (default %(default)s)"),
-    "out": dict(metavar="PATH", help="write output here atomically (default: stdout)"),
+    "spec": (str, "PATH", "JSON measure description"),
+    "N": (int, "INT", "section size (default {})"),
+    "tol": (_tolerance, "FLOAT", "verdict tolerance (default {})"),
+    "grid": (_positive_int, "INT", "symbol grid size (default {})"),
+    "offset": (float, "FLOAT", "real offset c of delta = c + h (default {})"),
+    "out": (str, "PATH", "write output here atomically (default: stdout)"),
 }
 
 #: name -> (handler, help, needs a Widom-bounded half-line measure,
@@ -223,23 +229,144 @@ _COMMANDS = {
     "verify-all": (_cmd_verify_all, "run every applicable invariant suite", False, {}),
 }
 
+_DESCRIPTION = ("Hankel positivity toolkit: Widom bounds, symbol kernels, section positivity,\n"
+                "and reflection-positivity checks.")
+_HELP = ("-h", "--help")
+#: A token that starts with "-" and is still a value: a plain negative decimal.
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+
+def _flags(command: str) -> dict:
+    """``{flag: default}`` of everything ``command`` reads, in help order."""
+    return {"spec": None, **_COMMANDS[command][3], "out": None}
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: hankelpos [-h] COMMAND ..."
+    head = f"usage: hankelpos {command}"
+    lines = [head]
+    for flag in ("h", *_flags(command)):
+        part = "-h" if flag == "h" else f"--{flag} {_FLAGS[flag][1]}"
+        part = part if flag == "spec" else f"[{part}]"
+        if len(lines[-1]) > len(head) and len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _rows(title: str, rows: list) -> str:
+    width = max(len(left) for left, _ in rows)
+    return f"{title}:\n" + "".join(f"  {left:<{width}}  {text}\n" for left, text in rows)
+
+
+def _help(command: Optional[str]) -> NoReturn:
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        commands = [(name, doc) for name, (_, doc, _, _) in _COMMANDS.items()]
+        text = f"{_DESCRIPTION}\n\n{_rows('commands', commands)}\n{_rows('options', options)}"
+    else:
+        for flag, default in _flags(command).items():
+            _, metavar, doc = _FLAGS[flag]
+            options.append((f"--{flag} {metavar}", doc.format(default)))
+        text = f"{_COMMANDS[command][1]}\n\n{_rows('options', options)}"
+    sys.stdout.write(f"{_usage(command)}\n\n{text}")
+    raise SystemExit(0)
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    prog = "hankelpos" if command is None else f"hankelpos {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, names: Sequence[str], command: Optional[str]):
+    """What ``token`` is among the options ``names``: None for a value, else
+    ``(name, value after "=" or None)``, with name None for an unknown option.
+
+    A long option may be any unique prefix of one, split at the first "=";
+    ``-h`` may carry a tail.  A token that starts with "-" is a value only
+    when it is "-" alone, a plain negative decimal or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    flag, eq, value = token.partition("=")
+    if eq and flag in names:
+        return flag, value
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(flag)]
+        explicit = value if eq else None
+    else:
+        matches = ["-h"] if token[:2] == "-h" else []
+        explicit = token[2:]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _check_help(command: Optional[str], name: str, explicit: Optional[str]) -> NoReturn:
+    """``-h``/``--help``: ``-hh…`` repeats it; any other value is an error."""
+    if explicit is None or name == "-h" and explicit and not explicit.strip("h"):
+        _help(command)
+    _fail(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> SimpleNamespace:
+    """``COMMAND [--flag VALUE | --flag=VALUE]...`` with the options of ``_COMMANDS``.
+
+    An ambiguous prefix fails at once; the other tokens are read in order.
+    Unknown ones are gathered and rejected at the end, after the ``--spec``
+    check, so a help flag reached before any error prints the help.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = argparse.ArgumentParser(
-        prog="hankelpos",
-        description="Hankel positivity toolkit: Widom bounds, symbol kernels, "
-        "section positivity, and reflection-positivity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    # a command in front parses alone; anything else (help, a typo) needs the full list
-    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        _, doc, _, defaults = _COMMANDS[name]
-        p = sub.add_parser(name, help=doc)
-        for flag, default in {"spec": None, **defaults, "out": None}.items():
-            p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
-    return parser.parse_args(argv)
+    extras = []
+    for i, token in enumerate(argv):  # "--" ends the options: it is taken as the command
+        kind = None if token == "--" else _option(token, _HELP, None)
+        if kind is None:
+            break
+        if kind[0] is not None:
+            _check_help(None, *kind)
+        extras.append(token)
+    else:
+        _fail(None, "the following arguments are required: COMMAND")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in _COMMANDS:
+        _fail(None, f"argument COMMAND: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    flags = _flags(command)
+    names = (*_HELP, *(f"--{flag}" for flag in flags))
+    values = {"command": command, **flags}
+    # nothing after "--" is an option
+    end = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, names, command) for token in rest[:end]]
+    j = 0
+    while j < end:
+        name, value = kinds[j] or (None, None)
+        if name is None:
+            extras.append(rest[j])
+        elif name in _HELP:
+            _check_help(command, name, value)
+        else:
+            if value is None:
+                if j + 1 == end or kinds[j + 1] is not None:
+                    _fail(command, f"argument {name}: expected one argument")
+                j += 1
+                value = rest[j]
+            convert = _FLAGS[name[2:]][0]
+            try:
+                values[name[2:]] = convert(value)
+            except ValueError as exc:
+                _fail(command, f"argument {name}: {exc}")
+        j += 1
+    extras += rest[end:]
+    if values["spec"] is None:
+        _fail(command, "the following arguments are required: --spec")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def _write_output(text: str, out_path: Optional[str]) -> None:

@@ -20,7 +20,8 @@ kernel
 mode; real additive constants in h are invisible (both kernel poles sit in the
 upper half-plane).  Measure mode is ``(S(a) - S(b)) / (4 pi^2 (b - a))`` with
 ``a = -i z``, ``b = i conj(w)`` and S the Stieltjes transform of
-:func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b).
+:func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b);
+:func:`measure_kernels` and :func:`boundary_kernels` take a list of pairs.
 :func:`verify_rp_transport` checks the polar-transported
 boundary integral ``u |delta|`` against the measure mode, and
 :func:`polar_decomposition_check` verifies that ``h = delta / conj(g*)^2`` is
@@ -69,6 +70,7 @@ __all__ = [
     "quadratic_form",
     "symbol_kernel",
     "boundary_kernels",
+    "measure_kernels",
     "PositivityCertificate",
     "positivity_certificate",
     "norm_estimate",
@@ -327,6 +329,27 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     return value / _FOUR_PI_SQ
 
 
+def measure_kernels(mu: Measure, pairs: Sequence) -> np.ndarray:
+    """Measure-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
+
+    One Stieltjes call takes S at the distinct points a = -iz and b = i conj(w)
+    of all pairs, and one more takes S_2 at the pairs with a = b.
+    """
+    if mu is None or mu.domain != "halfplane":
+        raise ValueError("measure mode needs a half-line measure mu=")
+    zs, wbars = _probe_pairs(pairs)
+    a, b = -1j * zs, 1j * wbars
+    points = list(dict.fromkeys([*a.tolist(), *b.tolist()]))
+    s = dict(zip(points, stieltjes(mu, np.array(points, dtype=complex))))
+    differences = np.array([s[p] - s[q] for p, q in zip(a.tolist(), b.tolist())], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = b is replaced below
+        out = differences / (_FOUR_PI_SQ * (b - a))
+    same = a == b
+    if same.any():
+        out[same] = stieltjes(mu, a[same], 2) / _FOUR_PI_SQ
+    return out
+
+
 def symbol_kernel(
     z: complex,
     w: complex,
@@ -341,7 +364,7 @@ def symbol_kernel(
 
     * ``measure`` — (1/4 pi^2) int d mu(lambda) / ((lambda - i z)(lambda + i conj(w))),
       through the Stieltjes transform (see the module docstring); the empty
-      measure gives 0.
+      measure gives 0.  One pair of :func:`measure_kernels`.
     * ``boundary`` — (1/4 pi^2) int h(x) / ((x - z)(-x - conj(w))) dx from a
       line symbol; real constants added to h integrate to zero.  One pair of
       :func:`boundary_kernels`.
@@ -353,13 +376,7 @@ def symbol_kernel(
     wbar = np.conj(complex(w))
 
     if mode == "measure":
-        if mu is None or mu.domain != "halfplane":
-            raise ValueError("measure mode needs a half-line measure mu=")
-        a, b = -1j * z, 1j * wbar
-        if a == b:
-            return complex(stieltjes(mu, a, 2) / _FOUR_PI_SQ)
-        s_a, s_b = stieltjes(mu, np.array([a, b]))
-        return complex((s_a - s_b) / (_FOUR_PI_SQ * (b - a)))
+        return complex(measure_kernels(mu, [(z, w)])[0])
 
     if mode == "boundary":
         return complex(boundary_kernels(samples, [(z, w)])[0])
@@ -565,7 +582,7 @@ def verify_rp_transport(
 
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
-    lhs = np.array([symbol_kernel(z, w, mode="measure", mu=mu) for z, w in pair_list])
+    lhs = measure_kernels(mu, pair_list)
 
     def polar_integrand(x: np.ndarray) -> np.ndarray:
         d = np.asarray(delta_values(mu, c, x), dtype=complex)

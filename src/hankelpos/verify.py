@@ -27,6 +27,7 @@ from .hankel import (
     boundary_kernels,
     contraction_check,
     hp_to_disc_symbol,
+    measure_kernels,
     norm_estimate,
     polar_decomposition_check,
     positivity_certificate,
@@ -34,11 +35,17 @@ from .hankel import (
     section_from_moments,
     section_from_symbol_disc,
     support_sign_test,
-    symbol_kernel,
     verify_rp_transport,
 )
-from .measures import Measure, _widom_bounded, cayley_pushforward, moments, widom_check
-from .pick import kappa, symbol_bound, symbol_h_samples
+from .measures import (
+    Measure,
+    _widom_bounded,
+    cayley_pushforward,
+    moments,
+    stieltjes,
+    widom_check,
+)
+from .pick import symbol_bound, symbol_h_samples
 from .quadrature import QuadratureError
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES", "kernel_residuals"]
@@ -88,17 +95,16 @@ def _suite_widom(mu: Measure) -> SuiteResult:
 
 def _suite_difference_quotient(mu: Measure) -> SuiteResult:
     """(kappa(z) - conj(kappa(w))) / (z - conj(w)) == 4 pi^2 K(iz, iw)."""
+    pairs = [(z, w) for z in _RHP_PROBES for w in _RHP_SCATTERED if abs(z - np.conj(w)) >= 1e-9]
+    # kappa(z) = Re S(-i) - S(z) at every probe from one Stieltjes call
+    s = stieltjes(mu, np.array([-1j, *_RHP_PROBES, *_RHP_SCATTERED]))
+    kappa = dict(zip(_RHP_PROBES + _RHP_SCATTERED, s.real[0] - s[1:]))
+    kernels = measure_kernels(mu, [(1j * z, 1j * w) for z, w in pairs])
     worst = 0.0
-    for z in _RHP_PROBES:
-        for w in _RHP_SCATTERED:
-            if abs(z - np.conj(w)) < 1e-9:
-                continue
-            quotient = (kappa(mu, z) - np.conj(kappa(mu, w))) / (z - np.conj(w))
-            kernel = 4.0 * math.pi**2 * symbol_kernel(
-                1j * z, 1j * w, mode="measure", mu=mu
-            )
-            scale = max(abs(quotient), abs(kernel), 1e-12)
-            worst = max(worst, abs(quotient - kernel) / scale)
+    for (z, w), kernel in zip(pairs, 4.0 * math.pi**2 * kernels):
+        quotient = (kappa[z] - np.conj(kappa[w])) / (z - np.conj(w))
+        scale = max(abs(quotient), abs(kernel), 1e-12)
+        worst = max(worst, abs(quotient - kernel) / scale)
     return _result(
         "difference_quotient", worst <= 1e-8, worst,
         "Pick difference quotient vs measure-mode kernel",
@@ -133,8 +139,9 @@ def kernel_residuals(mu: Measure, samples) -> dict:
     pairs = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
     entries = []
     worst = 0.0
-    for (z, w), via_boundary in zip(pairs, boundary_kernels(samples, pairs)):
-        via_measure = symbol_kernel(z, w, mode="measure", mu=mu)
+    for (z, w), via_boundary, via_measure in zip(
+        pairs, boundary_kernels(samples, pairs), measure_kernels(mu, pairs)
+    ):
         rel = float(abs(via_boundary - via_measure) / max(abs(via_measure), 1e-12))
         worst = max(worst, rel)
         entries.append(

@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = sorted((ROOT / "bench" / "specs").glob("*.json"))
 COMMANDS = ("report", "widom", "symbol", "kernel-check", "positivity", "transport", "verify-all")
-UNWANTED = ("scipy", "numpy.ma", "numpy.random")
+UNWANTED = ("scipy", "numpy.ma", "numpy.random", "argparse", "gettext", "locale")
 
 SCRIPT = f"""
 import contextlib, io, json, sys

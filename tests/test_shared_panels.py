@@ -4,7 +4,8 @@ Every stacked call below is compared with the same quantity computed one
 point, pair or coefficient at a time (the scalar calls are one-row calls of
 the same code, or, for the Fourier coefficients, the per-coefficient loop
 written out here as the reference).  The call-count tests pin the number of
-adaptive integrals each check runs.
+adaptive integrals each check runs, and of Stieltjes calls behind the measure
+mode.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import pytest
 import hankelpos as hp
 import hankelpos.hankel
 import hankelpos.outer
+import hankelpos.verify
 from hankelpos import TWO_PI
 from hankelpos.hankel import _fourier_coefficients
-from hankelpos.verify import _UHP_PROBES, kernel_residuals
+from hankelpos.verify import _UHP_PROBES, _suite_difference_quotient, kernel_residuals
 
 PAIRS = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
 
@@ -109,6 +111,32 @@ def test_boundary_kernels_validate_their_inputs() -> None:
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
+def test_stacked_measure_kernels_match_single_pairs(name: str) -> None:
+    mu = MEASURES[name]
+    pairs = PAIRS + [(0.5j, 0.5j), (2.0 + 0.5j, 1.0 + 3.0j)]
+    stacked = hp.measure_kernels(mu, pairs)
+    single = [hp.symbol_kernel(z, w, mode="measure", mu=mu) for z, w in pairs]
+    np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0.0)
+
+
+def test_measure_kernels_of_atoms_are_sums_of_rank_one_kernels() -> None:
+    atoms = [(1.0, 1.0), (3.0, 2.0)]
+    rank_one = [sum(hp.symbol_kernel(z, w, mode="rank_one", position=p, mass=m) for p, m in atoms)
+                for z, w in PAIRS]
+    np.testing.assert_allclose(hp.measure_kernels(MEASURES["atoms"], PAIRS), rank_one,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_measure_kernels_validate_their_inputs() -> None:
+    mu = MEASURES["atoms"]
+    with pytest.raises(ValueError, match="upper half"):
+        hp.measure_kernels(mu, [(1j, 1j), (1j, -1j)])
+    with pytest.raises(ValueError, match="half-line measure"):
+        hp.measure_kernels(hp.cayley_pushforward(mu), [(1j, 1j)])
+    assert hp.measure_kernels(mu, []).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
 def test_stacked_transport_residuals_match_single_pairs(name: str) -> None:
     mu = MEASURES[name]
     stacked = hp.verify_rp_transport(mu, 1.5, probes=PAIRS)
@@ -154,6 +182,29 @@ def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
     assert len(calls) == 1
     assert len(residuals["probes"]) == 9
     assert residuals["max_rel_residual"] <= 1e-10
+
+
+def test_measure_mode_kernels_take_one_stieltjes_call_and_one_more_for_a_equal_b(
+    monkeypatch,
+) -> None:
+    mu = MEASURES["sqrt_1_2"]
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "stieltjes")
+    kernel_residuals(mu, hp.symbol_h_samples(mu))
+    # a = -iz and b = i conj(w) take the values 1, 2, 1 - i, 1 + i; a = b at (i, i), (2i, 2i)
+    assert [np.size(args[1]) for args in calls] == [4, 2]
+    calls.clear()
+    hp.verify_rp_transport(mu, 1.0)
+    assert len(calls) == 2
+
+
+def test_difference_quotient_suite_takes_two_stieltjes_calls(monkeypatch) -> None:
+    mu = MEASURES["sqrt_1_2"]
+    in_hankel = _count_calls(monkeypatch, hankelpos.hankel, "stieltjes")
+    in_verify = _count_calls(monkeypatch, hankelpos.verify, "stieltjes")
+    result = _suite_difference_quotient(mu)
+    assert result.status == "pass"
+    assert [np.size(args[1]) for args in in_verify] == [9]  # -i and the 8 probes
+    assert len(in_hankel) == 1  # no probe pair has a = b
 
 
 def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
