@@ -34,9 +34,9 @@ inputs produce byte-identical output.
 
 Exit codes: 0 success; 1 a verification verdict failed; 2 unusable input
 (bad arguments, unreadable/invalid measure file, wrong domain for the
-command, sections that overflow double precision); 3 the measure fails the
-boundedness test but the command needs a bounded symbol; 4 quadrature did not
-converge to tolerance.
+command, sections that overflow double precision, an unwritable ``--out``);
+3 the measure fails the boundedness test but the command needs a bounded
+symbol; 4 quadrature did not converge to tolerance.
 
 ``HANKELPOS_THREADS`` caps the linear-algebra thread pools (it must be set
 before the first ``import hankelpos``; see the package ``__init__``).
@@ -408,7 +408,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command = {} if args.command == "report" else {"command": args.command}
         envelope = {"schema_version": SCHEMA_VERSION, "input_digest": digest, **command}
         payload = json.dumps({**envelope, **payload}, indent=2, sort_keys=True) + "\n"
-    _write_output(payload, args.out)
+    try:
+        _write_output(payload, args.out)
+    except OSError as exc:  # a missing directory, or --out naming a directory
+        print(f"hankelpos: cannot write output to {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return code
 
 

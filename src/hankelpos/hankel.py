@@ -57,7 +57,7 @@ import numpy as np
 
 from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import SymbolSamples, _check_offset, _h_jumps, delta_values
-from .quadrature import integrate, integrate_real_line
+from .quadrature import integrate
 from .kernels import TWO_PI, circle_nodes
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "hilbert_section",
     "section_from_symbol_disc",
     "hp_to_disc_symbol",
-    "disc_to_hp_symbol",
-    "quadratic_form",
     "symbol_kernel",
     "boundary_kernels",
     "measure_kernels",
@@ -230,64 +228,6 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     )
 
 
-def disc_to_hp_symbol(samples: SymbolSamples) -> SymbolSamples:
-    """Push a circle symbol to the line: h(x) = -k(e^{i theta(x)}).
-
-    Inverse of :func:`hp_to_disc_symbol` (the double sign cancels)."""
-    if samples.domain != "disc":
-        raise ValueError("expected a disc (circle) symbol")
-
-    def func(x):
-        return -np.asarray(samples(_angle_from_line(x)), dtype=complex)
-
-    positive = _sorted_unique(np.append(np.logspace(-6.0, 6.0, 1024), 1.0))
-    grid = np.concatenate([-positive[::-1], positive])
-    values = func(grid)
-    jumps = tuple(sorted(float(_line_from_angle(t)) for t in samples.jumps))
-    sup = max(samples.sup_estimate, float(np.max(np.abs(values))))
-    return SymbolSamples(
-        "halfplane", grid, values, samples.sharp_symmetric, sup, func=func, jumps=jumps
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadratic forms
-# ---------------------------------------------------------------------------
-
-def quadratic_form(
-    a: Sequence[complex],
-    b: Sequence[complex],
-    *,
-    section: Optional[np.ndarray] = None,
-    mu: Optional[Measure] = None,
-) -> complex:
-    """The Hankel quadratic form sum_{j,k} conj(a[j]) c[j+k] b[k].
-
-    Exactly one of ``section`` (a precomputed matrix, sliced to fit) or ``mu``
-    (moments computed on demand) must be given.  With polynomial coefficient
-    vectors this is ``<p, q>`` against d mu — normalization-free, which is why
-    every positivity statement in this package is phrased through it.
-    """
-    if (section is None) == (mu is None):
-        raise ValueError("pass exactly one of section= or mu=")
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    if av.ndim != 1 or bv.ndim != 1 or av.size == 0 or bv.size == 0:
-        raise ValueError("coefficient vectors must be nonempty and one-dimensional")
-    if mu is not None:
-        c = _as_moment_array(moments(mu, av.size + bv.size - 1), av.size + bv.size - 1)
-        m = _hankel(c, av.size, bv.size)
-    else:
-        m = np.asarray(section)
-        if m.ndim != 2 or m.shape[0] < av.size or m.shape[1] < bv.size:
-            raise ValueError(
-                f"section of shape {m.shape} too small for vectors of sizes "
-                f"{av.size}, {bv.size}"
-            )
-        m = m[: av.size, : bv.size]
-    return complex(np.vdot(av, m @ bv))
-
-
 # ---------------------------------------------------------------------------
 # The symbol kernel K_h(z, w)
 # ---------------------------------------------------------------------------
@@ -323,9 +263,8 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.asarray(samples(x), dtype=complex) * _kernel_rows(x, zs, wbars)
 
-    value = integrate_real_line(
-        integrand, abs_tol=1e-9, rel_tol=1e-10, breakpoints=tuple(samples.jumps)
-    )
+    value = integrate(integrand, -math.inf, math.inf, abs_tol=1e-9, rel_tol=1e-10,
+                      breakpoints=tuple(samples.jumps))
     return value / _FOUR_PI_SQ
 
 
@@ -371,23 +310,17 @@ def symbol_kernel(
     * ``rank_one`` — the closed form for a single atom at ``position``:
       - mass / (4 pi^2 (z + i lambda)(i lambda - conj(w))).
     """
-    z = _require_upper(z, "z")
-    w = _require_upper(w, "w")
-    wbar = np.conj(complex(w))
-
     if mode == "measure":
         return complex(measure_kernels(mu, [(z, w)])[0])
-
     if mode == "boundary":
         return complex(boundary_kernels(samples, [(z, w)])[0])
-
-    if mode == "rank_one":
-        if position is None or not position > 0.0:
-            raise ValueError("rank_one mode needs an atom position= > 0")
-        lam = float(position)
-        return complex(-mass / (_FOUR_PI_SQ * (z + 1j * lam) * (1j * lam - wbar)))
-
-    raise ValueError(f"unknown mode {mode!r} (measure, boundary, rank_one)")
+    if mode != "rank_one":
+        raise ValueError(f"unknown mode {mode!r} (measure, boundary, rank_one)")
+    z, wbar = _require_upper(z, "z"), np.conj(_require_upper(w, "w"))
+    if position is None or not position > 0.0:
+        raise ValueError("rank_one mode needs an atom position= > 0")
+    lam = float(position)
+    return complex(-mass / (_FOUR_PI_SQ * (z + 1j * lam) * (1j * lam - wbar)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +523,9 @@ def verify_rp_transport(
         unimodular = d / modulus
         return unimodular * modulus * _kernel_rows(x, zs, wbars)
 
-    rhs = integrate_real_line(polar_integrand, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
-    ghost = c * integrate_real_line(lambda x: _kernel_rows(x, zs, wbars)) / _FOUR_PI_SQ
+    line = (-math.inf, math.inf)
+    rhs = integrate(polar_integrand, *line, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
+    ghost = c * integrate(lambda x: _kernel_rows(x, zs, wbars), *line) / _FOUR_PI_SQ
     residuals = np.abs(lhs - rhs).tolist()
     invisibility = np.abs(ghost).tolist()
     max_res = max(residuals, default=0.0)

@@ -51,7 +51,6 @@ __all__ = [
     "halfplane_point",
     "HardyCoeffs",
     "hardy_coeffs",
-    "szego",
     "szego_disc",
     "szego_halfplane",
     "poisson",
@@ -59,7 +58,6 @@ __all__ = [
     "sqrt_cayley_derivative",
     "gamma2_eval",
     "circle_nodes",
-    "circle_quadrature",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -131,15 +129,6 @@ def szego_disc(z: complex, w: complex) -> complex:
 def szego_halfplane(z: complex, w: complex) -> complex:
     """Upper half-plane Szegő kernel (1/2pi) i / (z - conj(w))."""
     return 1j / (TWO_PI * (z - np.conj(w)))
-
-
-def szego(p: DomainPoint, q: DomainPoint) -> complex:
-    """Szegő kernel Q(p, q); both points must live in the same domain."""
-    if p.domain != q.domain:
-        raise ValueError(f"domain mismatch: {p.domain} vs {q.domain}")
-    if p.domain == "disc":
-        return complex(szego_disc(p.value, q.value))
-    return complex(szego_halfplane(p.value, q.value))
 
 
 def poisson(p: DomainPoint, x: complex) -> float:
@@ -221,7 +210,7 @@ def gamma2_eval(f: HardyCoeffs, x: complex | np.ndarray) -> complex | np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Circle quadrature (length measure)
+# Circle nodes
 # ---------------------------------------------------------------------------
 
 def circle_nodes(n: int = 4096, *, offset: bool = True) -> np.ndarray:
@@ -234,12 +223,3 @@ def circle_nodes(n: int = 4096, *, offset: bool = True) -> np.ndarray:
     k = np.arange(n, dtype=float)
     return (k + (0.5 if offset else 0.0)) * (TWO_PI / n)
 
-
-def circle_quadrature(values: np.ndarray) -> complex:
-    """Trapezoidal rule for ``int_0^{2pi} v(theta) d theta`` on uniform nodes.
-
-    For a periodic integrand sampled uniformly the trapezoidal rule is the
-    rectangle rule and is spectrally accurate.
-    """
-    values = np.asarray(values)
-    return complex(values.mean() * TWO_PI)

@@ -76,12 +76,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .quadrature import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    integrate,
-    integrate_halfline,
-)
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, integrate
 
 __all__ = [
     "MeasureSpecError",
@@ -95,7 +90,6 @@ __all__ = [
     "power_piece",
     "lebesgue_piece",
     "measure_from_spec",
-    "measure_to_spec",
     "load_measure",
     "MOMENT_CAP",
     "moment",
@@ -161,7 +155,7 @@ class CayleyPiece:
 
     This family arises as the image of half-line power densities under the
     Cayley change of variables; it is not part of the JSON schema's ``power``
-    kind but round-trips through the internal ``cayley_power`` kind.
+    kind but is read from the internal ``cayley_power`` kind.
     """
 
     coeff: float
@@ -337,7 +331,7 @@ def measure_from_spec(obj: dict) -> Measure:
 
     ``"inf"`` (the string) denotes an unbounded upper endpoint.  The internal
     ``"cayley_power"`` kind (fields ``plus_exponent``/``minus_exponent``) is
-    accepted for round-tripping pushforward measures.
+    accepted, so that a pushforward measure can be written as a spec.
     """
     if not isinstance(obj, dict):
         raise MeasureSpecError("measure spec must be a JSON object")
@@ -383,20 +377,6 @@ def _as_support(value) -> tuple[float, float]:
     lo = _as_number(value[0])
     hi = math.inf if value[1] == "inf" else _as_number(value[1])
     return (lo, hi)
-
-
-def measure_to_spec(mu: Measure) -> dict:
-    """Inverse of :func:`measure_from_spec`."""
-    densities = [
-        {"kind": kind, **{n: getattr(p, n) for n in names},
-         "support": [p.support[0], "inf" if math.isinf(p.support[1]) else p.support[1]]}
-        for p in mu.pieces for kind, (cls, names) in _SPEC_KINDS.items() if isinstance(p, cls)
-    ]
-    return {
-        "domain": mu.domain,
-        "atoms": [{"pos": a.position, "mass": a.mass} for a in mu.atoms],
-        "densities": densities,
-    }
 
 
 def load_measure(path: str | Path) -> Measure:
@@ -615,10 +595,10 @@ def piece_integral(
     if math.isinf(hi):
         if a_lo != 0.0:
             mid = lo + 1.0
-            return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + integrate_halfline(
-                g, mid, **opts
+            return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + integrate(
+                g, mid, math.inf, **opts
             )
-        return integrate_halfline(g, lo, **opts)
+        return integrate(g, lo, math.inf, **opts)
     if a_lo != 0.0 and a_hi != 0.0:
         mid = 0.5 * (lo + hi)
         return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + _power_sub(
@@ -837,11 +817,17 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     out = np.zeros(a.size, dtype=complex)
     for start in range(0, owner.size, _CHUNK):
         c = slice(start, start + _CHUNK)
-        lam = mid[c, None] + half[c, None] * _GAUSS[0]
-        r = 1.0 / (lam + a[owner[c], None])
+        lam = mid[c] + half[c] * _GAUSS[0][:, None]  # one row per Gauss node
+        r = 1.0 / (lam + a[owner[c]])
         # half r first (|half r| <= 1/2 for Re a >= 0): lambda^e half or lambda^e r^k
         # can leave the float range where the panel's integral does not
-        v = (lam**e * (half[c, None] * r) * (r if k == 2 else 1.0)) @ _GAUSS[1]
+        v = lam**e * (half[c] * r)
+        if k == 2:
+            v *= r
+        v *= _GAUSS[1][:, None]
+        # the rows added one by one, not by a BLAS product, so that S at one point
+        # does not depend on the other points of the call
+        v = sum(v[1:], v[0])
         out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(owner[c], v.imag, a.size)
     return out
 

@@ -41,10 +41,9 @@ from typing import Union
 
 import numpy as np
 
-from .kernels import szego_halfplane
 from .measures import Measure, _widom_bounded
 from .pick import _check_offset, _h_jumps, delta_values
-from .quadrature import integrate, integrate_real_line
+from .quadrature import integrate
 
 __all__ = [
     "BoundaryWeight",
@@ -54,7 +53,6 @@ __all__ = [
     "reflect_weight",
     "outer_eval",
     "g_from_delta",
-    "weighted_szego",
     "INTERIOR_MARGIN",
 ]
 
@@ -268,7 +266,7 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
         def integrand(p: np.ndarray) -> np.ndarray:
             return (1.0 / (p - pts) - p / (1.0 + p * p)) * k.log_values(p)
 
-        integral = integrate_real_line(integrand, breakpoints=k.jumps)
+        integral = integrate(integrand, -math.inf, math.inf, breakpoints=k.jumps)
         values = C * np.exp(integral / (math.pi * 1j))
     else:
         if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():
@@ -299,9 +297,3 @@ def g_from_delta(mu: Measure, c: float, z):
         raise ValueError("the outer factor needs a Widom-bounded measure (verdict: unbounded)")
     return outer_eval(delta_modulus_weight(mu, float(c)) ** 0.5, z)
 
-
-def weighted_szego(mu: Measure, c: float, z: complex, w: complex) -> complex:
-    """Reproducing kernel of the |delta|-weighted Hardy space:
-    Q^nu(z, w) = Q(z, w) / (g(z) conj(g(w))) for d nu = |delta| dx."""
-    g_z, g_w = g_from_delta(mu, c, np.array([z, w], dtype=complex))
-    return complex(szego_halfplane(z, w) / (g_z * np.conj(g_w)))

@@ -49,13 +49,11 @@ from .measures import (
 __all__ = [
     "SymbolSamples",
     "kappa",
-    "symbol_h",
     "symbol_h_values",
     "symbol_h_samples",
     "delta_values",
     "delta_samples",
     "symbol_bound",
-    "psi_mu",
     "psi_mu_values",
     "default_symbol_grid",
     "symbol_samples_csv",
@@ -167,11 +165,6 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     return 1j / math.pi * im_s
 
 
-def symbol_h(mu: Measure, p: float) -> complex:
-    """h(p) for a single real p (purely imaginary, odd in p)."""
-    return complex(symbol_h_values(mu, np.asarray([float(p)]))[0])
-
-
 def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
     """Symmetrized logarithmic boundary grid, sharpened at special points.
 
@@ -238,8 +231,10 @@ def delta_samples(
 def symbol_bound(mu: Measure) -> float:
     """Upper bound (1/pi) rho((0,oo)) + (1/2) max(beta, gamma) for ||h||_inf.
 
-    Requires the boundedness scan to return verdict ``bounded``; the grid
-    supremum of |h| never exceeds this value.
+    Requires the boundedness scan to return verdict ``bounded``.  beta and
+    gamma come from a probe scan that can miss an interior maximum and so
+    undercount them; the bound can then fail (sup |h| above it), which the
+    ``symbol_bound`` suite of :func:`hankelpos.verify.run_suites` checks.
     """
     _require_halfplane(mu, "symbol_bound")
     report = widom_check(mu)
@@ -260,11 +255,6 @@ def psi_mu_values(mu: Measure, x: np.ndarray) -> np.ndarray:
     if not math.isfinite(total_mass(mu)):
         raise ValueError("psi requires a finite-total-mass measure")
     return stieltjes(mu, -1j * np.asarray(x, dtype=float)).real / math.pi
-
-
-def psi_mu(mu: Measure, x: float) -> float:
-    """psi(x) for a single real x (nonnegative; integrates to the total mass)."""
-    return float(psi_mu_values(mu, np.asarray([float(x)]))[0])
 
 
 # ---------------------------------------------------------------------------

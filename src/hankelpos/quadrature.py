@@ -14,8 +14,9 @@ refinement level.  A call that would return more than ``_MAX_CALL_VALUES``
 values (integrands x nodes) is split.
 
 Unbounded ranges are folded to compact ones with the tangent substitution
-x = tan(u), dx = (1 + tan(u)^2) du, which turns algebraically decaying tails
-into bounded integrands.
+x = a + tan(u) on [0, pi/2] for [a, oo) and x = tan(u) on [-pi/2, pi/2] for
+the whole line, dx = (1 + tan(u)^2) du, which turns algebraically decaying
+tails into bounded integrands.
 
 Integrands map a real 1-d array of n nodes to n values, real or complex (the
 integral is then a float or a complex), or to an ``(m, n)`` array of m
@@ -34,7 +35,6 @@ __all__ = [
     "QuadratureError",
     "integrate",
     "integrate_real_line",
-    "integrate_halfline",
 ]
 
 # Nodes/weights for the embedded pair, computed once; the integrand sees the
@@ -48,7 +48,7 @@ _N_HI = len(_NODES_HI)
 DEFAULT_ABS_TOL = 1e-12
 #: Default relative tolerance (against the current value of the integral).
 DEFAULT_REL_TOL = 1e-10
-#: Default cap on the number of panels before giving up.
+#: Cap on the number of panels before giving up; read on every call.
 DEFAULT_MAX_PANELS = 4096
 #: Most integrand values (rows x nodes) one call may return; a sweep that
 #: needs more is split over several calls.
@@ -96,9 +96,8 @@ def integrate(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> complex | float | np.ndarray:
-    """Integrate ``f`` over the finite interval [a, b].
+    """Integrate ``f`` over [a, b], [a, oo) or the whole real line.
 
     Parameters
     ----------
@@ -107,7 +106,10 @@ def integrate(
         returns n values, or an ``(m, n)`` array for m integrals, shape ``(m,)``.
         The abscissae are the 22 nodes of one or more whole panels.
     a, b:
-        Finite endpoints, a < b.
+        Endpoints, a < b.  ``b = math.inf`` folds [a, oo) onto [0, pi/2] by
+        x = a + tan(u), and with ``a = -math.inf`` the real line onto
+        [-pi/2, pi/2] by x = tan(u); the folded integrand must decay at least
+        like |x|^{-2} to stay bounded.
     abs_tol, rel_tol:
         The iteration stops once, in every column c, the summed panel error
         estimate is below ``tol_c = max(abs_tol, rel_tol * |I_c|)``.  Until
@@ -115,19 +117,28 @@ def integrate(
         bisects the fewest worst ones whose removal leaves every column of
         the rest summing to at most its tolerance.
     breakpoints:
-        Interior points where the integrand (or a derivative) jumps; the
-        initial panel list is split there so each panel sees a smooth
-        integrand.
-    max_panels:
-        Panel budget; a sweep bisects no more panels than it leaves room for,
-        and exceeding it raises :class:`QuadratureError`.
+        Points in x where the integrand (or a derivative) jumps; the initial
+        panel list is split there (through the fold on unbounded ranges) so
+        each panel sees a smooth integrand.
+
+    A sweep bisects no more panels than :data:`DEFAULT_MAX_PANELS` leaves room
+    for, and exceeding it raises :class:`QuadratureError`.
     """
+    if b == math.inf and (a == -math.inf or math.isfinite(a)):
+        line, origin, integrand = a == -math.inf, a, f
+
+        def f(u: np.ndarray) -> np.ndarray:
+            t = np.tan(u)
+            return np.asarray(integrand(t if line else origin + t)) * (1.0 + t * t)
+
+        breakpoints = [math.atan(t if line else t - a) for t in breakpoints if t > a]
+        a, b = (-0.5 * math.pi if line else 0.0), 0.5 * math.pi
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate() needs finite endpoints; use the "
-                         "real-line/half-line wrappers for unbounded ranges")
+        raise ValueError(f"integrate() takes [a, b], [a, inf) or (-inf, inf), got [{a}, {b}]")
     if not b > a:
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
 
+    cap = DEFAULT_MAX_PANELS
     edges = np.array([a, *sorted({float(t) for t in breakpoints if a < t < b}), b])
     los, his = edges[:-1], edges[1:]  # row p of vals/errs is the panel [los[p], his[p]]
     vals, errs = _panel_estimates(f, los, his)
@@ -140,7 +151,7 @@ def integrate(
         ratio = errs / tol  # summed over the panels: total_err / tol per column
         if (ratio.sum(axis=0) <= 1.0).all():
             return total.item() if total.ndim == 0 else total
-        if n >= max_panels:
+        if n >= cap:
             raise QuadratureError(
                 f"adaptive quadrature did not converge on [{a}, {b}]: "
                 f"estimated error {np.max(errs.sum(axis=0)):.3e} after {n} panels "
@@ -150,7 +161,7 @@ def integrate(
         ratio = ratio.reshape(n, -1)
         order = np.argsort(-ratio.max(axis=1), kind="stable")
         done = (ratio.sum(axis=0) - np.cumsum(ratio[order], axis=0) <= 1.0).all(axis=1)
-        worst = order[:min(int(done.argmax()) + 1 if done.any() else n, max_panels - n)]
+        worst = order[:min(int(done.argmax()) + 1 if done.any() else n, cap - n)]
         lo, hi = los[worst], his[worst]
         mid = 0.5 * (lo + hi)
         stuck = (mid <= lo) | (mid >= hi)
@@ -167,51 +178,6 @@ def integrate(
         errs = np.concatenate([np.delete(errs, worst, axis=0), e])
 
 
-def integrate_real_line(
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    breakpoints: Sequence[float] = (),
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> complex | float | np.ndarray:
-    """Integrate ``f`` over the whole real line via x = tan(u).
-
-    ``breakpoints`` are given on the x axis and are mapped through arctan.
-    The integrand must decay at least like |x|^{-2} for the folded integrand
-    to stay bounded.
-    """
-
-    def folded(u: np.ndarray) -> np.ndarray:
-        x = np.tan(u)
-        return np.asarray(f(x)) * (1.0 + x * x)
-
-    cuts = [math.atan(t) for t in breakpoints]
-    return integrate(
-        folded, -0.5 * math.pi, 0.5 * math.pi,
-        abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=cuts,
-        max_panels=max_panels,
-    )
-
-
-def integrate_halfline(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float = 0.0,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    breakpoints: Sequence[float] = (),
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> complex | float | np.ndarray:
-    """Integrate ``f`` over [a, infinity) via x = a + tan(u)."""
-
-    def folded(u: np.ndarray) -> np.ndarray:
-        t = np.tan(u)
-        return np.asarray(f(a + t)) * (1.0 + t * t)
-
-    cuts = [math.atan(t - a) for t in breakpoints if t > a]
-    return integrate(
-        folded, 0.0, 0.5 * math.pi,
-        abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=cuts,
-        max_panels=max_panels,
-    )
+def integrate_real_line(f: Callable[[np.ndarray], np.ndarray], **options):
+    """``integrate(f, -inf, inf, **options)``: the whole real line via x = tan(u)."""
+    return integrate(f, -math.inf, math.inf, **options)

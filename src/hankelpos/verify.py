@@ -48,7 +48,7 @@ from .measures import (
 from .pick import symbol_bound, symbol_h_samples
 from .quadrature import QuadratureError
 
-__all__ = ["SuiteResult", "run_suites", "SUITE_NAMES", "kernel_residuals"]
+__all__ = ["SuiteResult", "run_suites", "kernel_residuals"]
 
 #: Probe points in the open right half-plane (arguments of kappa).
 _RHP_PROBES = (1.0 + 0.0j, 0.5 + 0.5j, 2.0 - 1.0j, 0.25 + 2.0j)
@@ -271,9 +271,6 @@ _SUITES: dict[str, tuple[tuple[str, Callable[..., SuiteResult], Optional[str]], 
         ("support_localization", _suite_support, "c"),
     ),
 }
-
-SUITE_NAMES = {domain: tuple(s[0] for s in suites) for domain, suites in _SUITES.items()}
-
 
 def run_suites(mu: Measure) -> list[SuiteResult]:
     """Run every suite applicable to ``mu``; suites of h are skipped (not

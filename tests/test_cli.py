@@ -3,7 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -99,6 +102,24 @@ def test_report_writes_atomically(write_spec, capsys, tmp_path: Path) -> None:
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert payload["widom"]["verdict"] == "bounded"
     assert not list(tmp_path.glob(".hankelpos-*"))  # no temp file left behind
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing_dir", "a_dir"])
+def test_an_unwritable_out_exits_2_with_one_line(write_spec, tmp_path: Path, target: str) -> None:
+    spec = write_spec(D1_SPEC)
+    out_path = tmp_path / "out"
+    out_path.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-m", "hankelpos.cli", "widom", "--spec", str(spec),
+         "--out", str(out_path / target)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(hankelpos.cli.__file__).parents[1])},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("hankelpos: cannot write output to ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not list(tmp_path.rglob(".hankelpos-*"))  # no temp file left behind
 
 
 def test_report_rejects_disc_measures(write_spec, capsys) -> None:

@@ -73,30 +73,30 @@ def test_kappa_is_real_on_the_positive_axis(mix: hp.Measure) -> None:
 
 
 def test_symbol_of_a_point_mass(d1: hp.Measure) -> None:
-    assert hp.symbol_h(d1, 1.0) == pytest.approx(1j / (2.0 * PI))
-    assert hp.symbol_h(d1, -1.0) == pytest.approx(-1j / (2.0 * PI))
+    assert hp.symbol_h_values(d1, np.array([1.0]))[0] == pytest.approx(1j / (2.0 * PI))
+    assert hp.symbol_h_values(d1, np.array([-1.0]))[0] == pytest.approx(-1j / (2.0 * PI))
 
 
 def test_symbol_of_two_atoms(mix: hp.Measure) -> None:
     expected = (1j / PI) * (2.0 / 5.0 + 4.0 / 13.0)
-    assert hp.symbol_h(mix, 2.0) == pytest.approx(expected, rel=1e-14)
+    assert hp.symbol_h_values(mix, np.array([2.0]))[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_symbol_of_lebesgue_is_an_arctangent(leb01_hp: hp.Measure) -> None:
     for p in (0.1, 1.0, 10.0):
-        assert hp.symbol_h(leb01_hp, p) == pytest.approx(
+        assert hp.symbol_h_values(leb01_hp, np.array([p]))[0] == pytest.approx(
             (1j / PI) * math.atan(1.0 / p), rel=1e-10
         )
 
 
 def test_symbol_vanishes_at_the_origin_pointwise(d1: hp.Measure, leb01_hp: hp.Measure) -> None:
-    assert hp.symbol_h(d1, 0.0) == 0.0
-    assert hp.symbol_h(leb01_hp, 0.0) == 0.0
+    assert hp.symbol_h_values(d1, np.array([0.0]))[0] == 0.0
+    assert hp.symbol_h_values(leb01_hp, np.array([0.0]))[0] == 0.0
 
 
 def test_symbol_one_sided_limit_jump(leb01_hp: hp.Measure) -> None:
     # density reaching the origin: h(0+) = i/2 while h(0) = 0
-    assert hp.symbol_h(leb01_hp, 1e-8) == pytest.approx(0.5j, rel=1e-6)
+    assert hp.symbol_h_values(leb01_hp, np.array([1e-8]))[0] == pytest.approx(0.5j, rel=1e-6)
 
 
 def test_symbol_is_odd_and_purely_imaginary(mix: hp.Measure) -> None:
@@ -113,7 +113,7 @@ def test_symbol_matches_the_imaginary_part_of_kappa(
     for mu in (d1, mix, leb01_hp):
         for p in (0.3, 1.0, 2.0, 25.0):
             expected = (1j / PI) * hp.kappa(mu, 1j * p).imag
-            assert hp.symbol_h(mu, p) == pytest.approx(expected, abs=1e-10)
+            assert hp.symbol_h_values(mu, np.array([p]))[0] == pytest.approx(expected, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=40)
@@ -124,8 +124,8 @@ def test_symbol_matches_the_imaginary_part_of_kappa(
 )
 def test_atomic_symbols_are_sharp_symmetric(position: float, mass: float, p: float) -> None:
     mu = hp.halfplane_measure(atoms=[(position, mass)])
-    value = hp.symbol_h(mu, p)
-    assert hp.symbol_h(mu, -p) == pytest.approx(np.conj(value), rel=1e-14)
+    value = hp.symbol_h_values(mu, np.array([p]))[0]
+    assert hp.symbol_h_values(mu, np.array([-p]))[0] == pytest.approx(np.conj(value), rel=1e-14)
     assert value == pytest.approx(
         (1j / PI) * mass * p / (position**2 + p**2), rel=1e-14
     )
@@ -198,7 +198,7 @@ def test_samples_validate_declared_symmetry() -> None:
 
 def test_samples_interpolate_between_grid_points(d1: hp.Measure) -> None:
     samples = hp.symbol_h_samples(d1)
-    direct = hp.symbol_h(d1, 1.37)
+    direct = hp.symbol_h_values(d1, np.array([1.37]))[0]
     assert complex(samples(np.array([1.37]))[0]) == pytest.approx(direct, rel=1e-9)
 
 
@@ -253,21 +253,21 @@ def test_symbol_bound_dominates_the_grid_sup(
 
 
 def test_psi_values_for_a_point_mass(d1: hp.Measure) -> None:
-    assert hp.psi_mu(d1, 0.0) == pytest.approx(1.0 / PI)
-    assert hp.psi_mu(d1, 1.0) == pytest.approx(1.0 / (2.0 * PI))
+    assert hp.psi_mu_values(d1, np.array([0.0]))[0] == pytest.approx(1.0 / PI)
+    assert hp.psi_mu_values(d1, np.array([1.0]))[0] == pytest.approx(1.0 / (2.0 * PI))
 
 
 def test_psi_closed_form_for_lebesgue(leb01_hp: hp.Measure) -> None:
     x = 0.7
     expected = math.log(1.0 + 1.0 / (x * x)) / (2.0 * PI)
-    assert hp.psi_mu(leb01_hp, x) == pytest.approx(expected, rel=1e-12)
+    assert hp.psi_mu_values(leb01_hp, np.array([x]))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_vector_evaluation_matches_scalars(mix: hp.Measure) -> None:
     x = np.array([-1.5, 0.0, 0.3, 2.0])
     np.testing.assert_allclose(
         hp.psi_mu_values(mix, x),
-        [hp.psi_mu(mix, float(xi)) for xi in x],
+        [hp.psi_mu_values(mix, np.array([xi]))[0] for xi in x],
         rtol=1e-13,
     )
 
@@ -287,7 +287,7 @@ def test_psi_fourier_transform_is_the_laplace_transform(d1: hp.Measure) -> None:
     # which QUADPACK integrates with its dedicated oscillatory rule
     for t in (0.5, 1.0):
         half, _ = sp_integrate.quad(
-            lambda x: hp.psi_mu(d1, x), 0.0, np.inf, weight="cos", wvar=t
+            lambda x: hp.psi_mu_values(d1, np.array([x]))[0], 0.0, np.inf, weight="cos", wvar=t
         )
         assert 2.0 * half == pytest.approx(hp.laplace_transform(d1, t), abs=1e-6)
 
@@ -297,7 +297,7 @@ def test_psi_rejects_infinite_mass() -> None:
         pieces=[hp.power_piece(1.0, 0.0, "lambda", (0.0, float("inf")))]
     )
     with pytest.raises(ValueError, match="mass"):
-        hp.psi_mu(ray, 1.0)
+        hp.psi_mu_values(ray, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,7 @@ from scipy import integrate as sp_integrate
 
 import hankelpos.quadrature as quadrature
 
-from hankelpos import (
-    QuadratureError,
-    integrate,
-    integrate_halfline,
-    integrate_real_line,
-)
+from hankelpos import QuadratureError, integrate, integrate_real_line
 
 
 def test_polynomial_is_integrated_to_machine_precision() -> None:
@@ -51,37 +46,71 @@ def test_breakpoints_handle_a_piecewise_step() -> None:
 
 
 def test_real_line_gaussian() -> None:
-    value = integrate_real_line(lambda x: np.exp(-(x**2)))
+    value = integrate(lambda x: np.exp(-(x**2)), -math.inf, math.inf)
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_real_line_cauchy_kernel() -> None:
-    value = integrate_real_line(lambda x: 1.0 / (1.0 + x**2))
+    value = integrate(lambda x: 1.0 / (1.0 + x**2), -math.inf, math.inf)
     assert value == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_real_line_algebraic_tail() -> None:
-    value = integrate_real_line(lambda x: (1.0 + x**2) ** -1.5)
+    value = integrate(lambda x: (1.0 + x**2) ** -1.5, -math.inf, math.inf)
     assert value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_halfline_exponential() -> None:
-    assert integrate_halfline(lambda x: np.exp(-x)) == pytest.approx(1.0, rel=1e-12)
+    assert integrate(lambda x: np.exp(-x), 0.0, math.inf) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_halfline_with_shifted_origin() -> None:
-    value = integrate_halfline(lambda x: x**-2.0, 2.0)
+    value = integrate(lambda x: x**-2.0, 2.0, math.inf)
     assert value == pytest.approx(0.5, rel=1e-12)
 
 
-def test_nonintegrable_singularity_raises() -> None:
-    with pytest.raises(QuadratureError):
-        integrate(lambda x: 1.0 / x, 0.0, 1.0, max_panels=64)
+def _tan_fold(f, origin: float):
+    """f(origin + tan u) (1 + tan(u)^2), the integrand in u of an unbounded range."""
+
+    def folded(u: np.ndarray) -> np.ndarray:
+        t = np.tan(u)
+        return np.asarray(f(origin + t)) * (1.0 + t * t)
+
+    return folded
 
 
-def test_divergent_tail_raises() -> None:
+def test_unbounded_ranges_are_the_tan_folds_bit_for_bit() -> None:
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.array([np.abs(x - 0.3) ** 0.5 / (1.0 + x**4), np.exp(-(x**2)) + 0j])
+
+    cuts = [0.3, 5.0, -7.0]
+    half = integrate(f, -1.5, math.inf, breakpoints=cuts)
+    folded = integrate(_tan_fold(f, -1.5), 0.0, 0.5 * math.pi,
+                       breakpoints=[math.atan(t + 1.5) for t in cuts if t > -1.5])
+    assert half.tobytes() == folded.tobytes()
+    line = integrate(f, -math.inf, math.inf, breakpoints=cuts)
+    folded = integrate(_tan_fold(f, 0.0), -0.5 * math.pi, 0.5 * math.pi,
+                       breakpoints=[math.atan(t) for t in cuts])
+    assert line.tobytes() == folded.tobytes()
+    assert integrate_real_line(f, breakpoints=cuts).tobytes() == line.tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(-math.inf, 0.0), (math.inf, math.inf), (0.0, math.nan)])
+def test_a_range_without_a_fold_is_rejected(a: float, b: float) -> None:
+    with pytest.raises(ValueError, match="integrate"):
+        integrate(lambda x: np.exp(-(x**2)), a, b)
+
+
+def test_nonintegrable_singularity_raises(monkeypatch) -> None:
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
-        integrate_halfline(lambda x: 1.0 / (1.0 + x), max_panels=64)
+        integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_divergent_tail_raises(monkeypatch) -> None:
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 64)
+    with pytest.raises(QuadratureError):
+        integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
 
 
 def test_integrand_receives_vectorized_nodes() -> None:
@@ -147,13 +176,14 @@ def test_a_tiny_column_still_meets_the_relative_tolerance() -> None:
     assert values[1] == pytest.approx(1e-30 * kink, rel=1e-11, abs=0.0)
 
 
-def test_one_unconverged_column_raises() -> None:
+def test_one_unconverged_column_raises(monkeypatch) -> None:
     def f(x: np.ndarray) -> np.ndarray:
         return np.array([x**2, 1.0 / x, np.exp(x)])
 
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 64)
     with pytest.raises(QuadratureError, match="after 64 panels"):
-        integrate(f, 0.0, 1.0, max_panels=64)
-    converged = integrate(lambda x: np.array([x**2, np.exp(x)]), 0.0, 1.0, max_panels=64)
+        integrate(f, 0.0, 1.0)
+    converged = integrate(lambda x: np.array([x**2, np.exp(x)]), 0.0, 1.0)
     np.testing.assert_allclose(converged, [1.0 / 3.0, math.e - 1.0], rtol=1e-12)
 
 
@@ -162,12 +192,13 @@ def test_stacked_integrands_take_breakpoints_and_both_unbounded_wrappers() -> No
         lambda x: np.array([np.where(x < 1.0, 1.0, 3.0), x]), 0.0, 2.0, breakpoints=[1.0]
     )
     np.testing.assert_allclose(step, [4.0, 2.0], rtol=1e-12)
-    line = integrate_real_line(
-        lambda x: np.array([np.exp(-(x**2)), 1.0 / (1.0 + x**2)]), breakpoints=[0.5]
+    line = integrate(
+        lambda x: np.array([np.exp(-(x**2)), 1.0 / (1.0 + x**2)]), -math.inf, math.inf,
+        breakpoints=[0.5],
     )
     np.testing.assert_allclose(line, [math.sqrt(math.pi), math.pi], rtol=1e-12)
-    half = integrate_halfline(
-        lambda x: np.array([np.exp(-x), x**-2.0]), 2.0, breakpoints=[1.0, 3.0]
+    half = integrate(
+        lambda x: np.array([np.exp(-x), x**-2.0]), 2.0, math.inf, breakpoints=[1.0, 3.0]
     )
     np.testing.assert_allclose(half, [math.exp(-2.0), 0.5], rtol=1e-12)
 
@@ -177,7 +208,7 @@ def test_one_dimensional_integrands_return_python_scalars() -> None:
     cplx = integrate(lambda x: np.exp(1j * x), 0.0, 1.0)
     assert type(real) is float
     assert type(cplx) is complex
-    assert type(integrate_halfline(lambda x: np.exp(-x))) is float
+    assert type(integrate(lambda x: np.exp(-x), 0.0, math.inf)) is float
     assert type(integrate_real_line(lambda x: np.exp(-(x**2)) + 0j)) is complex
 
 
@@ -270,15 +301,16 @@ def test_a_stacked_integrand_keeps_every_call_within_the_value_cap() -> None:
     assert len(sizes) < sum(sizes) / (js.size * 22)  # calls still carry several panels
 
 
-def test_the_panel_budget_caps_a_sweep() -> None:
+def test_the_panel_budget_caps_a_sweep(monkeypatch) -> None:
     calls = []
 
     def f(x: np.ndarray) -> np.ndarray:
         calls.append(x.size // 22)
         return np.abs(np.sin(200.0 * x))  # 63 kinks: every panel needs bisecting
 
+    monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 50)
     with pytest.raises(QuadratureError, match="after 50 panels"):
-        integrate(f, 0.0, 1.0, max_panels=50)
+        integrate(f, 0.0, 1.0)
     # the sweep from 32 panels bisects only the 18 the budget leaves room for
     assert calls == [1, 2, 4, 8, 16, 32, 2 * 18]
 

@@ -177,7 +177,7 @@ def test_stacked_jump_aware_fourier_coefficients_match_one_integral_each(mu) -> 
 def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
     mu = MEASURES["lebesgue_01"]
     samples = hp.symbol_h_samples(mu)
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate_real_line")
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
     residuals = kernel_residuals(mu, samples)
     assert len(calls) == 1
     assert len(residuals["probes"]) == 9
@@ -210,7 +210,7 @@ def test_difference_quotient_suite_takes_two_stieltjes_calls(monkeypatch) -> Non
 def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
     mu = MEASURES["atoms"]
     evaluations = _count_calls(monkeypatch, hankelpos.outer, "outer_eval")
-    integrals = _count_calls(monkeypatch, hankelpos.outer, "integrate_real_line")
+    integrals = _count_calls(monkeypatch, hankelpos.outer, "integrate")
     report = hp.polar_decomposition_check(mu, 1.0, x_grid=(-1.0, -0.5, 0.5, 1.0))
     assert report.verdict == "pass"
     assert len(evaluations) == 1 and len(integrals) == 1
@@ -218,7 +218,7 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
 
 
 def test_transport_makes_two_integrals(monkeypatch) -> None:
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate_real_line")
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
     report = hp.verify_rp_transport(MEASURES["lebesgue_01"], 1.0)
     assert report.verdict == "pass"
     assert len(calls) == 2

@@ -79,10 +79,10 @@ def test_near_confluent_kernel_pair_meets_the_diagonal() -> None:
 
 def test_lebesgue_transforms_far_out_keep_full_precision(leb01_hp: hp.Measure) -> None:
     for p in (1e6, 1e8, 1e-8):
-        assert hp.symbol_h(leb01_hp, p).imag == pytest.approx(
+        assert hp.symbol_h_values(leb01_hp, np.array([p]))[0].imag == pytest.approx(
             math.atan(1.0 / p) / PI, rel=1e-14, abs=0.0
         )
-        assert hp.psi_mu(leb01_hp, p) == pytest.approx(
+        assert hp.psi_mu_values(leb01_hp, np.array([p]))[0] == pytest.approx(
             math.log1p(1.0 / (p * p)) / (2.0 * PI), rel=1e-14, abs=0.0
         )
 
@@ -101,7 +101,8 @@ def test_psi_at_the_origin() -> None:
     for lo in (0.0, 1.0):
         mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (lo, 2.0))])
         expected = 2.0 * (math.sqrt(2.0) - math.sqrt(lo)) / PI
-        assert hp.psi_mu(mu, 0.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        psi_0 = hp.psi_mu_values(mu, np.array([0.0]))[0]
+        assert psi_0 == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_integer_exponent_takes_the_quadrature_fallback() -> None:
@@ -164,6 +165,16 @@ def test_rho_of_a_narrow_band(e: float, support) -> None:
     with mpmath.workdps(40):
         exact = mpmath.quad(lambda lam: lam**e / (1 + lam**2), support)
     assert hp.rho_total(mu) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gauss_panel_values_do_not_depend_on_the_other_points(k: int) -> None:
+    # lambda^0.5 on [1, 2]: all three points take Gauss panels and no end series
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
+    a = np.array([1.0, 2.0, 1.0 - 1.0j])
+    batch = stieltjes(mu, a, k)
+    alone = np.concatenate([stieltjes(mu, a[i:i + 1], k) for i in range(a.size)])
+    assert batch.tobytes() == alone.tobytes()
 
 
 def test_stieltjes_rejects_disc_measures_and_other_orders(
