@@ -12,7 +12,7 @@ positive Hankel operator:
 
 The model is deliberately small — point masses plus power-law density pieces —
 so that every moment, tail mass and transform either has an auditable closed
-form or reduces to a one-dimensional adaptive quadrature.  A piece is
+form or is a sum over one graded Gauss rule of positive weights.  A piece is
 ``coeff * prod (s (x - r))^e`` over its ``factors`` (r, s, e): (0, +1) for
 ``x`` and ``lambda``, (1, -1) for ``one_minus_x``, (-1, +1) for ``one_plus_x``,
 one of each sign for a Cayley piece.  A factor rooted in the closed support
@@ -28,9 +28,7 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   forward where the piece reaches its root (b = 1: every term >= 0) and, off
   the root, backward from above the top order (Miller) once the forward sum
   loses digits (:func:`_beta_moment`); the part at y < 0 and pieces with
-  ``e <= -1`` take the quadrature below;
-* Laplace transforms ``int exp(-lambda t) d mu``: one stacked quadrature per
-  piece, one row per t;
+  ``e <= -1`` take the graded rule below;
 * Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
   pieces on [lo, hi] (:func:`stieltjes`), with no difference of nearly equal
   terms.  The head [lo, m], m = min(|a|/2, hi), and the tail [M, hi],
@@ -44,14 +42,17 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   2^i``; a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.
 
 Moment closed forms are evaluated over the whole vector of requested orders.
-Everything else (the Moebius-power pieces produced by the Cayley pushforward,
-moments straddling an awkward point) goes through :mod:`hankelpos.quadrature`;
-all orders of a piece share one vector-valued integral, its panels graded
-toward +-1 by breakpoints at ``+-(1 - 2^-k)``, ``2^k <= 2 max(js)``: x^j peaks
-within ~1/j of +-1, and on a wider panel the 7- and 15-point rules can agree
-without resolving the peak.  x^j is ``exp(j log|x|)``, signed at odd j where
-x < 0 (one log per node, not a ``pow`` per order and node): within 2u = 2^-52
-absolute, so c_j is within ~2u times the piece's mass, far below the tolerance.
+The rest — moments and cut masses of the Moebius-power pieces of the Cayley
+pushforward, Laplace transforms ``int exp(-lambda t) d mu`` — is ``f @ w`` on
+one graded rule per piece: the same 12-point panels of ratio <= 2, so the same
+ellipse bound, in the distance u = 1 - |x| to +-1 on each side of 0 (x itself
+where |x| <= 1/2) and lambda - lo on the half-line, cut where exp(-t lambda)
+underflows; of ratio 2^(1/n) where an exponent passes 3n.  At a root it stops at
+2^-k of the length, ``((J+1) 2^-k)^(e+2) <= 2^-60`` for the end exponent e and
+J the top order (or t times the length), and one end node carries the
+power-rule mass of the last sliver.  Every cut is a breakpoint, so a cut's mass
+is a sum of positive weights.  x^j is ``exp(j log|x|)``, signed at odd j (one
+log per node, log1p(-u) near +-1): within 2u = 2^-52 absolute.
 
 The Widom test (:func:`widom_check`) follows Widom's theorem in
 Carleson-measure form (H. Widom, "Hankel matrices", Trans. AMS 121, 1966):
@@ -76,8 +77,6 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, integrate
-
 __all__ = [
     "MeasureSpecError",
     "Atom",
@@ -94,7 +93,6 @@ __all__ = [
     "MOMENT_CAP",
     "moment",
     "moments",
-    "piece_integral",
     "total_mass",
     "mass_interval",
     "laplace_transform",
@@ -175,13 +173,12 @@ class CayleyPiece:
 Piece = Union[PowerPiece, CayleyPiece]
 
 
-def _density(piece: Piece, x, drop: float | None = None) -> np.ndarray:
-    """The density of ``piece`` without its factors rooted at ``drop``."""
+def _density(piece: Piece, x) -> np.ndarray:
+    """The density of ``piece``."""
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, piece.coeff)
     for r, s, e in piece.factors:
-        if r != drop:
-            out = out * np.power(s * (x - r), e)
+        out = out * np.power(s * (x - r), e)
     return out
 
 
@@ -423,17 +420,17 @@ def _moment_orders(mu: Measure, orders, cap: int) -> np.ndarray:
 def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
     lo, hi = p.support
     if len(p.factors) > 1:
-        return _quadrature_moments(p, js, lo, hi)
+        return _rule_moments(p, js, lo, hi)
     (r, s, e), = p.factors
     if r == 0.0:
         return p.coeff * _power_primitive_diff(e + js, lo, hi)
     # root r = -s = +-1, in y = -s x: the recurrence serves y >= 0 where e > -1;
-    # the rest (y < 0, or a piece off the endpoint y = 1 with e <= -1) quadrature
+    # the rest (y < 0, or a piece off the endpoint y = 1 with e <= -1) the graded rule
     y_lo, y_hi = sorted((-s * lo, -s * hi))
     beta = _beta_moment(js, e, max(y_lo, 0.0), y_hi) if e > -1.0 and y_hi > 0.0 else None
     cut = 1.0 if beta is None else 0.0
     below = (-s * y_lo, -s * min(y_hi, cut))  # y < cut, in x
-    total = _quadrature_moments(p, js, *(below if s < 0.0 else below[::-1]))
+    total = _rule_moments(p, js, *(below if s < 0.0 else below[::-1]))
     if beta is not None:
         total += (-s) ** js * p.coeff * beta
     return total
@@ -490,125 +487,93 @@ def _beta_moment(js: np.ndarray, e: float, a: float, b: float) -> np.ndarray | N
     return out[js] if np.isfinite(out).all() else None
 
 
-def _quadrature_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``int_lo^hi x^j p.density dx`` for all j in ``js`` from one panel tree,
-    graded toward +-1 (see the module docstring), with x^j from
-    :func:`_powers`, which adds at most ~2u times the mass to each c_j.
-    The absolute tolerance, which holds a moment that vanishes (odd j,
-    symmetric piece), grows with the piece's mass m, a bound on every |c_j|
-    of it: ``DEFAULT_ABS_TOL`` times max(1, m/10), so that a piece of mass
-    1e100 is not held to 1e-12 while every piece of mass up to 10 keeps it."""
+def _rule_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``int_lo^hi x^j p.density dx`` for all j in ``js``: ``x^j @ w`` on the graded rule."""
     if hi <= lo:
         return 0.0
-    mass = piece_integral(p, abs_tol=0.0, rel_tol=1e-3)
-    edge = 1.0 - 0.5 ** np.arange(1, int(2 * js.max(initial=0)).bit_length())
-    return piece_integral(p, lambda x: _powers(x, js), lo=lo, hi=hi,
-                          abs_tol=DEFAULT_ABS_TOL * max(1.0, mass / 10.0),
-                          breakpoints=[*-edge, *edge])
+    x, log, w, _ = _disc_rule(p, np.array([lo, hi]), int(js.max(initial=0)))
+    return _weighted_rows(lambda j: _powers(x, j, log), js, w)
 
 
-def _powers(x: np.ndarray, js: np.ndarray) -> np.ndarray:
+def _powers(x: np.ndarray, js: np.ndarray, log: np.ndarray | None = None) -> np.ndarray:
     """x^j, one row per order in ``js``, as ``exp(j log|x|)`` signed by x at odd j; with
-    t = j |log|x|| an entry in [-1, 1] errs by <= (2t + 1) u e^-t <= 2u (u = 2^-53)."""
+    t = j |log|x|| an entry in [-1, 1] errs by <= (2t + 1) u e^-t <= 2u (u = 2^-53).
+    ``log`` is log|x| where the caller knows it more exactly than x does (x near +-1)."""
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: log -inf, 0 * -inf at j = 0
-        out = np.multiply.outer(js, np.log(np.abs(x)))
+        out = np.multiply.outer(js, np.log(np.abs(x)) if log is None else log)
     out[js == 0] = 0.0  # x^0 = 1, also at x = 0
     np.exp(out, out=out)
     return np.copysign(out, x, out=out, where=js[:, None] % 2 == 1)
 
 
+def _weighted_rows(row, params: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``row(params) @ w``, formed for blocks of ``params`` of at most 2^18 values in all."""
+    step = max(1, (1 << 18) // max(w.size, 1))
+    return np.concatenate([np.zeros(0), *(row(params[i:i + step]) @ w
+                                          for i in range(0, params.size, step))])
+
+
 # ---------------------------------------------------------------------------
-# Integrating against a density piece
+# The graded rule: integrating against a density piece
 # ---------------------------------------------------------------------------
 
-def _endpoint_exponents(piece: Piece, lo: float, hi: float) -> tuple[float, float]:
-    """Power-law exponents of the density at lo/hi: the sum over the factors
-    rooted there, leaving out regular ones (nonnegative integer powers)."""
-    def singular(end: float) -> float:
-        return sum(e for r, _, e in piece.factors
-                   if r == end and not (e >= 0.0 and float(e).is_integer()))
-
-    return singular(lo), singular(hi)
+def _root_exponent(piece: Piece, r: float) -> float:
+    """The density's power-law exponent at r: the sum over the factors rooted there."""
+    return sum(e for q, _, e in piece.factors if q == r)
 
 
-def _power_sub(f, piece: Piece, lo: float, hi: float, alpha: float, side: str, **tol):
-    # x = lo + u^q (or hi - u^q) with q = 2/(1+alpha): the singular factor
-    # |x - endpoint|^alpha times the Jacobian q u^{q-1} is exactly q u, which we
-    # use directly — evaluating it in x-space would hit the pole once u^q
-    # underflows below the endpoint's floating-point spacing.  The factors left
-    # are finite on the closed interval, even where x rounds onto the endpoint.
-    q = 2.0 / (1.0 + alpha)
-    end, sign = (lo, 1.0) if side == "lo" else (hi, -1.0)
-
-    def substituted(u):
-        u = np.asarray(u, dtype=float)
-        x = end + sign * u**q
-        value = _density(piece, x, drop=end) * (q * u)
-        return value if f is None else value * f(x)
-
-    cuts = [abs(t - end) ** (1.0 / q) for t in tol.pop("breakpoints") if lo < t < hi]
-    return integrate(substituted, 0.0, (hi - lo) ** (1.0 / q), breakpoints=cuts, **tol)
+def _depth(e, scale):
+    """Octaves of grading toward a root of exponent e: the least k with
+    ((scale + 1) 2^-k)^(e+2) <= 2^-60, scale the top order (or t) times the length."""
+    return np.ceil(np.log2(scale + 1.0) + 60.0 / (e + 2.0))
 
 
-def piece_integral(
-    piece: Piece,
-    f=None,
-    *,
-    lo: float | None = None,
-    hi: float | None = None,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    breakpoints: Iterable[float] = (),
-):
-    """``int f(x) piece.density(x) dx`` over the support (or a sub-interval).
+def _per_octave(p: Piece) -> int:
+    """Panels per octave: the least n with |e| <= 3n for every exponent e of ``p``."""
+    return max(1, math.ceil(max(abs(e) for _, _, e in p.factors) / 3.0))
 
-    This is the one quadrature entry point for density pieces: integrable
-    endpoint singularities of the density (any exponent other than a
-    nonnegative integer, e.g. (1+x)^-0.5 or (1+x)^0.5 at -1) are absorbed by a
-    power substitution, which plain panel refinement handles poorly — it
-    converges slowly there, its error estimate underrates the error, and split
-    points can collide with the endpoint in floating point, evaluating the
-    density at its pole.  ``f`` must be vectorized and smooth on the closed
-    interval (``None`` means 1); complex values pass through, and the return
-    type follows the integrand; an ``f`` of shape ``(m, n)`` gives m
-    integrals, as in :mod:`hankelpos.quadrature`.
-    ``breakpoints`` in x are mapped through the power substitution.
-    """
-    p_lo, p_hi = piece.support
-    lo = p_lo if lo is None else float(lo)
-    hi = p_hi if hi is None else float(hi)
-    if not (p_lo <= lo and hi <= p_hi):
-        raise ValueError(f"[{lo}, {hi}] is not inside the support {piece.support}")
-    if hi <= lo:
-        return 0.0
-    if f is None:
-        g = piece.density
-    else:
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return f(x) * piece.density(x)
 
-    a_lo, a_hi = _endpoint_exponents(piece, lo, hi)
-    if a_lo <= -1.0 or a_hi <= -1.0:
-        raise ValueError(f"non-integrable endpoint singularity in {piece}")
-    opts = {"abs_tol": abs_tol, "rel_tol": rel_tol, "breakpoints": tuple(breakpoints)}
-    if math.isinf(hi):
-        if a_lo != 0.0:
-            mid = lo + 1.0
-            return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + integrate(
-                g, mid, math.inf, **opts
-            )
-        return integrate(g, lo, math.inf, **opts)
-    if a_lo != 0.0 and a_hi != 0.0:
-        mid = 0.5 * (lo + hi)
-        return _power_sub(f, piece, lo, mid, a_lo, "lo", **opts) + _power_sub(
-            f, piece, mid, hi, a_hi, "hi", **opts
-        )
-    if a_lo != 0.0:
-        return _power_sub(f, piece, lo, hi, a_lo, "lo", **opts)
-    if a_hi != 0.0:
-        return _power_sub(f, piece, lo, hi, a_hi, "hi", **opts)
-    return integrate(g, lo, hi, **opts)
+def _gauss_nodes(edges: np.ndarray, owner: np.ndarray):
+    """12-point Gauss-Legendre nodes, weights and owners on the :func:`_panels`."""
+    half, mid, owner = _panels(edges, owner)
+    return ((mid[:, None] + half[:, None] * _GAUSS[0]).ravel(),
+            (half[:, None] * _GAUSS[1]).ravel(), np.repeat(owner, _GAUSS[0].size))
+
+
+def _disc_rule(p: Piece, points: np.ndarray, top: int):
+    """Nodes x, log|x| and positive weights of the graded rule of a disc piece on
+    [min(points), max(points)], with each point, 0 and +-1/2 as breakpoints, and for
+    each point the index of the first node right of it: the nodes between points[i]
+    and points[j] are ``start[i]:start[j]``.  Panels and end nodes are graded in u as
+    the module docstring says, but where |x| <= 1/2 a segment takes n even panels in
+    x, which keep the digits of a short one that u = 1 - |x| rounds off."""
+    pts = _sorted_unique(np.clip(np.append(points, [-0.5, 0.0, 0.5]), points.min(), points.max()))
+    a, b = pts[:-1], pts[1:]
+    side = np.where(b <= 0.0, -1.0, 1.0)
+    u_lo, u_hi = np.where(side < 0.0, 1.0 + a, 1.0 - b), np.where(side < 0.0, 1.0 + b, 1.0 - a)
+    e_minus, e_plus = _root_exponent(p, -1.0), _root_exponent(p, 1.0)
+    e_end = np.where(side < 0.0, e_minus, e_plus)  # at the segment's root; e_far at the other
+    e_far = e_minus + e_plus - e_end
+    root, near, n = u_lo == 0.0, u_lo >= 0.5, _per_octave(p)
+    m = u_lo.copy()  # and at a root, 2^-k of the segment
+    m[root] = np.ldexp(u_hi[root], -_depth(e_end[root], top * u_hi[root]).astype(int))
+    edges, owner = _octave_edges(m[~near], u_hi[~near], n)  # in u
+    steps = np.arange(n + 1) / n
+    in_x = np.where(steps < 1.0, a[near, None] + (b - a)[near, None] * steps, b[near, None])
+    owner = np.append(np.flatnonzero(~near)[owner], np.repeat(np.flatnonzero(near), n + 1))
+    t, w, seg = _gauss_nodes(np.append(edges, in_x), owner)
+    u = np.where(near[seg], 1.0 - np.abs(t), t)
+    w *= u ** e_end[seg] * (2.0 - u) ** e_far[seg]
+    with np.errstate(divide="ignore"):  # a node that rounds onto x = 0: log -inf, x^j = 0
+        log = np.where(near[seg], np.log(np.abs(t)), np.log1p(-np.minimum(t, 0.5)))
+    ends = np.flatnonzero(root)  # one node at u = 0 each, of power-rule weight
+    e = e_end[ends]
+    x = np.append(np.where(near[seg], t, side[seg] * (1.0 - t)), side[ends])
+    log, seg = np.append(log, np.zeros(ends.size)), np.append(seg, ends)
+    w = np.append(w, 2.0 ** e_far[ends] * m[ends] ** (e + 1.0) / (e + 1.0))
+    order = np.argsort(seg, kind="stable")
+    start = np.searchsorted(seg[order], np.arange(pts.size))[np.searchsorted(pts, points)]
+    return x[order], log[order], p.coeff * w[order], start
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +608,18 @@ def _atom_sums(mu: Measure, rho: bool = False) -> tuple[np.ndarray, np.ndarray, 
 def _mass_between(mu: Measure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``mu([lo_i, hi_i])`` for 1-d arrays of closed intervals.
 
-    A two-factor piece integrates one indicator row per interval in one stacked
-    :func:`piece_integral`, with the endpoints as breakpoints; an empty cut
-    holds no mass even where substituted nodes round onto its endpoint.
+    A two-factor piece takes one graded rule with every cut as a breakpoint, and
+    each cut's mass is the sum of the positive weights inside it.
     """
     pos, cum, _ = _atom_sums(mu)  # side="left" keeps an atom at lo, "right" one at hi
     out = cum[np.searchsorted(pos, hi, "right")] - cum[np.searchsorted(pos, lo, "left")]
     for p in mu.pieces:
         a, b = np.clip(lo, *p.support), np.clip(hi, *p.support)
         if len(p.factors) > 1:
-            rows = piece_integral(p, lambda x: (a[:, None] <= x) & (x <= b[:, None]),
-                                  breakpoints=[*a, *b])
-            out = out + np.where(b > a, rows, 0.0)
+            _, _, w, start = _disc_rule(p, np.concatenate([p.support, a, b]), 0)
+            i, j = np.split(start[2:], 2)
+            sums = np.add.reduceat(np.append(w, 0.0), np.column_stack([i, j]).ravel())[::2]
+            out = out + np.where(j > i, sums, 0.0)
         else:
             out = out + _piece_mass(p, a, b)
     return out
@@ -670,9 +635,8 @@ def _piece_mass(p: PowerPiece, lo, hi):
 
 def laplace_transform(mu: Measure, t):
     """``phi(t) = int exp(-lambda t) d mu(lambda)`` of a half-line measure,
-    elementwise over ``t > 0``; each piece takes one stacked
-    :func:`piece_integral`, one row per t, held to a relative tolerance
-    alone: every row is positive, and its scale is unknown beforehand."""
+    elementwise over ``t > 0``; each piece takes ``exp(-t lambda) @ w`` on its
+    graded rule (:func:`_halfline_rule`)."""
     if mu.domain != "halfplane":
         raise ValueError("the Laplace transform is defined for half-line measures")
     t = np.asarray(t, dtype=float)
@@ -681,11 +645,33 @@ def laplace_transform(mu: Measure, t):
     out = np.zeros(t.shape)
     for a in mu.atoms:
         out += a.mass * np.exp(-a.position * t)
-    rows = t.reshape(-1, 1)
+    rows = t.ravel()
     for p in mu.pieces:
-        out += piece_integral(p, lambda lam: np.exp(-rows * lam), abs_tol=0.0,
-                              rel_tol=1e-12).reshape(t.shape)
+        d, w = _halfline_rule(p, rows)
+        # exp(-t lo) exp(-t d), not exp(-t (lo + d)): d keeps its digits where t lo >> 1
+        phi = _weighted_rows(lambda s: np.exp(-np.multiply.outer(s, d)), rows, w)
+        out += (np.exp(-rows * p.support[0]) * phi).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _halfline_rule(p: PowerPiece, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes d = lambda - lo and positive weights of the graded rule of a half-line
+    piece for exp(-t lambda), t in ``t``, its support cut where exp(-min(t) lambda)
+    underflows; above lo = 0, not a root, the sliver [lo, lo + m] is a Gauss panel
+    of ratio <= 2^(1/n), so that no panel's ellipse reaches lambda = 0."""
+    lo, e, n = p.support[0], p.exponent, _per_octave(p)
+    length = min(p.support[1], 746.0 / t.min()) - lo  # exp(-746) is 0 in doubles
+    if not length > 0.0:
+        return np.zeros(0), np.zeros(0)
+    m = length * 2.0 ** -_depth(_root_exponent(p, lo), t.max() * length)
+    m = min(m, lo * (2.0 ** (1.0 / n) - 1.0)) if lo > 0.0 else m
+    edges, owner = _octave_edges(np.array([m]), np.array([length]), n)
+    # the edge 0 opens the panel [0, m] above lo = 0 and no panel at it (owner -1)
+    d, w, _ = _gauss_nodes(np.append(0.0, edges), np.append(0 if lo > 0.0 else -1, owner))
+    w = p.coeff * w * (lo + d) ** e
+    if lo == 0.0:
+        d, w = np.append(0.0, d), np.append(p.coeff * m ** (e + 1.0) / (e + 1.0), w)
+    return d, w
 
 
 def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
@@ -782,9 +768,11 @@ def _end_series(e: float, a: np.ndarray, k: int, x: np.ndarray, head: bool) -> n
     if head:  # x^e x/a, not x^(e+1) a^-1: e + 1 rounds, and x^(e+1) underflows for tiny x
         return x**e * (x / a) * a ** (1 - k) * (np.vander(q, n.size, increasing=True) @ coef)
     # x^(e+1-k) coef_0 - a x^(e-k) sum_n coef_(n+1) q^n, not x^e x^(1-k) sum: the real
-    # first term may pass the float range (Re S = +-inf) where the rest does not
-    return coef[0] * x ** (e + (1 - k)) - a * x ** (e - k) * (
-        np.vander(q, n.size - 1, increasing=True) @ coef[1:])
+    # first term may pass the float range (Re S = +-inf) where the rest does not; a
+    # product inf * 0 there is nan, which the samples of h report
+    with np.errstate(invalid="ignore"):
+        return coef[0] * x ** (e + (1 - k)) - a * x ** (e - k) * (
+            np.vander(q, n.size - 1, increasing=True) @ coef[1:])
 
 
 #: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per evaluation chunk.
@@ -792,15 +780,28 @@ _GAUSS = np.polynomial.legendre.leggauss(12)
 _CHUNK = 1 << 12
 
 
+def _octave_edges(m: np.ndarray, big: np.ndarray, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges from m_i to big_i (0 < m_i <= big_i), log-evenly spaced with ratio
+    <= 2^(1/n) between neighbours and the ends exact, and the index i that owns each edge."""
+    log_m, span = np.log2(m), np.log2(big) - np.log2(m)
+    cuts = np.ceil(span * n).astype(np.int64)
+    owner = np.repeat(np.arange(m.size), cuts + 1)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(cuts + 1) - (cuts + 1), cuts + 1)
+    x = np.exp2(log_m[owner] + span[owner] * j / np.maximum(cuts, 1)[owner])
+    return np.where(j == 0, m[owner], np.where(j == cuts[owner], big[owner], x)), owner
+
+
+def _panels(edges: np.ndarray, owner: np.ndarray):
+    """Half-width, midpoint and owner of each panel between consecutive edges of one owner."""
+    inside = owner[1:] == owner[:-1]
+    left, right = edges[:-1][inside], edges[1:][inside]
+    return 0.5 * (right - left), 0.5 * (right + left), owner[:-1][inside]
+
+
 def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray) -> np.ndarray:
     """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio <= 2,
     ragged per point; where Re a < 0, graded toward the pole -a too."""
-    log_m, span = np.log2(m), np.log2(big) - np.log2(m)
-    cuts = np.ceil(span).astype(np.int64)
-    owner = np.repeat(np.arange(a.size), cuts + 1)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(cuts + 1) - (cuts + 1), cuts + 1)
-    x = np.exp2(log_m[owner] + span[owner] * j / np.maximum(cuts, 1)[owner])
-    x = np.where(j == 0, m[owner], np.where(j == cuts[owner], big[owner], x))  # exact ends
+    x, owner = _octave_edges(m, big)
     neg = np.flatnonzero(a.real < 0.0)
     if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|
         x0 = -a.real[neg, None]
@@ -811,9 +812,7 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
         owner = np.append(owner, who)
         order = np.lexsort((x, owner))
         x, owner = x[order], owner[order]
-    inside = owner[1:] == owner[:-1]
-    left, right, owner = x[:-1][inside], x[1:][inside], owner[:-1][inside]
-    half, mid = 0.5 * (right - left), 0.5 * (right + left)
+    half, mid, owner = _panels(x, owner)
     out = np.zeros(a.size, dtype=complex)
     for start in range(0, owner.size, _CHUNK):
         c = slice(start, start + _CHUNK)
@@ -917,7 +916,7 @@ def _widom_bounded(mu: Measure) -> bool:
     e <= 0.  Atoms sit inside the domain and never matter."""
     ends = (0.0,) if mu.domain == "halfplane" else (-1.0, 1.0)
     return all(
-        all(e >= 0.0 for r, e in zip(p.support, _endpoint_exponents(p, *p.support)) if r in ends)
+        all(_root_exponent(p, r) >= 0.0 for r in p.support if r in ends)
         and not (math.isinf(p.support[1]) and sum(e for _, _, e in p.factors) > 0.0)
         for p in mu.pieces
     )

@@ -45,6 +45,7 @@ from .measures import (
     total_mass,
     widom_check,
 )
+from .quadrature import QuadratureError
 
 __all__ = [
     "SymbolSamples",
@@ -193,10 +194,14 @@ def _check_offset(c: float) -> None:
 
 
 def _line_samples(mu: Measure, func, grid, n: int, empty_sup: float) -> SymbolSamples:
-    """Samples of ``func`` (h or c + h) with the jumps of h."""
+    """Samples of ``func`` (h or c + h) with the jumps of h; a value that is not
+    finite raises :class:`QuadratureError` at its p, before any check reads it."""
     if grid is None:
         grid = default_symbol_grid(mu, n)
     values = func(grid)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise QuadratureError(f"h is not finite at p = {float(np.asarray(grid)[bad.argmax()])!r}")
     return SymbolSamples(
         domain="halfplane",
         grid=np.asarray(grid, dtype=float),

@@ -122,8 +122,10 @@ def integrate(
         each panel sees a smooth integrand.
 
     A sweep bisects no more panels than :data:`DEFAULT_MAX_PANELS` leaves room
-    for, and exceeding it raises :class:`QuadratureError`.
+    for, and exceeding it raises :class:`QuadratureError`, as does a panel value
+    or error estimate that is not finite, as soon as one appears.
     """
+    interval = f"[{a}, {b}]"  # as passed, before a fold
     if b == math.inf and (a == -math.inf or math.isfinite(a)):
         line, origin, integrand = a == -math.inf, a, f
 
@@ -145,6 +147,9 @@ def integrate(
     rows = max(vals[0].size, 1)
     floor = max(abs_tol, np.finfo(float).tiny)  # a tolerance of 0 makes err / tol nan
     while True:
+        if not np.isfinite(errs).all():  # a value that is not finite makes its error so too
+            raise QuadratureError(f"the integrand is not finite on {interval}: "
+                                  "refining cannot mend a nan or an infinity")
         n = len(los)
         total = vals.sum(axis=0)
         tol = np.maximum(floor, rel_tol * abs(total))

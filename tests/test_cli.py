@@ -471,6 +471,21 @@ def test_near_zero_exponent_on_an_unbounded_support_is_exit_0(write_spec, capsys
         math.pi / (2.0 * math.cos(math.pi * e / 2.0)), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("command", ["symbol", "verify-all"])
+def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, command: str) -> None:
+    # lambda^-1 on [1e-300, 2]: the tail series of S gives nan at p = +-1e-300; symbol
+    # printed nan and exited 0, verify-all ran 52 s to 4096 panels and exited 4
+    spec = write_spec({"domain": "halfplane", "densities": [
+        {"kind": "power", "coeff": 1.0, "exponent": -1.0, "base": "lambda",
+         "support": [1e-300, 2.0]}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, command, "--spec", str(spec))
+    assert code == 4
+    assert out == ""
+    assert "h is not finite at p = -1e-300" in err
+
+
 def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:
     def explode(mu, n=1024):
         raise QuadratureError("requested tolerance not reached")

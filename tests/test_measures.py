@@ -20,7 +20,6 @@ from hankelpos.measures import (
     _beta_moment,
     _moment_sup,
     _sorted_unique,
-    piece_integral,
 )
 
 INF = float("inf")
@@ -419,13 +418,13 @@ def test_beta_moments_match_mpmath_up_to_the_cap(e: float, support) -> None:
 
 def test_beta_moments_of_a_huge_exponent_fall_back_to_quadrature() -> None:
     # P_j = prod i / (i + e + 1) leaves the float range before the cap: the
-    # recurrence gives way to the panels, which keep the quadrature's tolerance
+    # recurrence gives way to the graded rule, with 334 panels an octave for e = 1000
     assert _beta_moment(np.arange(MOMENT_CAP + 1), 1000.0, 0.0, 1.0) is None
     mu = hp.disc_measure(pieces=[hp.power_piece(1.0, 1000.0, "one_minus_x", (0.0, 1.0))])
     got = hp.moments(mu, MOMENT_CAP + 1)
     assert np.isfinite(got).all()
     for j in [*range(8), 100]:
-        assert got[j] == pytest.approx(_beta_reference(j, 1000.0, 0.0, 1.0), rel=1e-9), j
+        assert got[j] == pytest.approx(_beta_reference(j, 1000.0, 0.0, 1.0), rel=1e-13), j
 
 
 def test_sorted_unique_is_np_unique() -> None:
@@ -754,28 +753,20 @@ def test_pushforward_rejects_disc_measures(disc_leb: hp.Measure) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_piece_integral_handles_an_inner_endpoint_singularity() -> None:
-    piece = hp.power_piece(1.0, -0.5, "one_minus_x", (0.0, 1.0))
+def test_rule_moments_handle_an_inner_endpoint_singularity() -> None:
+    # (1+x)^0 (1-x)^-0.5: a Cayley piece, so its moments take the graded rule
+    mu = hp.disc_measure(pieces=[CayleyPiece(1.0, 0.0, -0.5, (0.0, 1.0))])
     for j in (0, 16, 256):
         expected, _ = sp_integrate.quad(
             lambda x: x**j * (1.0 - x) ** -0.5, 0.0, 1.0, points=[1.0]
         )
-        value = piece_integral(piece, lambda x: x ** float(j))
-        assert value == pytest.approx(expected, rel=1e-9)
+        assert hp.moment(mu, j) == pytest.approx(expected, rel=1e-9)
 
 
-def test_piece_integral_handles_the_origin_singularity() -> None:
-    piece = hp.power_piece(1.0, -0.5, "lambda", (0.0, 1.0))
+def test_laplace_transform_handles_the_origin_singularity() -> None:
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, -0.5, "lambda", (0.0, 1.0))])
     expected = math.sqrt(math.pi) * math.erf(1.0)
-    value = piece_integral(piece, lambda lam: np.exp(-lam))
-    assert value == pytest.approx(expected, rel=1e-11)
-
-
-def test_piece_integral_validates_bounds() -> None:
-    piece = hp.lebesgue_piece(0.0, 1.0)
-    with pytest.raises(ValueError):
-        piece_integral(piece, lo=-1.0, hi=0.5)
-    assert piece_integral(piece, lo=0.3, hi=0.3) == 0.0
+    assert hp.laplace_transform(mu, 1.0) == pytest.approx(expected, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

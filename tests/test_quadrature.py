@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ def test_divergent_tail_raises(monkeypatch) -> None:
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 64)
     with pytest.raises(QuadratureError):
         integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
+
+
+@pytest.mark.parametrize("a, b, shown", [(0.0, 1.0, "[0.0, 1.0]"), (0.0, math.inf, "[0.0, inf]"),
+                                          (-math.inf, math.inf, "[-inf, inf]")])
+def test_a_value_that_is_not_finite_raises_at_once(a, b, shown) -> None:
+    calls = []
+
+    def f(x):  # nan right of 0.5
+        calls.append(x.size)
+        with np.errstate(invalid="ignore"):
+            return np.where(x < 0.5, x, np.sqrt(-np.ones_like(x)))
+
+    with pytest.raises(QuadratureError, match=re.escape(f"not finite on {shown}")):
+        integrate(f, a, b, breakpoints=[0.25])
+    assert len(calls) == 2  # the first panel, then the others: no refinement
 
 
 def test_integrand_receives_vectorized_nodes() -> None:

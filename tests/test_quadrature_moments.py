@@ -1,11 +1,12 @@
-"""Moments on the quadrature path: the power matrix x^j and the moments built on it.
+"""Density integrals on the graded rule, and the power matrix x^j of its moments.
 
-``_quadrature_moments`` serves Cayley pieces, the part of a (1-+x)^e piece on
-the far side of 0 and pieces with e <= -1.  Its integrand is the matrix of
-x^j over the orders and nodes, formed as exp(j log|x|) with the sign of x at
-odd j.  The moments are checked against mpmath at 40 digits, integrated in
-the distance to the nearer end of [-1, 1] so that (1 +- x)^e stays exact
-there.
+The graded rule serves the moments of Cayley pieces, the part of a (1-+x)^e
+piece on the far side of 0 or off its root with e <= -1, the cut masses of
+two-factor pieces and Laplace transforms.  Its moments form the matrix of x^j
+over the orders and nodes as exp(j log|x|) with the sign of x at odd j.  The
+values are checked against mpmath at 30 digits: moments and masses integrated
+in the distance to the nearer end of [-1, 1], so that (1 +- x)^e stays exact
+there, Laplace transforms as incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankelpos.measures import (
-    MOMENT_CAP,
-    CayleyPiece,
-    _powers,
-    _quadrature_moments,
-    piece_integral,
-    power_piece,
-)
-from hankelpos.quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
+import hankelpos as hp
+from hankelpos.measures import MOMENT_CAP, CayleyPiece, _powers, _rule_moments, power_piece
 
 U = 2.0**-53
 
@@ -81,49 +75,54 @@ def test_powers_that_underflow_are_zero_or_within_two_units_absolute() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature-path moments against mpmath
+# Moments, masses and Laplace transforms against mpmath
 # ---------------------------------------------------------------------------
 
 
 def _end_quad(f, e: float, a, b):
-    """``int_a^b d^e f(d) dd`` for 0 <= a < b and smooth f; from a = 0 with
-    e < 0 in s = d^(e+1), which takes the singular d^e dd to ds / (e+1)."""
-    if a == 0 and e < 0.0:
-        return mpmath.quad(lambda t: f(t ** (1 / (e + 1))), [0, b ** (e + 1)]) / (e + 1)
-    return mpmath.quad(lambda d: d**e * f(d), [a, b])
+    """``int_a^b d^e f(d) dd`` for 0 <= a < b and smooth f, on an integrand of the
+    size of f: mpmath's error control is absolute.  From a = 0 in s = (d/b)^(e+1),
+    which takes d^e dd to b^(e+1) ds / (e+1); else in d = a + (b - a) s, a^e taken out."""
+    if a == 0:
+        return b ** (e + 1) / (e + 1) * mpmath.quad(lambda s: f(b * s ** (1 / (e + 1))), [0, 1])
+    return a**e * (b - a) * mpmath.quad(
+        lambda s: (1 + (b - a) / a * s) ** e * f(a + (b - a) * s), [0, 1])
 
 
-def _reference(piece, j: int, lo: float, hi: float) -> float:
-    """``int_lo^hi x^j piece.density dx`` at 40 digits, on panels graded
-    toward +-1 as x^j needs, in the distance d to the nearer end of [-1, 1]:
-    d = 1 + x left of 0, d = 1 - x right of it."""
+def _reference(piece, j: int, lo: float, hi: float):
+    """``int_lo^hi x^j piece.density dx`` at 30 digits, on panels graded toward
+    +-1 as x^j needs, in the distance d to the nearer end of [-1, 1] where
+    |x| >= 1/2: d = 1 + x left of 0, d = 1 - x right of it; in x itself where
+    |x| <= 1/2, whose short spans 1 +- x would round off at 30 digits."""
     k = np.arange(1, max(2, (4 * j).bit_length()))
     cuts = sorted({lo, hi, 0.0, *(1.0 - 0.5**k), *(0.5**k - 1.0)})
     cuts = [t for t in cuts if lo <= t <= hi]
     ep = sum(e for r, _, e in piece.factors if r < 0.0)  # of 1 + x
     em = sum(e for r, _, e in piece.factors if r > 0.0)  # of 1 - x
-    with mpmath.workdps(40):
+    with mpmath.workdps(30):
         one, total = mpmath.mpf(1), mpmath.mpf(0)
         for a, b in zip(cuts, cuts[1:]):
-            if b <= 0.0:
+            if -0.5 <= a and b <= 0.5:
+                x = lambda s: a + (b - a) * s  # noqa: E731
+                total += (b - a) * mpmath.quad(
+                    lambda s: x(s) ** j * (1 + x(s)) ** ep * (1 - x(s)) ** em, [0, 1])
+            elif b <= 0.0:
                 total += _end_quad(lambda d: (d - 1) ** j * (2 - d) ** em, ep, one + a, one + b)
             else:
                 total += _end_quad(lambda d: (1 - d) ** j * (2 - d) ** ep, em, one - b, one - a)
-        return float(piece.coeff * total)
+        return piece.coeff * total
 
 
-def _check_against_mpmath(piece, js: list[int], lo: float, hi: float) -> None:
-    """|c_j - ref_j| within the tolerance ``_quadrature_moments`` asks of
-    ``integrate``, or 4u times the mass where that is larger."""
-    js = np.array(sorted(set(js)))
+def _check_moments(piece, js: list[int]) -> None:
+    """|c_j - ref_j| within 1e-14 of ref_j, or 1e-15 of the piece's mass where c_j ~ 0."""
+    mu = hp.disc_measure(pieces=[piece])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _quadrature_moments(piece, js, lo, hi)
-    mass = piece_integral(piece, rel_tol=1e-13)
+        got = [hp.moment(mu, j) for j in js]
+    mass = float(_reference(piece, 0, *piece.support))
     for j, c in zip(js, got):
-        ref = _reference(piece, int(j), lo, hi)
-        tol = max(DEFAULT_ABS_TOL * max(1.0, mass / 10.0), DEFAULT_REL_TOL * abs(ref), 4.0 * U * mass)
-        assert abs(c - ref) <= tol, (j, c, ref)
+        ref = float(_reference(piece, j, *piece.support))
+        assert abs(c - ref) <= max(1e-14 * abs(ref), 1e-15 * mass), (j, c, ref)
 
 
 #: Orders: one up to the cap and one small.
@@ -141,9 +140,11 @@ def cayley_supports(draw) -> tuple[float, float]:
 @settings(deadline=None, max_examples=30)
 @given(ep=EXPONENTS, em=EXPONENTS, support=cayley_supports(), js=ORDERS)
 @example(ep=0.0, em=-0.875, support=(-1.0, 1.0), js=[0, 0])
+@example(ep=3.0, em=3.0, support=(-1.0, 1.0), js=[MOMENT_CAP, 4095])
+@example(ep=-0.95, em=-0.95, support=(-1.0, 1.0), js=[MOMENT_CAP, 1])
+@example(ep=40.0, em=-40.0, support=(-1.0, 0.5), js=[MOMENT_CAP, 3])  # 14 panels an octave
 def test_cayley_piece_moments_match_mpmath(ep, em, support, js) -> None:
-    piece = CayleyPiece(1.0, ep, em, support)
-    _check_against_mpmath(piece, js, *support)
+    _check_moments(CayleyPiece(1.0, ep, em, support), js)
 
 
 @settings(deadline=None, max_examples=30)
@@ -152,13 +153,78 @@ def test_cayley_piece_moments_match_mpmath(ep, em, support, js) -> None:
 @example(e=-0.5, base="one_minus_x", lo=-0.5, hi=0.5, js=[MOMENT_CAP, 1])
 @example(e=-0.5, base="one_minus_x", lo=-0.5, hi=1.0, js=[MOMENT_CAP, 0])
 def test_the_far_side_of_a_beta_piece_crossing_zero_matches_mpmath(e, base, lo, hi, js) -> None:
-    # (1-x)^e on [lo, hi] takes the quadrature on [lo, 0], (1+x)^e on [0, hi]
-    piece = power_piece(1.0, e, base, (lo, hi))
-    _check_against_mpmath(piece, js, *((lo, 0.0) if base == "one_minus_x" else (0.0, hi)))
+    # (1-x)^e on [lo, hi] takes the graded rule on [lo, 0], (1+x)^e on [0, hi]
+    _check_moments(power_piece(1.0, e, base, (lo, hi)), js)
+
+
+@settings(deadline=None, max_examples=30)
+@given(e=st.floats(-3.0, -1.0), lo=st.floats(-1.0, 0.9), gap=st.floats(1e-12, 0.5), js=ORDERS)
+@example(e=-1.0, lo=0.0, gap=1e-12, js=[MOMENT_CAP, 1])
+def test_a_beta_piece_off_its_root_with_e_at_most_minus_one_matches_mpmath(e, lo, gap, js) -> None:
+    hi = max(min(1.0 - gap, 1.0 - 2.0**-52), lo + 0.05)
+    _check_moments(power_piece(1.0, e, "one_minus_x", (lo, hi)), js)
 
 
 def test_a_cayley_piece_off_both_ends_has_no_warning_at_a_node_on_zero() -> None:
-    # [-0.5, 0.5] puts the middle node of a 15-point panel on 0
+    # [-0.5, 0.5] puts a panel edge on 0
     piece = CayleyPiece(1.0, 0.5, -0.5, (-0.5, 0.5))
-    _check_against_mpmath(piece, [0, 1, 2, 3], -0.5, 0.5)
-    assert math.isfinite(_quadrature_moments(piece, np.arange(MOMENT_CAP + 1), -0.5, 0.5).sum())
+    _check_moments(piece, [0, 1, 2, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isfinite(_rule_moments(piece, np.arange(MOMENT_CAP + 1), -0.5, 0.5).sum())
+
+
+@st.composite
+def cuts(draw, support: tuple[float, float]) -> tuple[float, float]:
+    """A cut inside the support, often within 1e-12 of an end."""
+    lo, hi = support
+    near = st.floats(0.0, 1e-12)
+    a = draw(st.just(lo) | near.map(lambda g: min(lo + g, hi)) | st.floats(lo, hi))
+    b = draw(st.just(hi) | near.map(lambda g: max(hi - g, a)) | st.floats(a, hi))
+    return a, b
+
+
+@settings(deadline=None, max_examples=30)
+@given(ep=EXPONENTS, em=EXPONENTS, support=cayley_supports(), data=st.data())
+@example(ep=0.0, em=0.5, support=(-1.0, 1.0), data=None)
+@example(ep=-0.95, em=3.0, support=(-1.0, 1.0), data=None)
+def test_cut_masses_match_mpmath(ep, em, support, data) -> None:
+    """mu([a, b]) within 1e-14 of the cut's own mass, also next to +-1."""
+    piece = CayleyPiece(1.0, ep, em, support)
+    mu = hp.disc_measure(pieces=[piece])
+    lo, hi = support
+    pairs = [data.draw(cuts(support)) for _ in range(3)] if data else [
+        (lo, hi), (lo, lo + 1e-12), (hi - 1e-12, hi), (lo + 2.0**-52, 0.0)]
+    for a, b in pairs:
+        ref = float(_reference(piece, 0, a, b))
+        got = hp.mass_interval(mu, a, b)
+        assert abs(got - ref) <= 1e-14 * ref, (a, b, got, ref)
+
+
+def _laplace_reference(e: float, lo: float, hi: float, t: float) -> float:
+    """``int_lo^hi lambda^e exp(-t lambda)``, the incomplete gamma function
+    ``Gamma(e+1, t lo) - Gamma(e+1, t hi)`` over ``t^(e+1)``."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        return float(mpmath.gammainc(e + 1, t * lo, t * mpmath.mpf(hi)) / t ** (e + 1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(e=st.floats(-0.95, 0.95), lo=st.just(0.0) | st.floats(1e-3, 1e3),
+       width=st.just(math.inf) | st.floats(1e-6, 1e3),
+       t=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=4))
+@example(e=-0.378, lo=0.0, width=math.inf, t=[1e-2, 0.5, 100.0])
+@example(e=0.9, lo=0.0, width=math.inf, t=[1e-2, 100.0])
+@example(e=0.3, lo=100.0, width=math.inf, t=[0.5, 6.5])  # t lo = 650 >> 1
+@example(e=0.0, lo=5.0, width=1e-6, t=[1e-2, 3.7])
+def test_laplace_transforms_match_mpmath(e, lo, width, t) -> None:
+    hi = lo + width
+    if lo > 0.0 and e < 0.0:
+        e = 2.0 * e - 1.0  # off the root, exponents to -2.9
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = hp.laplace_transform(mu, np.array(t))
+    for g, s in zip(got, t):
+        ref = _laplace_reference(e, lo, hi, s)
+        assert abs(g - ref) <= 1e-13 * ref + np.finfo(float).tiny, (s, g, ref)  # subnormal: absolute

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
-from hankelpos.measures import piece_integral, stieltjes
+from hankelpos.measures import stieltjes
+from hankelpos.quadrature import integrate
 
 PI = math.pi
 EXPONENTS = (-0.999, -0.5, 0.3, 0.5, 0.9)
@@ -92,7 +93,7 @@ def test_power_piece_matches_quadrature() -> None:
     mu = hp.halfplane_measure(pieces=[piece])
     for a in (1.0, 2.0, 1.0 - 1.0j, 0.1 + 3.0j, 1e-3j, 50.0, -1.5 + 0.2j):
         for k in (1, 2):
-            ref = piece_integral(piece, lambda lam: (lam + a) ** -k, rel_tol=1e-13)
+            ref = integrate(lambda lam: lam**0.5 * (lam + a) ** -k, 1.0, 2.0, rel_tol=1e-13)
             assert complex(stieltjes(mu, a, k)) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
