@@ -36,7 +36,8 @@ Exit codes: 0 success; 1 a verification verdict failed; 2 unusable input
 (bad arguments, unreadable/invalid measure file, wrong domain for the
 command, sections that overflow double precision, an unwritable ``--out``);
 3 the measure fails the boundedness test but the command needs a bounded
-symbol; 4 quadrature did not converge to tolerance.
+symbol; 4 a numerical stage failed: quadrature did not converge, an integrand
+or h is not finite (the message names which).
 
 ``HANKELPOS_THREADS`` caps the linear-algebra thread pools (it must be set
 before the first ``import hankelpos``; see the package ``__init__``).
@@ -402,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"hankelpos: unusable input: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
-        print(f"hankelpos: quadrature did not converge: {exc}", file=sys.stderr)
+        print(f"hankelpos: {exc}", file=sys.stderr)
         return 4
     if isinstance(payload, dict):
         command = {} if args.command == "report" else {"command": args.command}

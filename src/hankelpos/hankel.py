@@ -520,7 +520,8 @@ def verify_rp_transport(
     def polar_integrand(x: np.ndarray) -> np.ndarray:
         d = np.asarray(delta_values(mu, c, x), dtype=complex)
         modulus = np.abs(d)
-        unimodular = d / modulus
+        with np.errstate(invalid="ignore"):  # a delta that is not finite: nan, which
+            unimodular = d / modulus  # integrate reports as an integrand not finite
         return unimodular * modulus * _kernel_rows(x, zs, wbars)
 
     line = (-math.inf, math.inf)

@@ -31,15 +31,18 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   ``e <= -1`` take the graded rule below;
 * Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
   pieces on [lo, hi] (:func:`stieltjes`), with no difference of nearly equal
-  terms.  The head [lo, m], m = min(|a|/2, hi), and the tail [M, hi],
-  M = max(2|a|, lo), are differences of end series in lambda/a and a/lambda
-  (one series where lo = 0 or hi = oo; the tail's finite part where it
-  diverges), unless short, cancelling or hit by a pole.  The rest takes
-  12-point Gauss-Legendre on panels of ratio <= 2, whose Bernstein ellipse of
-  parameter 3 + sqrt 8 leaves out 0 and, for Re a >= 0, the pole -a, so the
-  rule errs by ~5.8^-24 (Trefethen, *Approximation Theory and Approximation
-  Practice*, ch. 8, 19).  Re a < 0 adds breakpoints ``-Re a +- 0.4 |Im a|
-  2^i``; a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.
+  terms, each value a function of its own point alone.  The head [lo, m],
+  m = min(|a|/2, hi), and the tail [M, hi], M = max(2|a|, lo), take 62 terms
+  (|q| <= 1/2) of the series in lambda/a and a/lambda wherever that spares 8 or
+  more octaves, for every e, each term integrated between the ends:
+  ``x^s (1 - (x0/x1)^|s|) / |s|`` from the end x where |x^s| is larger,
+  log(x1/x0) at s = 0, the finite part -x0^s/s where x1 = oo.  The rest takes
+  12-point Gauss-Legendre on panels of ratio <= 2^(1/n), |e| <= 3n, whose ellipse
+  of parameter 3 + sqrt 8 leaves out 0 and, for Re a >= 0, the pole -a: ~5.8^-24
+  (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8, 19).
+  Re a < 0 adds breakpoints ``-Re a +- 0.4 |Im a| 2^i`` until they pass 4 |Re a|,
+  next to which lambda + a is formed from the panel's left edge and S_2 by parts;
+  a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.
 
 Moment closed forms are evaluated over the whole vector of requested orders.
 The rest — moments and cut masses of the Moebius-power pieces of the Cayley
@@ -535,7 +538,7 @@ def _per_octave(p: Piece) -> int:
 
 def _gauss_nodes(edges: np.ndarray, owner: np.ndarray):
     """12-point Gauss-Legendre nodes, weights and owners on the :func:`_panels`."""
-    half, mid, owner = _panels(edges, owner)
+    half, mid, owner, _ = _panels(edges, owner)
     return ((mid[:, None] + half[:, None] * _GAUSS[0]).ravel(),
             (half[:, None] * _GAUSS[1]).ravel(), np.repeat(owner, _GAUSS[0].size))
 
@@ -716,25 +719,21 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     if e == 0.0:
         s = _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
     else:  # the head [lo, m] and tail [M, hi] by end series, [m, M] by Gauss panels;
-        # the series only where they spare 8 or more octaves and each power x^d of
-        # their terms, d = e+1+n or e+1-k-n, changes 2x or more, so that a difference
-        # cancels at most 3x (none where some d = 0: a log); hi = oo keeps its tail
-        reach_h, reach_t = (2.0 ** -max(8.0, 1.0 / d) if d > 0.0 else 0.0 for d in (
-            e + 1.0 if e > -1.0 else abs(e - round(e)),
-            k - 1.0 - e if e < k - 1.0 else abs(e - round(e))))
+        # a series wherever it spares 8 or more octaves (hi = oo keeps its tail)
         r = np.abs(a)
         m = np.minimum(np.maximum(0.5 * r, lo), hi)  # np.clip costs ~5 us a call
-        head = lo <= m * reach_h
+        head = lo <= m * 2.0**-8
         m = np.where(head, m, lo)
         big = np.minimum(np.maximum(2.0 * r, m), hi)
-        tail = np.isinf(hi) if reach_t == 0.0 else big <= hi * reach_t
+        tail = big <= hi * 2.0**-8
         big = np.where(tail, big, hi)
-        s = _gauss_panels(e, a, k, m, big)
-        low, up = head & (lo > 0.0), tail & np.isfinite(hi)
-        s[head] += _end_series(e, a[head], k, m[head], True)
-        s[low] -= _end_series(e, a[low], k, lo[low], True)
-        s[tail] += _end_series(e, a[tail], k, big[tail], False)
-        s[up] -= _end_series(e, a[up], k, hi[up], False)
+        # a value that is not a normal double is taken again, scaled by powers of 2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s = _gauss_panels(e, a, k, m, big, _per_octave(p))
+            if head.any():
+                s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
+            if tail.any():
+                s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
         s = c * s.real + 1j * (c * s.imag)  # not c * s: 0 * inf = nan where Re s is inf
     out[live] = s
     return out.reshape(pad.shape)
@@ -742,42 +741,80 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
 
 def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):
     """``c int_lo^hi dlambda / (lambda + a)^k``, the finite part where hi = oo, k = 1."""
-    if k == 2:
-        return c / (lo + a) if unbounded else c * (hi - lo) / ((lo + a) * (hi + a))
+    if k == 2:  # (hi - lo) / (hi + a) first: (lo + a)(hi + a) may overflow where S does not
+        return c / (lo + a) if unbounded else c * ((hi - lo) / (hi + a)) / (lo + a)
     if unbounded:
         return -c * np.log(lo + a)
-    # log1p(u): NumPy's complex log1p loses the real part for small |u|
+    # log1p(u): NumPy's complex log1p loses the real part for small |u|; where 1 + u nears 0
+    # or u re + im^2 would overflow, the logs and angles of hi + a and lo + a apart
     u = (hi - lo) / (lo + a)
     re, im = u.real, u.imag
+    with np.errstate(over="ignore", divide="ignore"):
+        log, arg = 0.5 * np.log1p(re * (2.0 + re) + im * im), np.arctan2(im, 1.0 + re)
+        far = ((1.0 + re) ** 2 + im * im < 0.25) | ~(re * re + im * im < 1e300)
+        if far.any():
+            log = np.where(far, np.log(np.abs(hi + a)) - np.log(np.abs(lo + a)), log)
+            arg = np.where(far, np.angle(hi + a) - np.angle(lo + a), arg)
     # not c * (x + iy): its 0 * inf is nan once x overflows (a -> -lo)
-    return c * (0.5 * np.log1p(re * (2.0 + re) + im * im)) + 1j * c * np.arctan2(im, 1.0 + re)
+    return c * log + 1j * c * arg
 
 
-def _end_series(e: float, a: np.ndarray, k: int, x: np.ndarray, head: bool) -> np.ndarray:
-    """``int_0^x`` (head, x <= |a|/2) or ``int_x^oo`` (tail, x >= 2|a|; the finite
-    part where it diverges) of ``lambda^e (lambda + a)^-k``: x^(e+1) a^-k times
-    ``sum_n (n+1)^(k-1) (-x/a)^n / (n+e+1)``, or x^(e+1-k) times
-    ``sum_n (n+1)^(k-1) (-a/x)^n / (n+k-1-e)``."""
-    if not x.size:
-        return np.zeros(0, dtype=complex)
-    q, shift = (-x / a, e + 1.0) if head else (-a / x, k - 1.0 - e)
-    # one term more than 2^-60 of the sum needs: the first term is real at the tail,
-    # and the imaginary part starts one term later
-    n = np.arange(1 + math.ceil(-60.0 / math.log2(max(np.abs(q).max(), 2.0**-60))))
-    coef = (n + 1.0) ** (k - 1) / (n + shift)
-    if head:  # x^e x/a, not x^(e+1) a^-1: e + 1 rounds, and x^(e+1) underflows for tiny x
-        return x**e * (x / a) * a ** (1 - k) * (np.vander(q, n.size, increasing=True) @ coef)
-    # x^(e+1-k) coef_0 - a x^(e-k) sum_n coef_(n+1) q^n, not x^e x^(1-k) sum: the real
-    # first term may pass the float range (Re S = +-inf) where the rest does not; a
-    # product inf * 0 there is nan, which the samples of h report
-    with np.errstate(invalid="ignore"):
-        return coef[0] * x ** (e + (1 - k)) - a * x ** (e - k) * (
-            np.vander(q, n.size - 1, increasing=True) @ coef[1:])
+def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
+                head: bool) -> np.ndarray:
+    """``int_x0^x1 lambda^e (lambda + a)^-k`` over a head (x1 <= |a|/2) or a tail (x0 >= 2|a|;
+    the finite part where x1 = oo), term by term as the module docstring says: term n has
+    s = e+1+n or e+1-k-n, and the f terms whose s has the other sign are taken at the far end."""
+    shift = e + 1.0 if head else k - 1.0 - e  # d = n + shift: s at the head, -s at the tail
+    f = max(0, math.ceil(-shift))
+    n = np.arange(f + 62)
+    d = n + shift
+    log = -_power_primitive_diff(-1.0, x0, x1)  # log(x0/x1), -oo where x0 = 0 or x1 = oo
+    # -expm1(|d| log) / d, whole where s nears 0: (1 - (x0/x1)^|s|) / |s| at the near end,
+    # its negative at the far end (d < 0) but where x1 = oo: there the finite part x0^s/d;
+    # one row per term (-expm1(-oo) = 1: no expm1 where every log is -oo)
+    w = (np.expm1(np.multiply.outer(np.abs(d), log)) if np.isfinite(log).any()
+         else np.full((n.size, log.size), -1.0))
+    w *= (-(n + 1.0) ** (k - 1) / d)[:, None]
+    w[d == 0.0] = np.multiply.outer((n[d == 0.0] + 1.0) ** (k - 1), -log)
+    w[:f] *= np.where(np.isinf(x1), 1.0, -1.0)
+
+    def group(x, rows, i, m, px=None):  # x^(e+i) a^-m sum_n w_n q^(n - rows.start)
+        q, terms = -x / a if head else -a / x, np.empty((rows.stop - rows.start, x.size), complex)
+        terms[0] = 1.0
+        for t in range(1, terms.shape[0]):  # q^n, row by row
+            np.multiply(terms[t - 1], q, out=terms[t])
+        terms *= w[rows]  # the rows added one by one, not by a BLAS product or a pairwise
+        s = sum(terms[1:], terms[0])  # sum, so that S at one point depends on that point alone
+        b, j = (1.0 / a, m) if m > 0 else (a, -m)  # b^j = a^-m
+        px, bj = x ** (e + i) if px is None else px, b**j
+        out = px * bj * s  # scaled by powers of 2 where a factor is not a normal double
+        odd = ~np.isfinite(out) | (np.minimum(abs(out), np.minimum(abs(px), abs(bj))) < _TINY)
+        out[odd] = _scaled_power(x[odd], e, i, b[odd], j, s[odd])
+        return out
+
+    if head:  # x^e x, not x^(e+1): e + 1 rounds; e + 1 + f is exact where f > 0 (e < -1)
+        out = (-1.0) ** f * group(x1, slice(f, n.size), 1 + f, k + f, x1 ** (e + f) * x1)
+        return out + group(x0, slice(0, f), 1, k) if f else out
+    # at the far end x1 (x0 where x1 = oo) the real first term apart: it may pass the float
+    # range (Re S = +-inf) where the rest does not, and a product inf * 0 would be nan
+    far = np.where(np.isinf(x1), x0, x1)
+    out = (-1.0) ** f * group(x0, slice(f, n.size), 1 - k - f, -f)
+    out += w[0] * far ** (e + (1 - k)) if f else 0.0
+    return out - group(far, slice(1, f), -k, -1) if f > 1 else out
 
 
-#: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per evaluation chunk.
+def _scaled_power(x: np.ndarray, e: float, i: int, b: np.ndarray, j: int, v) -> np.ndarray:
+    """``v x^(e+i) b^j`` (x > 0; integers i, j >= 0) with its factors scaled by powers of 2: a
+    normal double wherever it is one, whatever x^e (|e log2 x| < 8000), x^i and b^j are alone."""
+    (mx, ex), (m1, e1), eb = np.frexp(x ** (e / 8.0)), np.frexp(x), np.frexp(np.abs(b))[1]
+    p, scale = mx**8 * m1**i * (np.ldexp(1.0, -eb) * b) ** j * v, 8 * ex + i * e1 + j * eb
+    p.real, p.imag = np.ldexp(p.real, scale), np.ldexp(p.imag, scale)
+    return p
+
+
+#: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per chunk; least normal.
 _GAUSS = np.polynomial.legendre.leggauss(12)
-_CHUNK = 1 << 12
+_CHUNK, _TINY = 1 << 12, np.finfo(float).tiny
 
 
 def _octave_edges(m: np.ndarray, big: np.ndarray, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -792,42 +829,68 @@ def _octave_edges(m: np.ndarray, big: np.ndarray, n: int = 1) -> tuple[np.ndarra
 
 
 def _panels(edges: np.ndarray, owner: np.ndarray):
-    """Half-width, midpoint and owner of each panel between consecutive edges of one owner."""
-    inside = owner[1:] == owner[:-1]
+    """Half-width, midpoint, owner and left edge of each nonempty panel between edges of one
+    owner."""
+    inside = (owner[1:] == owner[:-1]) & (edges[1:] > edges[:-1])
     left, right = edges[:-1][inside], edges[1:][inside]
-    return 0.5 * (right - left), 0.5 * (right + left), owner[:-1][inside]
+    return 0.5 * (right - left), 0.5 * (right + left), owner[:-1][inside], left
 
 
-def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray) -> np.ndarray:
-    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio <= 2,
-    ragged per point; where Re a < 0, graded toward the pole -a too."""
-    x, owner = _octave_edges(m, big)
+def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray,
+                  n: int, split: bool = False) -> np.ndarray:
+    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio
+    <= 2^(1/n), ragged per point; where Re a < 0, graded toward the pole -Re a too, and
+    next to it lambda + a formed from the left edge and k = 2 taken by parts.  A point whose
+    value is not a normal double is taken again by :func:`_scaled_power` (``split``)."""
+    # the pole -Re a where Re a < 0 and it is within [m/2, 2 big], else 0
+    pole = np.where((a.real < 0.0) & (-a.real >= 0.5 * m) & (-a.real <= 2.0 * big), -a.real, 0.0)
+    if k == 2 and not split and pole.any():  # by parts next to a pole: there the panels'
+        # (lambda + a)^-2 cancel from ~1/Im a to S, its parts do not
+        out, near = np.empty(a.size, dtype=complex), pole > 0.0
+        out[~near] = _gauss_panels(e, a[~near], 2, m[~near], big[~near], n)
+        ends = m ** (e - 1.0) * (m / (m + a)) - big ** (e - 1.0) * (big / (big + a))
+        out[near] = ends[near] + e * _gauss_panels(
+            e - 1.0, a[near], 1, m[near], big[near], max(n, math.ceil(abs(e - 1.0) / 3.0)))
+        return out
+    x, owner = _octave_edges(m, big, n)
     neg = np.flatnonzero(a.real < 0.0)
-    if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|
-        x0 = -a.real[neg, None]
-        d = 0.4 * np.maximum(np.abs(a.imag[neg, None]), 2.0**-60 * x0)
-        step = d * np.exp2(np.arange(np.ceil(np.log2(4.0 * x0 / d).max()) + 1.0))
-        who = np.repeat(neg, 2 * step.shape[1])
-        x = np.append(x, np.clip(np.hstack([x0 - step, x0 + step]).ravel(), m[who], big[who]))
+    if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|, point by point
+        x0 = -a.real[neg]
+        d = 0.4 * np.maximum(np.abs(a.imag[neg]), 2.0**-60 * x0)
+        i = np.repeat(np.arange(neg.size), np.maximum(np.ceil(np.log2(4.0 * x0 / d)) + 1.0, 0.0)
+                      .astype(np.int64))  # the point of each step
+        step, who = d[i] * np.exp2(np.arange(i.size) - np.searchsorted(i, i)), np.tile(neg[i], 2)
+        x = np.append(x, np.clip(np.append(x0[i] - step, x0[i] + step), m[who], big[who]))
         owner = np.append(owner, who)
         order = np.lexsort((x, owner))
         x, owner = x[order], owner[order]
-    half, mid, owner = _panels(x, owner)
+    half, mid, owner, left = _panels(x, owner)
     out = np.zeros(a.size, dtype=complex)
-    for start in range(0, owner.size, _CHUNK):
-        c = slice(start, start + _CHUNK)
+    # chunks of whole points, each about _CHUNK panels, and the rows added one by one,
+    # not by a BLAS product, so that S at one point does not depend on the other points
+    bounds = np.append(np.searchsorted(owner, owner[::_CHUNK]), owner.size)
+    for c in map(slice, bounds[:-1], bounds[1:]):
         lam = mid[c] + half[c] * _GAUSS[0][:, None]  # one row per Gauss node
         r = 1.0 / (lam + a[owner[c]])
+        near = pole[owner[c]] > 0.0  # there lambda + a = (left - pole) + half (1 + t) + i Im a:
+        if near.any():  # left - pole is exact next to the pole, and the panels tile there
+            p = owner[c][near]
+            r[:, near] = 1.0 / ((left[c][near] - pole[p])
+                                + half[c][near] * (1.0 + _GAUSS[0][:, None]) + 1j * a.imag[p])
         # half r first (|half r| <= 1/2 for Re a >= 0): lambda^e half or lambda^e r^k
         # can leave the float range where the panel's integral does not
-        v = lam**e * (half[c] * r)
-        if k == 2:
+        v = _scaled_power(lam, e, 0, r, k, half[c]) if split else lam**e * (half[c] * r)
+        if k == 2 and not split:
             v *= r
         v *= _GAUSS[1][:, None]
-        # the rows added one by one, not by a BLAS product, so that S at one point
-        # does not depend on the other points of the call
         v = sum(v[1:], v[0])
         out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(owner[c], v.imag, a.size)
+    shortest = np.full(a.size, np.inf)  # half r >= shortest / (big + |a|) may be subnormal
+    np.minimum.at(shortest, owner, half)
+    odd = ~np.isfinite(out) | (np.abs(out) < _TINY) | (shortest < 2.0**-960 * (big + np.abs(a)))
+    odd &= m < big
+    if not split and odd.any():
+        out[odd] = _gauss_panels(e, a[odd], k, m[odd], big[odd], n, True)
     return out
 
 
@@ -1026,6 +1089,12 @@ def cayley_pushforward(mu: Measure) -> Measure:
     for p in mu.pieces:
         lo = (p.support[0] - 1.0) / (p.support[0] + 1.0)
         hi = 1.0 if math.isinf(p.support[1]) else (p.support[1] - 1.0) / (p.support[1] + 1.0)
+        for end, t, e in ((p.support[0], lo, p.exponent), (p.support[1], hi, -p.exponent)):
+            if abs(t) == 1.0 and 0.0 < end < math.inf and e <= -1.0:  # rounded onto +-1
+                raise MeasureSpecError(
+                    f"the half-line piece lambda^{p.exponent:g} on [{p.support[0]:g}, "
+                    f"{p.support[1]:g}] has no representable Cayley image: {end:g} lands on "
+                    f"{t:g} in double precision, where the image's exponent {e:g} diverges")
         if p.exponent == 0.0:
             pieces.append(PowerPiece(p.coeff, 0.0, "x", (lo, hi)))
         else:

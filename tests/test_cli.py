@@ -10,10 +10,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import hankelpos.cli
+import hankelpos.hankel
+import hankelpos.measures
 from hankelpos.cli import main
 from hankelpos.pick import SymbolSamples
 from hankelpos.quadrature import QuadratureError
@@ -472,18 +475,97 @@ def test_near_zero_exponent_on_an_unbounded_support_is_exit_0(write_spec, capsys
 
 
 @pytest.mark.parametrize("command", ["symbol", "verify-all"])
-def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, command: str) -> None:
-    # lambda^-1 on [1e-300, 2]: the tail series of S gives nan at p = +-1e-300; symbol
-    # printed nan and exited 0, verify-all ran 52 s to 4096 panels and exited 4
+def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, monkeypatch,
+                                               command: str) -> None:
+    # S is nan at one sample point: symbol once printed nan and exited 0, and verify-all
+    # once ran 52 s to 4096 panels on a nan error estimate before it exited 4
+    stieltjes = hankelpos.pick.stieltjes
+
+    def nan_at_p_minus_1(mu, a, k=1):  # a = -ip
+        return np.where(np.asarray(a) == 1j, complex(np.nan, np.nan), stieltjes(mu, a, k))
+
+    monkeypatch.setattr(hankelpos.pick, "stieltjes", nan_at_p_minus_1)
     spec = write_spec({"domain": "halfplane", "densities": [
-        {"kind": "power", "coeff": 1.0, "exponent": -1.0, "base": "lambda",
-         "support": [1e-300, 2.0]}]})
+        {"kind": "power", "coeff": 1.0, "exponent": 0.5, "base": "lambda", "support": [1.0, 2.0]}]})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = _run(capsys, command, "--spec", str(spec))
     assert code == 4
     assert out == ""
-    assert "h is not finite at p = -1e-300" in err
+    assert err == "hankelpos: h is not finite at p = -1.0\n"
+
+
+#: lambda^-1 on [1e-300, 2]: Widom-bounded, with 690 octaves of support below 2.
+STRESS_SPEC = {"domain": "halfplane", "densities": [
+    {"kind": "power", "coeff": 1.0, "exponent": -1.0, "base": "lambda",
+     "support": [1e-300, 2.0]}]}
+
+#: One CLI command in a fresh interpreter: its exit code, its wall time and peak RSS.
+CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import hankelpos.cli
+code = hankelpos.cli.main(sys.argv[2:])
+print(json.dumps([code, time.perf_counter() - start,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+
+
+@pytest.mark.parametrize("command", ["symbol", "kernel-check", "transport"])
+def test_a_symbol_over_690_octaves_runs_in_seconds(write_spec, tmp_path, command) -> None:
+    # the end series of lambda^-1 had no log term: one h call took Gauss panels over
+    # every octave (1.4 s, 181 MB), then h came out nan and the command exited 4
+    out = tmp_path / "out"
+    src = str(Path(hankelpos.cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD, src,
+                           command, "--spec", str(write_spec(STRESS_SPEC)), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, seconds, rss_mb = json.loads(done.stdout.splitlines()[-1])
+    assert (code, done.stderr) == (0, "")
+    assert seconds <= 5.0 and rss_mb <= 400.0, (seconds, rss_mb)
+    if command == "symbol":
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape[0] > 2000 and np.isfinite(rows).all()
+
+
+def test_h_over_690_octaves_matches_its_closed_form() -> None:
+    # Im h(p) = int_lo^2 p / (lambda (lambda^2 + p^2)) / pi
+    #         = [log(4 / (4 + p^2)) + log1p(p^2 / lo^2)] / (2 pi p)
+    mu = hankelpos.measures.measure_from_spec(STRESS_SPEC)
+    p = np.array([1e-300, 1e-10, 0.5, 1e5])
+    with mpmath.workdps(40):
+        exact = [float((mpmath.log(4 / (4 + mpmath.mpf(x) ** 2))
+                        + mpmath.log1p(mpmath.mpf(x) ** 2 * mpmath.mpf(10) ** 600))
+                       / (2 * mpmath.pi * x)) for x in p]
+    np.testing.assert_allclose(hankelpos.symbol_h_values(mu, p).imag, exact, rtol=1e-13)
+
+
+@pytest.mark.parametrize("command", ["report", "widom"])
+def test_a_support_end_that_rounds_onto_minus_1_names_the_piece(write_spec, capsys,
+                                                                command: str) -> None:
+    # the Cayley image of 1e-300 is -1 in double precision, where (1+t)^-1 diverges;
+    # the message named that exponent, not the user's piece
+    code, out, err = _run(capsys, command, "--spec", str(write_spec(STRESS_SPEC)))
+    assert (code, out) == (2, "")
+    assert "lambda^-1 on [1e-300, 2]" in err
+    assert "1e-300 lands on -1 in double precision" in err
+
+
+def test_a_delta_that_is_not_finite_is_exit_4_in_transport(write_spec, capsys,
+                                                           monkeypatch) -> None:
+    # the polar integrand divided nan by nan (a RuntimeWarning) before integrate saw it
+    delta_values = hankelpos.hankel.delta_values
+
+    def nan_above_1(mu, c, x):
+        return np.where(np.asarray(x) > 1.0, np.nan, delta_values(mu, c, x))
+
+    monkeypatch.setattr(hankelpos.hankel, "delta_values", nan_above_1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, "transport", "--spec", str(write_spec(D1_SPEC)))
+    assert (code, out) == (4, "")
+    assert "the integrand is not finite on" in err
 
 
 def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:
@@ -495,7 +577,7 @@ def test_quadrature_failure_is_exit_4(write_spec, capsys, monkeypatch) -> None:
     code, out, err = _run(capsys, "symbol", "--spec", str(spec))
     assert code == 4
     assert out == ""
-    assert "quadrature did not converge" in err
+    assert err == "hankelpos: requested tolerance not reached\n"  # the layer's own message
 
 
 def test_digest_tracks_the_file_bytes(write_spec, capsys) -> None:

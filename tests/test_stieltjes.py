@@ -6,17 +6,19 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
 from hankelpos.measures import stieltjes
 from hankelpos.quadrature import integrate
 
+ROOT = Path(__file__).resolve().parents[1]
 PI = math.pi
 EXPONENTS = (-0.999, -0.5, 0.3, 0.5, 0.9)
 MAGNITUDES = (1e-6, 1.0, 1e6)
@@ -106,20 +108,20 @@ def test_psi_at_the_origin() -> None:
         assert psi_0 == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_integer_exponent_takes_the_quadrature_fallback() -> None:
+def test_an_integer_exponent_takes_its_end_series_with_a_log_term() -> None:
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 2.0, "lambda", (0.0, 3.0))])
     for a in (1.0, 0.5 - 2.0j, 4j):
         log_ratio = cmath.log((3.0 + a) / a)
         s1 = 4.5 - 3.0 * a + a * a * log_ratio
         s2 = 3.0 - 2.0 * a * log_ratio + a * a * (1.0 / a - 1.0 / (3.0 + a))
-        assert complex(stieltjes(mu, a)) == pytest.approx(s1, rel=1e-10, abs=0.0)
-        assert complex(stieltjes(mu, a, 2)) == pytest.approx(s2, rel=1e-10, abs=0.0)
+        assert complex(stieltjes(mu, a)) == pytest.approx(s1, rel=1e-13, abs=0.0)
+        assert complex(stieltjes(mu, a, 2)) == pytest.approx(s2, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("support", [(0.0, 2.0), (2.0, 5.0)])
 @pytest.mark.parametrize("e", [1e-17, -1e-17, 1e-12, -9e-6])
-def test_near_zero_exponents_take_the_quadrature_fallback(e: float, support) -> None:
-    # the closed form's tails carry 1/(k - 1 - e) and cancel as e -> 0:
+def test_near_zero_exponents_keep_their_digits(e: float, support) -> None:
+    # a difference of two tail series carried 1/(k - 1 - e) and cancelled as e -> 0:
     # lambda^1e-17 on [0, 2] gave rho = -9.44 against atan 2 = 1.107
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", support)])
     with mpmath.workdps(30):
@@ -168,6 +170,17 @@ def test_rho_of_a_narrow_band(e: float, support) -> None:
     assert hp.rho_total(mu) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("e", [-10.5, -4.5, 12.5, 30.5])
+def test_gauss_panels_of_a_steep_power(e: float) -> None:
+    # panels of ratio 2 left lambda^-10.5 on [1, 2] 1.9e-11 off; 2^(1/n), |e| <= 3n, do not
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (1.0, 2.0))])
+    for a in (1.0, 1.0 - 1.0j):
+        for k in (1, 2):
+            with mpmath.workdps(40):
+                exact = complex(mpmath.quad(lambda lam: lam**e / (lam + a) ** k, [1, 2]))
+            assert complex(stieltjes(mu, a, k)) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_gauss_panel_values_do_not_depend_on_the_other_points(k: int) -> None:
     # lambda^0.5 on [1, 2]: all three points take Gauss panels and no end series
@@ -192,35 +205,58 @@ def test_stieltjes_rejects_disc_measures_and_other_orders(
 # ---------------------------------------------------------------------------
 
 
-def _hypergeometric_reference(e: float, a: complex, k: int, lo: float, hi: float) -> complex:
+def _hypergeometric_reference(e: float, a: complex, k: int, lo: float, hi: float,
+                              parts: bool = True) -> complex:
     """``int_lo^hi lambda^e / (lambda + a)^k`` from the head and tail closed forms
 
         int_0^x = x^(e+1) (x+a)^-k F(k, 1; e+2; x/(x+a)) / (e+1),
         int_x^oo = x^(e+1-k) (1+a/x)^-k F(k, 1; k-e; a/(x+a)) / (k-1-e)
 
-    (the finite part where the tail diverges), at 50 digits plus those that
-    cancel: in a difference of two heads on a short support, at a small e, and
-    where x/(x+a) nears 1 at hi >> |a|."""
-    extra = -math.log10(abs(e))
-    if not math.isinf(hi):
-        extra += math.log10(max(hi, abs(a)) / (hi - lo)) + math.log10(max(hi / abs(a), 1.0))
-    with mpmath.workdps(50 + max(0, math.ceil(extra))):
-        e_, a_ = mpmath.mpf(e), mpmath.mpc(a)
+    (the finite part where the tail diverges), the head below x = |a| and the tail above
+    it; Lebesgue pieces by their logarithm and rational form.  An integer e, and one
+    within 1e-20 of an integer where no finite part is taken, moves 1e-20 off the poles
+    of the two forms, which cancel in the integral, as do those of an e near an integer;
+    so the working precision doubles until two results agree to 20 digits in their real
+    and in their imaginary parts (in their modulus where ``parts`` is false), or it
+    gives up (None).  It starts at 40 digits plus those the poles take, -log10 of the distance
+    of e to an integer, and for the parts log10(x/|a|) at the tail's ends x, as the
+    imaginary part of 1 + a/x is that far below 1."""
+    if e == 0.0:
+        with mpmath.workdps(30):
+            lo_a, hi_a = lo + mpmath.mpc(a), mpmath.inf if math.isinf(hi) else hi + mpmath.mpc(a)
+            if k == 2:
+                return complex(1 / lo_a - 1 / hi_a)
+            return complex(-mpmath.log(lo_a) if math.isinf(hi) else mpmath.log(hi_a / lo_a))
+    split, last = min(max(abs(a), lo), hi), None
+    top = split if math.isinf(hi) else hi
+    n, finite_part = round(e), k == 1 and math.isinf(hi) and e > -1.0
+    near = abs(e - n) if finite_part or abs(e - n) >= 1e-20 else 1e-20
+    start = 40 - math.floor(math.log10(near or 1e-20)) + (
+        max(0, math.ceil(math.log10(top) - math.log10(abs(a)))) if parts else 0)
+    for dps in (start << i for i in range(7 if parts else 3)):
+        with mpmath.workdps(dps):
+            e_ = mpmath.mpf(e) if near == abs(e - n) else n + mpmath.mpf(10) ** -20
+            a_ = mpmath.mpc(a)
 
-        def head(x):
-            x = mpmath.mpf(x)
-            f = mpmath.hyp2f1(k, 1, e_ + 2, x / (x + a_))
-            return x ** (e_ + 1) / (e_ + 1) * (x + a_) ** -k * f
+            def head(x):
+                x = mpmath.mpf(x)
+                f = mpmath.hyp2f1(k, 1, e_ + 2, x / (x + a_))
+                return x ** (e_ + 1) / (e_ + 1) * (x + a_) ** -k * f
 
-        def tail(x):
-            x = mpmath.mpf(x)
-            f = mpmath.hyp2f1(k, 1, k - e_, a_ / (x + a_))
-            return x ** (e_ + 1 - k) / (k - 1 - e_) * (1 + a_ / x) ** -k * f
+            def tail(x):
+                if math.isinf(x):
+                    return 0
+                x = mpmath.mpf(x)
+                f = mpmath.hyp2f1(k, 1, k - e_, a_ / (x + a_))
+                return x ** (e_ + 1 - k) / (k - 1 - e_) * (1 + a_ / x) ** -k * f
 
-        if not math.isinf(hi):
-            return complex(head(hi) - head(lo))
-        split = max(abs(a), lo)
-        return complex(head(split) - head(lo) + tail(split))
+            v = (head(split) - head(lo) if lo < split else 0) + (
+                tail(split) - tail(hi) if split < hi else 0)
+            if last is not None and all(abs(p - q) <= abs(p) * 1e-20 for p, q in (
+                    ((v.real, last.real), (v.imag, last.imag)) if parts else ((v, last),))):
+                return complex(v)
+            last = v
+    return None  # not settled at 4x (64x for the parts) the starting precision
 
 
 @st.composite
@@ -248,3 +284,76 @@ def test_stieltjes_of_a_power_piece_matches_the_hypergeometric_forms(case) -> No
     got = stieltjes(mu, np.array([a, np.conj(a)]), k)
     assert complex(got[0]) == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert complex(got[1]) == pytest.approx(expected.conjugate(), rel=1e-13, abs=0.0)
+
+
+def _exponents():
+    """The integers -3 ... 3, exponents within 1e-12 of them and [-3.5, 3]."""
+    integers = st.integers(-3, 3).map(float)
+    return integers | integers.flatmap(lambda n: st.floats(n - 1e-12, n + 1e-12)) | st.floats(
+        -3.5, 3.0)
+
+
+@st.composite
+def wide_cases(draw) -> tuple[float, complex, int, float, float]:
+    e = draw(_exponents())
+    positive = st.floats(-300.0, 4.0).map(lambda u: 10.0**u)
+    lo = draw((st.just(0.0) | positive) if e > -1.0 else positive)
+    if e < 1.0 and draw(st.booleans()):
+        hi = math.inf
+    else:  # hi - lo from 1e-12 lo (1e-300 at lo = 0) to 1e300
+        hi = lo + 10.0 ** draw(st.floats(math.log10(lo) - 12.0 if lo else -300.0, 300.0))
+    angle = draw(st.floats(-PI, PI, exclude_min=True, exclude_max=True))
+    a = 10.0 ** draw(st.floats(-300.0, 300.0)) * cmath.exp(1j * angle)
+    return e, a, draw(st.sampled_from([1, 2])), lo, hi
+
+
+@settings(deadline=None, max_examples=60)  # a reference can take seconds at ~500 digits
+@given(case=wide_cases())
+def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
+    e, a, k, lo, hi = case
+    expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
+    assume(expected is not None)
+    if not np.finfo(float).tiny <= max(abs(expected.real), abs(expected.imag)) <= 1e308:
+        return  # S is not a normal double (or its modulus would overflow)
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complex(stieltjes(mu, a, k))
+    assert abs(got - expected) <= 1e-13 * abs(expected), (got, expected)
+
+
+@st.composite
+def grids(draw) -> tuple[float, float, float, np.ndarray]:
+    """A piece, and a batch of up to 300 points off the cut, a third of them next to it."""
+    e = draw(_exponents())
+    lo = draw((st.just(0.0) if e > -1.0 else st.nothing()) | st.floats(-6.0, 2.0).map(
+        lambda u: 10.0**u))
+    hi = math.inf if e < 1.0 and draw(st.booleans()) else lo + 10.0 ** draw(st.floats(-3.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 300))
+    angle = rng.uniform(-PI, PI, size)
+    near = rng.random(size) < 1.0 / 3.0  # Re a < 0, |Im a| down to 1e-15 |a|: pole steps
+    angle[near] = np.copysign(PI - 10.0 ** -rng.uniform(1.0, 15.0, near.sum()), angle[near])
+    return e, lo, hi, 10.0 ** rng.uniform(-8.0, 8.0, size) * np.exp(1j * angle)
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=grids(), k=st.sampled_from([1, 2]))
+@example(case=(0.5, 1.0, 2.0, -np.logspace(-3.0, 3.0, 200) + 1e-12j), k=1)  # > 4096 panels
+def test_stieltjes_at_a_point_does_not_depend_on_the_other_points(case, k: int) -> None:
+    e, lo, hi, a = case
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    with np.errstate(all="ignore"):  # a value past the float range compares as itself
+        batch = stieltjes(mu, a, k)
+        alone = np.concatenate([stieltjes(mu, a[i:i + 1], k) for i in range(a.size)])
+    assert batch.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["sqrt_0_2", "invsqrt_0_inf", "sqrt_1_2"])
+def test_stieltjes_on_the_density_grids_does_not_depend_on_the_other_points(spec) -> None:
+    mu = hp.load_measure(ROOT / "bench" / "specs" / f"{spec}.json")
+    p = hp.default_symbol_grid(mu, 1024)
+    for a in (-1j * p, -0.5 * p + 0.1j):  # the symbol's points, and Re a < 0
+        batch = stieltjes(mu, a)
+        alone = np.concatenate([stieltjes(mu, a[i:i + 1]) for i in range(a.size)])
+        assert batch.tobytes() == alone.tobytes()

@@ -36,8 +36,8 @@ REL = 1e-13
 
 
 def by_quadrature(p) -> bool:
-    """Cayley pieces, and half-line pieces with an integer exponent other than 0."""
-    return isinstance(p, CayleyPiece) or (p.base == "lambda" and p.exponent in (1.0, 2.0))
+    """Cayley pieces (half-line pieces with an integer exponent take end series now)."""
+    return isinstance(p, CayleyPiece)
 
 
 def rel(mu: hp.Measure) -> float:
