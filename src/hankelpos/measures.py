@@ -743,8 +743,12 @@ def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):
     """``c int_lo^hi dlambda / (lambda + a)^k``, the finite part where hi = oo, k = 1."""
     if k == 2:  # (hi - lo) / (hi + a) first: (lo + a)(hi + a) may overflow where S does not
         return c / (lo + a) if unbounded else c * ((hi - lo) / (hi + a)) / (lo + a)
-    if unbounded:
-        return -c * np.log(lo + a)
+    if unbounded:  # -log(lo + a), by log1p((lo - 1) + a) where lo + a nears 1 (lo - 1 exact)
+        v = (lo - 1.0) + a
+        with np.errstate(over="ignore", divide="ignore"):
+            near = np.abs(v) < 0.5
+            log1p = 0.5 * np.log1p(v.real * (2.0 + v.real) + v.imag * v.imag)
+        return -c * np.where(near, log1p + 1j * np.arctan2(v.imag, 1.0 + v.real), np.log(lo + a))
     # log1p(u): NumPy's complex log1p loses the real part for small |u|; where 1 + u nears 0
     # or u re + im^2 would overflow, the logs and angles of hi + a and lo + a apart
     u = (hi - lo) / (lo + a)
@@ -779,17 +783,22 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
     w[:f] *= np.where(np.isinf(x1), 1.0, -1.0)
 
     def group(x, rows, i, m, px=None):  # x^(e+i) a^-m sum_n w_n q^(n - rows.start)
-        q, terms = -x / a if head else -a / x, np.empty((rows.stop - rows.start, x.size), complex)
+        size = rows.stop - rows.start
+        q, terms = -x / a if head else -a / x, np.empty((size, x.size), complex)
         terms[0] = 1.0
-        for t in range(1, terms.shape[0]):  # q^n, row by row
+        for t in range(1, min(size, 9)):  # q^n: row by row to q^8, then 8 rows a step times q^8
             np.multiply(terms[t - 1], q, out=terms[t])
-        terms *= w[rows]  # the rows added one by one, not by a BLAS product or a pairwise
-        s = sum(terms[1:], terms[0])  # sum, so that S at one point depends on that point alone
+        for t in range(9, size, 8):
+            np.multiply(terms[t - 8:min(t, size - 8)], terms[8], out=terms[t:t + 8])
+        terms *= w[rows]  # the rows added one by one (cumsum gives the same bits), not by a BLAS
+        # product or a pairwise sum, so that S at one point depends on that point alone
+        s = np.cumsum(terms, axis=0)[-1] if x.size < 512 else sum(terms[1:], terms[0])
         b, j = (1.0 / a, m) if m > 0 else (a, -m)  # b^j = a^-m
         px, bj = x ** (e + i) if px is None else px, b**j
         out = px * bj * s  # scaled by powers of 2 where a factor is not a normal double
         odd = ~np.isfinite(out) | (np.minimum(abs(out), np.minimum(abs(px), abs(bj))) < _TINY)
-        out[odd] = _scaled_power(x[odd], e, i, b[odd], j, s[odd])
+        if odd.any():
+            out[odd] = _scaled_power(x[odd], e, i, b[odd], j, s[odd])
         return out
 
     if head:  # x^e x, not x^(e+1): e + 1 rounds; e + 1 + f is exact where f > 0 (e < -1)
@@ -843,7 +852,11 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     next to it lambda + a formed from the left edge and k = 2 taken by parts.  A point whose
     value is not a normal double is taken again by :func:`_scaled_power` (``split``)."""
     # the pole -Re a where Re a < 0 and it is within [m/2, 2 big], else 0
-    pole = np.where((a.real < 0.0) & (-a.real >= 0.5 * m) & (-a.real <= 2.0 * big), -a.real, 0.0)
+    neg = np.flatnonzero(a.real < 0.0)
+    pole = np.zeros(a.size)
+    if neg.size:
+        pole[neg] = np.where((-a.real[neg] >= 0.5 * m[neg]) & (-a.real[neg] <= 2.0 * big[neg]),
+                             -a.real[neg], 0.0)
     if k == 2 and not split and pole.any():  # by parts next to a pole: there the panels'
         # (lambda + a)^-2 cancel from ~1/Im a to S, its parts do not
         out, near = np.empty(a.size, dtype=complex), pole > 0.0
@@ -853,7 +866,6 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
             e - 1.0, a[near], 1, m[near], big[near], max(n, math.ceil(abs(e - 1.0) / 3.0)))
         return out
     x, owner = _octave_edges(m, big, n)
-    neg = np.flatnonzero(a.real < 0.0)
     if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|, point by point
         x0 = -a.real[neg]
         d = 0.4 * np.maximum(np.abs(a.imag[neg]), 2.0**-60 * x0)
@@ -872,8 +884,9 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     for c in map(slice, bounds[:-1], bounds[1:]):
         lam = mid[c] + half[c] * _GAUSS[0][:, None]  # one row per Gauss node
         r = 1.0 / (lam + a[owner[c]])
-        near = pole[owner[c]] > 0.0  # there lambda + a = (left - pole) + half (1 + t) + i Im a:
-        if near.any():  # left - pole is exact next to the pole, and the panels tile there
+        near = pole[owner[c]] > 0.0 if neg.size else None  # there lambda + a = (left - pole)
+        if neg.size and near.any():  # + half (1 + t) + i Im a: left - pole is exact, and the
+            # panels tile there
             p = owner[c][near]
             r[:, near] = 1.0 / ((left[c][near] - pole[p])
                                 + half[c][near] * (1.0 + _GAUSS[0][:, None]) + 1j * a.imag[p])
@@ -885,11 +898,16 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
         v *= _GAUSS[1][:, None]
         v = sum(v[1:], v[0])
         out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(owner[c], v.imag, a.size)
-    shortest = np.full(a.size, np.inf)  # half r >= shortest / (big + |a|) may be subnormal
-    np.minimum.at(shortest, owner, half)
-    odd = ~np.isfinite(out) | (np.abs(out) < _TINY) | (shortest < 2.0**-960 * (big + np.abs(a)))
+    if split:
+        return out
+    mag = np.abs(out)
+    odd = ~((mag >= _TINY) & (mag < np.inf))
+    if half.size and half.min() < 2.0**-960 * np.max(big + np.abs(a)):  # half r >= shortest /
+        shortest = np.full(a.size, np.inf)  # (big + |a|) may be subnormal
+        np.minimum.at(shortest, owner, half)
+        odd |= shortest < 2.0**-960 * (big + np.abs(a))
     odd &= m < big
-    if not split and odd.any():
+    if odd.any():
         out[odd] = _gauss_panels(e, a[odd], k, m[odd], big[odd], n, True)
     return out
 

@@ -222,11 +222,14 @@ def _hypergeometric_reference(e: float, a: complex, k: int, lo: float, hi: float
     of e to an integer, and for the parts log10(x/|a|) at the tail's ends x, as the
     imaginary part of 1 + a/x is that far below 1."""
     if e == 0.0:
-        with mpmath.workdps(30):
+        with mpmath.workdps(60):
             lo_a, hi_a = lo + mpmath.mpc(a), mpmath.inf if math.isinf(hi) else hi + mpmath.mpc(a)
             if k == 2:
                 return complex(1 / lo_a - 1 / hi_a)
-            return complex(-mpmath.log(lo_a) if math.isinf(hi) else mpmath.log(hi_a / lo_a))
+            if math.isinf(hi):  # log1p: a logarithm near 0 keeps its digits
+                v = mpmath.mpf(lo) - 1 + mpmath.mpc(a)
+                return complex(-(mpmath.log1p(v) if abs(v) < 0.5 else mpmath.log(lo_a)))
+            return complex(mpmath.log1p((mpmath.mpf(hi) - lo) / lo_a))
     split, last = min(max(abs(a), lo), hi), None
     top = split if math.isinf(hi) else hi
     n, finite_part = round(e), k == 1 and math.isinf(hi) and e > -1.0
