@@ -224,8 +224,8 @@ def _hypergeometric_reference(e: float, a: complex, k: int, lo: float, hi: float
     if e == 0.0:
         with mpmath.workdps(60):
             lo_a, hi_a = lo + mpmath.mpc(a), mpmath.inf if math.isinf(hi) else hi + mpmath.mpc(a)
-            if k == 2:
-                return complex(1 / lo_a - 1 / hi_a)
+            if k == 2:  # not 1/lo_a - 1/hi_a, which cancels on a short support
+                return complex(1 / lo_a if math.isinf(hi) else (hi - mpmath.mpf(lo)) / lo_a / hi_a)
             if math.isinf(hi):  # log1p: a logarithm near 0 keeps its digits
                 v = mpmath.mpf(lo) - 1 + mpmath.mpc(a)
                 return complex(-(mpmath.log1p(v) if abs(v) < 0.5 else mpmath.log(lo_a)))
