@@ -727,13 +727,11 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
         big = np.minimum(np.maximum(2.0 * r, m), hi)
         tail = big <= hi * 2.0**-8
         big = np.where(tail, big, hi)
-        # a value that is not a normal double is taken again, scaled by powers of 2
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s = _gauss_panels(e, a, k, m, big, _per_octave(p))
-            if head.any():
-                s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
-            if tail.any():
-                s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
+        s = _gauss_panels(e, a, k, m, big, _per_octave(p))
+        if head.any():
+            s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
+        if tail.any():
+            s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
         s = c * s.real + 1j * (c * s.imag)  # not c * s: 0 * inf = nan where Re s is inf
     out[live] = s
     return out.reshape(pad.shape)
@@ -754,8 +752,9 @@ def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):
     u = (hi - lo) / (lo + a)
     re, im = u.real, u.imag
     with np.errstate(over="ignore", divide="ignore"):
-        log, arg = 0.5 * np.log1p(re * (2.0 + re) + im * im), np.arctan2(im, 1.0 + re)
-        far = ((1.0 + re) ** 2 + im * im < 0.25) | ~(re * re + im * im < 1e300)
+        t = re * (2.0 + re) + im * im  # |1 + u|^2 - 1
+        log, arg = 0.5 * np.log1p(t), np.arctan2(im, 1.0 + re)
+        far = ~((t >= -0.75) & (t < 1e300))
         if far.any():
             log = np.where(far, np.log(np.abs(hi + a)) - np.log(np.abs(lo + a)), log)
             arg = np.where(far, np.angle(hi + a) - np.angle(lo + a), arg)
@@ -775,14 +774,16 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
     log = -_power_primitive_diff(-1.0, x0, x1)  # log(x0/x1), -oo where x0 = 0 or x1 = oo
     # -expm1(|d| log) / d, whole where s nears 0: (1 - (x0/x1)^|s|) / |s| at the near end,
     # its negative at the far end (d < 0) but where x1 = oo: there the finite part x0^s/d;
-    # one row per term (-expm1(-oo) = 1: no expm1 where every log is -oo)
-    w = (np.expm1(np.multiply.outer(np.abs(d), log)) if np.isfinite(log).any()
-         else np.full((n.size, log.size), -1.0))
-    w *= (-(n + 1.0) ** (k - 1) / d)[:, None]
+    # one row per term (-expm1(-oo) = 1: no expm1 where every log is -oo); the rows d = 0
+    # (a log term) are taken again below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (np.expm1(np.multiply.outer(np.abs(d), log)) if np.isfinite(log).any()
+             else np.full((n.size, log.size), -1.0))
+        w *= (-(n + 1.0) ** (k - 1) / d)[:, None]
     w[d == 0.0] = np.multiply.outer((n[d == 0.0] + 1.0) ** (k - 1), -log)
     w[:f] *= np.where(np.isinf(x1), 1.0, -1.0)
 
-    def group(x, rows, i, m, px=None):  # x^(e+i) a^-m sum_n w_n q^(n - rows.start)
+    def group(x, rows, i, m):  # x^(e+i) a^-m sum_n w_n q^(n - rows.start)
         size = rows.stop - rows.start
         q, terms = -x / a if head else -a / x, np.empty((size, x.size), complex)
         terms[0] = 1.0
@@ -790,19 +791,20 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
             np.multiply(terms[t - 1], q, out=terms[t])
         for t in range(9, size, 8):
             np.multiply(terms[t - 8:min(t, size - 8)], terms[8], out=terms[t:t + 8])
-        terms *= w[rows]  # the rows added one by one (cumsum gives the same bits), not by a BLAS
-        # product or a pairwise sum, so that S at one point depends on that point alone
-        s = np.cumsum(terms, axis=0)[-1] if x.size < 512 else sum(terms[1:], terms[0])
-        b, j = (1.0 / a, m) if m > 0 else (a, -m)  # b^j = a^-m
-        px, bj = x ** (e + i) if px is None else px, b**j
-        out = px * bj * s  # scaled by powers of 2 where a factor is not a normal double
+        terms *= w[rows]  # the rows added one by one, not by a BLAS product or a pairwise
+        # sum, so that S at one point depends on that point alone
+        s, (b, j) = sum(terms[1:], terms[0]), (1.0 / a, m) if m > 0 else (a, -m)  # b^j = a^-m
+        # x^e x, not x^(e+1), at the head: e + 1 rounds; e + 1 + f is exact where f > 0 (e < -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # taken again below where odd
+            px, bj = x ** (e + (i - 1)) * x if head else x ** (e + i), b**j
+            out = px * bj * s  # scaled by powers of 2 where a factor is not a normal double
         odd = ~np.isfinite(out) | (np.minimum(abs(out), np.minimum(abs(px), abs(bj))) < _TINY)
         if odd.any():
             out[odd] = _scaled_power(x[odd], e, i, b[odd], j, s[odd])
         return out
 
-    if head:  # x^e x, not x^(e+1): e + 1 rounds; e + 1 + f is exact where f > 0 (e < -1)
-        out = (-1.0) ** f * group(x1, slice(f, n.size), 1 + f, k + f, x1 ** (e + f) * x1)
+    if head:
+        out = (-1.0) ** f * group(x1, slice(f, n.size), 1 + f, k + f)
         return out + group(x0, slice(0, f), 1, k) if f else out
     # at the far end x1 (x0 where x1 = oo) the real first term apart: it may pass the float
     # range (Re S = +-inf) where the rest does not, and a product inf * 0 would be nan
@@ -813,10 +815,16 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
 
 
 def _scaled_power(x: np.ndarray, e: float, i: int, b: np.ndarray, j: int, v) -> np.ndarray:
-    """``v x^(e+i) b^j`` (x > 0; integers i, j >= 0) with its factors scaled by powers of 2: a
-    normal double wherever it is one, whatever x^e (|e log2 x| < 8000), x^i and b^j are alone."""
-    (mx, ex), (m1, e1), eb = np.frexp(x ** (e / 8.0)), np.frexp(x), np.frexp(np.abs(b))[1]
-    p, scale = mx**8 * m1**i * (np.ldexp(1.0, -eb) * b) ** j * v, 8 * ex + i * e1 + j * eb
+    """``v x^(e+i) b^j`` (x > 0; integers i, j of either sign) with its factors scaled by powers
+    of 2: a normal double wherever it is one, whatever x^e, x^i and b^j are alone (|e log2 x|,
+    |i|, |j| < 8000).  x = m1 2^e1 and b = mb 2^eb, 1/2 <= m1, |mb| < 1; then x^e = (x^(e/8))^8
+    and m^i = (m^(i//8))^8 m^(i%8), each factor in the float range and scaled to [1/2, 1)."""
+    (mx, ex), e1, eb = np.frexp(x ** (e / 8.0)), np.frexp(x)[1], np.frexp(np.abs(b))[1]
+    p, scale = mx**8 * v, 8 * ex + i * e1 + j * eb
+    for z, n in ((np.ldexp(x, -e1), i), (np.ldexp(b.real, -eb) + 1j * np.ldexp(b.imag, -eb), j)):
+        y = z ** (n // 8)  # 2^-1000 < |y| <= 2^1000
+        c = np.frexp(np.abs(y))[1]
+        p, scale = p * (np.ldexp(1.0, -c) * y) ** 8 * z ** (n % 8), scale + 8 * c
     p.real, p.imag = np.ldexp(p.real, scale), np.ldexp(p.imag, scale)
     return p
 
@@ -891,13 +899,16 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
             r[:, near] = 1.0 / ((left[c][near] - pole[p])
                                 + half[c][near] * (1.0 + _GAUSS[0][:, None]) + 1j * a.imag[p])
         # half r first (|half r| <= 1/2 for Re a >= 0): lambda^e half or lambda^e r^k
-        # can leave the float range where the panel's integral does not
-        v = _scaled_power(lam, e, 0, r, k, half[c]) if split else lam**e * (half[c] * r)
-        if k == 2 and not split:
-            v *= r
-        v *= _GAUSS[1][:, None]
-        v = sum(v[1:], v[0])
-        out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(owner[c], v.imag, a.size)
+        # can leave the float range where the panel's integral does not; the first pass is
+        # quiet there, as such a point is taken again
+        with np.errstate(over=None if split else "ignore", invalid=None if split else "ignore"):
+            v = _scaled_power(lam, e, 0, r, k, half[c]) if split else lam**e * (half[c] * r)
+            if k == 2 and not split:
+                v *= r
+            v *= _GAUSS[1][:, None]
+            v = sum(v[1:], v[0])
+            out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(
+                owner[c], v.imag, a.size)
     if split:
         return out
     mag = np.abs(out)

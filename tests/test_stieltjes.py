@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
+from hankelpos import measures
 from hankelpos.measures import stieltjes
 from hankelpos.quadrature import integrate
 
@@ -323,6 +324,44 @@ def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
         warnings.simplefilter("error", RuntimeWarning)
         got = complex(stieltjes(mu, a, k))
     assert abs(got - expected) <= 1e-13 * abs(expected), (got, expected)
+
+
+@pytest.mark.parametrize("e, a, k, lo, hi, rtol", [
+    # x/a subnormal at the head of lambda^-1.5 (1.5e-12 off before, 2e-294 i)
+    (-1.5, -1e300j, 1, 1e-12, 1e300, 1e-14),
+    # lambda^e half r^k past the float range where the panel's integral is not (nan before)
+    (-2.0, 1.0, 1, 1e-155, 2e-155, 1e-13),
+    # next to a pole -Re a: lambda + a from the panel's left edge (3e-4 off before)
+    (1.0, -1.0 + 1e-15j, 1, 0.0, 1.0, 1e-13),
+    # S_2 next to a pole, by parts (relative error 5e10 before)
+    (0.5, -1.5 + 1e-14j, 2, 1.0, 2.0, 1e-13),
+    # a steep tail: x^(e+i) a^f with i = -1001, f = 1001, whose factors leave the float range
+    (1000.5, 2.0**-7 / 3.0, 1, 2.0**-7, 2.0, 1e-14),
+    (1000.5, 2.0**-7 / 3.0, 2, 2.0**-7, 2.0, 1e-14),
+    # Lebesgue: -log(lo + a) by log1p where lo + a nears 1 (1.1e-13 off before)
+    (0.0, 0.001, 1, 1.0, math.inf, 1e-14),
+    # Lebesgue: u = (hi - lo)/(lo + a) and (lo + a)(hi + a) past the float range (inf, 0, nan
+    # before), and 1 + u near 0, a pole at hi (-inf before)
+    (0.0, 1e-300j, 1, 1e-300, 1e300, 1e-14),
+    (0.0, -1e150 + 1e-10j, 2, 1e-200, 1e200, 1e-14),
+    (0.0, -1e300 + 1e280j, 2, 1.0, 1e300, 1e-14),
+    (0.0, -2.0 + 1e-15j, 1, 1.0, 2.0, 1e-14),
+])
+def test_stieltjes_where_its_edge_rules_take_over(e, a, k: int, lo, hi, rtol) -> None:
+    expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complex(stieltjes(mu, a, k))
+    assert abs(got - expected) <= rtol * abs(expected), (got, expected)
+
+
+def test_scaled_power_of_factors_past_the_float_range() -> None:
+    # x^(e+i) b^j = x^0.5 (b/x)^1100 = x^0.5: x^-1100 overflows and b^1100 underflows alone
+    # (nan where m^i was taken whole); a complex power b^n of numpy errs by ~n eps
+    x, b = np.array([0.5000001]), np.array([0.5000001 + 0.0j])
+    got = measures._scaled_power(x, 0.5, -1100, b, 1100, np.ones(1, complex))
+    assert got[0] == pytest.approx(math.sqrt(0.5000001), rel=1e-12, abs=0.0)
 
 
 @st.composite
