@@ -57,7 +57,7 @@ import numpy as np
 
 from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import SymbolSamples, _check_offset, _h_jumps, delta_values
-from .quadrature import integrate
+from .quadrature import QuadratureError, integrate
 from .kernels import TWO_PI, circle_nodes
 
 __all__ = [
@@ -154,7 +154,9 @@ def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
                          breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
     m = max(4096, 16 * top)  # even, so theta = pi is never a node of the offset grid
     theta = circle_nodes(m)
-    values = np.asarray(samples(theta), dtype=complex)
+    # the samples' own values where their grid is these nodes, as hp_to_disc_symbol's is
+    values = samples.values if np.array_equal(samples.grid, theta) else np.asarray(
+        samples(theta), dtype=complex)
     phases = np.exp(-1j * np.outer(ns, theta))
     return phases @ values / m
 
@@ -272,21 +274,32 @@ def measure_kernels(mu: Measure, pairs: Sequence) -> np.ndarray:
     """Measure-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
     One Stieltjes call takes S at the distinct points a = -iz and b = i conj(w)
-    of all pairs, and one more takes S_2 at the pairs with a = b.
+    of all pairs, and one more takes S_2 at the pairs with a = b.  An S that is
+    not finite (its integral leaves the double range) raises
+    :class:`hankelpos.quadrature.QuadratureError`: no kernel can be read from it.
     """
     if mu is None or mu.domain != "halfplane":
         raise ValueError("measure mode needs a half-line measure mu=")
     zs, wbars = _probe_pairs(pairs)
     a, b = -1j * zs, 1j * wbars
     points = list(dict.fromkeys([*a.tolist(), *b.tolist()]))
-    s = dict(zip(points, stieltjes(mu, np.array(points, dtype=complex))))
+    s = dict(zip(points, _finite_stieltjes(mu, np.array(points, dtype=complex))))
     differences = np.array([s[p] - s[q] for p, q in zip(a.tolist(), b.tolist())], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):  # a = b is replaced below
         out = differences / (_FOUR_PI_SQ * (b - a))
     same = a == b
     if same.any():
-        out[same] = stieltjes(mu, a[same], 2) / _FOUR_PI_SQ
+        out[same] = _finite_stieltjes(mu, a[same], 2) / _FOUR_PI_SQ
     return out
+
+
+def _finite_stieltjes(mu: Measure, a: np.ndarray, k: int = 1) -> np.ndarray:
+    """``stieltjes(mu, a, k)``, raising :class:`QuadratureError` at a value that is not finite."""
+    s = stieltjes(mu, a, k)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise QuadratureError(f"S_{k} is not finite at a = {complex(a[bad.argmax()])!r}")
+    return s
 
 
 def symbol_kernel(

@@ -732,7 +732,8 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
             s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
         if tail.any():
             s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
-        s = c * s.real + 1j * (c * s.imag)  # not c * s: 0 * inf = nan where Re s is inf
+        s.real *= c  # not c * s: 0 * inf = nan where a part of s is inf
+        s.imag *= c
     out[live] = s
     return out.reshape(pad.shape)
 
@@ -803,13 +804,16 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
             out[odd] = _scaled_power(x[odd], e, i, b[odd], j, s[odd])
         return out
 
+    # the sign (-1)^f by negation, not by a product: its 0 * inf is nan where a part is inf
     if head:
-        out = (-1.0) ** f * group(x1, slice(f, n.size), 1 + f, k + f)
+        out = group(x1, slice(f, n.size), 1 + f, k + f)
+        out = -out if f % 2 else out
         return out + group(x0, slice(0, f), 1, k) if f else out
     # at the far end x1 (x0 where x1 = oo) the real first term apart: it may pass the float
     # range (Re S = +-inf) where the rest does not, and a product inf * 0 would be nan
     far = np.where(np.isinf(x1), x0, x1)
-    out = (-1.0) ** f * group(x0, slice(f, n.size), 1 - k - f, -f)
+    out = group(x0, slice(f, n.size), 1 - k - f, -f)
+    out = -out if f % 2 else out
     out += w[0] * far ** (e + (1 - k)) if f else 0.0
     return out - group(far, slice(1, f), -k, -1) if f > 1 else out
 
@@ -905,10 +909,11 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
             v = _scaled_power(lam, e, 0, r, k, half[c]) if split else lam**e * (half[c] * r)
             if k == 2 and not split:
                 v *= r
-            v *= _GAUSS[1][:, None]
+            v.real *= _GAUSS[1][:, None]  # not v *= w: 0 * inf = nan where a part is inf
+            v.imag *= _GAUSS[1][:, None]
             v = sum(v[1:], v[0])
-            out += np.bincount(owner[c], v.real, a.size) + 1j * np.bincount(
-                owner[c], v.imag, a.size)
+            out.real += np.bincount(owner[c], v.real, a.size)
+            out.imag += np.bincount(owner[c], v.imag, a.size)
     if split:
         return out
     mag = np.abs(out)

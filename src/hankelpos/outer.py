@@ -30,7 +30,8 @@ Outer values are only computed at strictly interior points (Im z >= 1e-6,
 respectively 1 - |z| >= 1e-6); boundary moduli are recovered by approach
 ``x + i eps``, with first-order convergence at continuity points.
 :func:`outer_eval` and :func:`g_from_delta` accept an array of points and
-integrate all of them on one shared panel tree, one row per point.
+integrate all of them on one shared panel tree, one row per point; on the
+half-plane that tree starts graded toward every point near the boundary.
 """
 
 from __future__ import annotations
@@ -242,6 +243,19 @@ def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _graded_seeds(zs: np.ndarray) -> list[float]:
+    """Re z -+ Im z 2^j for j >= 0 while Im z 2^j < 1, for each point z: the half-plane
+    kernel 1/(p - z) peaks within Im z of Re z, so panels graded toward it there spare the
+    sweeps that would bisect down to it."""
+    seeds = []
+    for z in zs.tolist():
+        d = z.imag
+        while d < 1.0:
+            seeds += [z.real - d, z.real + d]
+            d *= 2.0
+    return seeds
+
+
 def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
     """Evaluate Out(k, C)(z) at a strictly interior point, or at an array of them.
 
@@ -266,7 +280,8 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
         def integrand(p: np.ndarray) -> np.ndarray:
             return (1.0 / (p - pts) - p / (1.0 + p * p)) * k.log_values(p)
 
-        integral = integrate(integrand, -math.inf, math.inf, breakpoints=k.jumps)
+        integral = integrate(integrand, -math.inf, math.inf,
+                             breakpoints=(*k.jumps, *_graded_seeds(pts.ravel())))
         values = C * np.exp(integral / (math.pi * 1j))
     else:
         if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():

@@ -163,7 +163,11 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     im_s = stieltjes(mu, -1j * p).imag
     im_s[p == 0.0] = 0.0
-    return 1j / math.pi * im_s
+    # (i/pi) Im S, without the nan that the product's 0 * Im S makes where Im S is infinite:
+    # Re h is the zero of the sign of Im S, as that product gives it
+    h = np.empty(p.shape, dtype=complex)
+    h.real, h.imag = np.copysign(0.0, im_s), (1.0 / math.pi) * im_s
+    return h
 
 
 def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
@@ -268,7 +272,5 @@ def psi_mu_values(mu: Measure, x: np.ndarray) -> np.ndarray:
 
 def symbol_samples_csv(samples: SymbolSamples) -> str:
     """Render samples as CSV with columns p, re_h, im_h."""
-    lines = ["p,re_h,im_h"]
-    for p, v in zip(samples.grid, samples.values):
-        lines.append(f"{float(p)!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(samples.grid.tolist(), samples.values.real.tolist(), samples.values.imag.tolist())
+    return "p,re_h,im_h\n" + "".join(f"{p!r},{re!r},{im!r}\n" for p, re, im in rows)

@@ -1,22 +1,24 @@
-"""Adaptive Gauss-Legendre quadrature for smooth-per-panel integrands.
+"""Adaptive Gauss-Kronrod quadrature for smooth-per-panel integrands.
 
-The integration scheme is globally adaptive: every panel carries a
-7-vs-15-point Gauss-Legendre error estimate, and each sweep bisects the
-fewest worst panels whose removal would leave the rest within tolerance,
-until the summed estimate meets it.  This handles integrable endpoint
-singularities (dyadic refinement toward the endpoint) and piecewise-smooth
-integrands (seed the panel list with the known breakpoints) without any
-problem-specific tuning.  The integrand sees the 22 nodes of both rules on
-whole panels: the first panel alone (its result tells how many integrands
-are stacked), then all other initial panels in one call, then all children
-of a sweep in one call, so the fixed cost of a call is paid once per
-refinement level.  A call that would return more than ``_MAX_CALL_VALUES``
-values (integrands x nodes) is split.
+The integration scheme is globally adaptive: every panel carries the
+15-point Kronrod value and, as its error estimate, the difference against
+the 7-point Gauss rule nested in it (the G7K15 pair of QUADPACK), and each
+sweep bisects the fewest worst panels whose removal would leave the rest
+within tolerance, until the summed estimate meets it.  This handles
+integrable endpoint singularities (dyadic refinement toward the endpoint) and
+piecewise-smooth integrands (seed the panel list with the known breakpoints)
+without any problem-specific tuning.  Every integral starts from 8 equal
+panels plus the breakpoints.  The integrand sees the 15 nodes of whole
+panels: the first panel alone (its result tells how many integrands are
+stacked), then all other initial panels in one call, then all children of a
+sweep in one call, so the fixed cost of a call is paid once per refinement
+level.  A call that would return more than ``_MAX_CALL_VALUES`` values
+(integrands x nodes) is split.
 
 Unbounded ranges are folded to compact ones with the tangent substitution
 x = a + tan(u) on [0, pi/2] for [a, oo) and x = tan(u) on [-pi/2, pi/2] for
 the whole line, dx = (1 + tan(u)^2) du, which turns algebraically decaying
-tails into bounded integrands.
+tails into bounded integrands; the 8 starting panels are equal in u.
 
 Integrands map a real 1-d array of n nodes to n values, real or complex (the
 integral is then a float or a complex), or to an ``(m, n)`` array of m
@@ -37,12 +39,24 @@ __all__ = [
     "integrate_real_line",
 ]
 
-# Nodes/weights for the embedded pair, computed once; the integrand sees the
-# 15 nodes of the value rule followed by the 7 of the error rule.
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_NODES = np.concatenate([_NODES_HI, _NODES_LO])
-_N_HI = len(_NODES_HI)
+# The G7K15 pair on [-1, 1] (Piessens et al., QUADPACK, Springer 1983, routine qk15): the
+# Kronrod nodes from 1 down to the centre, their weights, and the Gauss weights, nonzero at
+# the Gauss nodes (every second one).  The integrand sees the 15 nodes in ascending order;
+# the columns of _WEIGHTS give the K15 value and K15 - G7, the error estimate.
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_WEIGHTS = np.stack([np.concatenate([w[:-1], w[::-1]]) for w in (_WK, _WK - _WG)], axis=1)
+#: Equal panels every integral starts from, before the breakpoints split them.
+_START_PANELS = 8
 
 #: Default absolute tolerance (sum of panel error estimates).
 DEFAULT_ABS_TOL = 1e-12
@@ -67,11 +81,11 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: 
                      rows: int = 0):
     """Return (values, error_estimates) of the panels [lo_p, hi_p], one row per panel.
 
-    The value is the 15-point Gauss-Legendre rule; the error estimate is the
-    difference against the embedded 7-point rule.  ``f`` is called on the 22
-    nodes of whole panels, in as few calls as keep its ``rows`` x nodes values
-    within ``_MAX_CALL_VALUES``; with ``rows`` unknown (0), the first call
-    takes one panel and tells it.
+    The value is the 15-point Kronrod rule; the error estimate is its difference
+    against the nested 7-point Gauss rule.  ``f`` is called on the 15 nodes of
+    whole panels, in as few calls as keep its ``rows`` x nodes values within
+    ``_MAX_CALL_VALUES``; with ``rows`` unknown (0), the first call takes one
+    panel and tells it.
     """
     vals, errs, i = [], [], 0
     while i < len(lo):
@@ -79,12 +93,11 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: 
         mid = 0.5 * (lo[i:i + step] + hi[i:i + step])
         half = 0.5 * (hi[i:i + step] - lo[i:i + step])
         y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
-        y = y.reshape(*y.shape[:-1], len(mid), len(_NODES))
-        v_hi = half * (y[..., :_N_HI] @ _WEIGHTS_HI)
-        v_lo = half * (y[..., _N_HI:] @ _WEIGHTS_LO)
-        vals.append(v_hi.T)
-        errs.append(abs(v_hi - v_lo).T)
-        rows, i = max(v_hi.size // len(mid), 1), i + step
+        y = y.reshape(*y.shape[:-1], len(mid), len(_NODES)) @ _WEIGHTS
+        v = half * y[..., 0]
+        vals.append(v.T)
+        errs.append(abs(half * y[..., 1]).T)
+        rows, i = max(v.size // len(mid), 1), i + step
     return np.concatenate(vals), np.concatenate(errs)
 
 
@@ -104,7 +117,7 @@ def integrate(
     f:
         Vectorized integrand; called with a 1-d array of n abscissae, it
         returns n values, or an ``(m, n)`` array for m integrals, shape ``(m,)``.
-        The abscissae are the 22 nodes of one or more whole panels.
+        The abscissae are the 15 nodes of one or more whole panels.
     a, b:
         Endpoints, a < b.  ``b = math.inf`` folds [a, oo) onto [0, pi/2] by
         x = a + tan(u), and with ``a = -math.inf`` the real line onto
@@ -117,9 +130,9 @@ def integrate(
         bisects the fewest worst ones whose removal leaves every column of
         the rest summing to at most its tolerance.
     breakpoints:
-        Points in x where the integrand (or a derivative) jumps; the initial
-        panel list is split there (through the fold on unbounded ranges) so
-        each panel sees a smooth integrand.
+        Points in x where the integrand (or a derivative) jumps; the 8 equal
+        starting panels are split there (through the fold on unbounded ranges)
+        so each panel sees a smooth integrand.
 
     A sweep bisects no more panels than :data:`DEFAULT_MAX_PANELS` leaves room
     for, and exceeding it raises :class:`QuadratureError`, as does a panel value
@@ -141,7 +154,8 @@ def integrate(
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
 
     cap = DEFAULT_MAX_PANELS
-    edges = np.array([a, *sorted({float(t) for t in breakpoints if a < t < b}), b])
+    edges = np.array(sorted({*np.linspace(a, b, _START_PANELS + 1).tolist(),
+                             *(float(t) for t in breakpoints if a < t < b)}))
     los, his = edges[:-1], edges[1:]  # row p of vals/errs is the panel [los[p], his[p]]
     vals, errs = _panel_estimates(f, los, his)
     rows = max(vals[0].size, 1)
@@ -177,10 +191,12 @@ def integrate(
                 f"(floating-point limit) with tolerance unmet"
             )
         v, e = _panel_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]), rows)
-        los = np.concatenate([np.delete(los, worst), lo, mid])
-        his = np.concatenate([np.delete(his, worst), mid, hi])
-        vals = np.concatenate([np.delete(vals, worst, axis=0), v])  # complex once any panel is
-        errs = np.concatenate([np.delete(errs, worst, axis=0), e])
+        keep = np.ones(n, dtype=bool)
+        keep[worst] = False
+        los = np.concatenate([los[keep], lo, mid])
+        his = np.concatenate([his[keep], mid, hi])
+        vals = np.concatenate([vals[keep], v])  # complex once any panel is
+        errs = np.concatenate([errs[keep], e])
 
 
 def integrate_real_line(f: Callable[[np.ndarray], np.ndarray], **options):

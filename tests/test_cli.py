@@ -446,9 +446,9 @@ def test_sections_that_overflow_end_in_a_documented_exit_code(
 
 
 def test_unconverged_stacked_kernel_integral_is_exit_4(write_spec, capsys, monkeypatch) -> None:
-    def func(x):  # not integrable at x = 0.3, so the shared panel tree cannot converge
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / np.abs(np.asarray(x) - 0.3) + 0j
+    def func(x):  # not integrable at x = 0.3, so the shared panel tree cannot converge;
+        # finite where a node rounds onto 0.3, so it stays a failure to converge
+        return 1.0 / (np.abs(np.asarray(x) - 0.3) + 1e-300) + 0j
 
     grid = np.array([-1.0, 1.0])
     bad = SymbolSamples("halfplane", grid, func(grid), False, 2.0, func=func)
@@ -493,6 +493,27 @@ def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, monkeypatch,
     assert code == 4
     assert out == ""
     assert err == "hankelpos: h is not finite at p = -1.0\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("symbol", "h is not finite at p = -1000000.0"),
+    ("kernel-check", "h is not finite at p = -1000000.0"),
+    ("transport", "S_1 is not finite at a = (1-0j)"),
+    ("verify-all", "S_1 is not finite at a = (1-0j)"),
+])
+def test_an_infinite_h_is_exit_4_without_a_warning(write_spec, capsys, command: str,
+                                                   message: str) -> None:
+    # int lambda^-2.7 over [1e-200, 1] is ~1e340: S and h are infinite in double precision;
+    # the products 1j * inf and (-1) * inf once made a nan first, with a RuntimeWarning
+    spec = write_spec({"domain": "halfplane", "densities": [
+        {"kind": "power", "coeff": 1.0, "exponent": -2.7, "base": "lambda",
+         "support": [1e-200, 1.0]}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, command, "--spec", str(spec))
+    assert code == 4
+    assert out == ""
+    assert err == f"hankelpos: {message}\n"
 
 
 #: lambda^-1 on [1e-300, 2]: Widom-bounded, with 690 octaves of support below 2.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import hankelpos as hp
 from hankelpos import TWO_PI
+from hankelpos.kernels import circle_nodes
 
 PI = math.pi
 
@@ -175,6 +177,32 @@ def test_disc_symbol_round_trips_to_the_line(d1: hp.Measure) -> None:
     disc = hp.hp_to_disc_symbol(delta)
     probe = np.array([-3.0, -1.0, -0.25, 0.25, 1.0, 3.0])
     np.testing.assert_allclose(-disc(math.pi + 2.0 * np.arctan(probe)), delta(probe), atol=1e-10)
+
+
+def test_a_transferred_symbol_is_sampled_once_for_its_section() -> None:
+    # S at a point depends on that point alone, so the values hp_to_disc_symbol stored on its
+    # 4096 offset nodes are the ones a second evaluation there gives, bit for bit; the
+    # section reads them instead of evaluating h again
+    mu = hp.halfplane_measure(atoms=[(0.5, 0.3)],
+                              pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
+    disc = hp.hp_to_disc_symbol(hp.symbol_h_samples(mu))
+    assert not disc.jumps
+    assert disc.grid.tobytes() == circle_nodes(4096).tobytes()
+    again = disc.func(disc.grid)
+    assert again.tobytes() == disc.values.tobytes()
+    calls = []
+
+    def func(theta: np.ndarray) -> np.ndarray:
+        calls.append(theta.size)
+        return disc.func(theta)
+
+    counted = dataclasses.replace(disc, func=func)
+    section = hp.section_from_symbol_disc(counted, 4, pairing="moment")
+    assert calls == []
+    phases = np.exp(-1j * np.outer(np.arange(1, 8), disc.grid))
+    coeffs = TWO_PI * (phases @ again / 4096)
+    expected = coeffs[np.add.outer(np.arange(4), np.arange(4))].real
+    assert section.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hankelpos as hp
+import hankelpos.outer as outer
 
 PI = math.pi
 
@@ -188,6 +189,30 @@ def test_g_boundary_modulus_matches_delta(d1: hp.Measure) -> None:
     delta_at_one = abs(1.0 + 1j / (2.0 * PI))
     g_boundary = hp.g_from_delta(d1, 1.0, 1.0 + 1e-4j)
     assert abs(g_boundary) ** 2 == pytest.approx(delta_at_one, abs=1e-3)
+
+
+@pytest.mark.parametrize("density", [False, True])
+def test_g_at_the_polar_approach_points_takes_few_integrand_calls(
+    d1: hp.Measure, density: bool, monkeypatch
+) -> None:
+    # panels graded toward each x + 1e-4 i from the start spare the 14 sweeps that would
+    # bisect down to it
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))]) \
+        if density else d1
+    calls, integrate = [], outer.integrate
+
+    def counted(f, *args, **options):
+        def g(x):
+            calls.append(x.size)
+            return f(x)
+
+        return integrate(g, *args, **options)
+
+    monkeypatch.setattr(outer, "integrate", counted)
+    x = np.array([-1.0, -0.5, 0.5, 1.0])
+    g = hp.g_from_delta(mu, 1.0, x + 1e-4j)
+    assert len(calls) <= 4
+    np.testing.assert_allclose(np.abs(g) ** 2, np.abs(hp.delta_values(mu, 1.0, x)), atol=1e-3)
 
 
 def test_g_is_sharp_symmetric(d1: hp.Measure) -> None:

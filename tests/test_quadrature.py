@@ -25,6 +25,29 @@ def test_oscillatory_integrand_matches_quad_oracle() -> None:
     assert integrate(f, 0.0, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("column, exact_to", [(0, 23), (1, 13)])
+def test_the_kronrod_and_gauss_rules_are_exact_to_their_degree(column: int, exact_to: int) -> None:
+    # column 0: K15; column 1: G7 = K15 - (K15 - G7), on 7 of the 15 nodes
+    weights = quadrature._WEIGHTS[:, 0] - (quadrature._WEIGHTS[:, 1] if column else 0.0)
+    assert np.count_nonzero(weights) == (7 if column else 15)
+    for d in range(exact_to + 1):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert weights @ quadrature._NODES**d == pytest.approx(exact, rel=0.0, abs=1e-15)
+    assert abs(weights @ quadrature._NODES ** (exact_to + 1) - 2.0 / (exact_to + 2)) > 1e-12
+
+
+def test_a_smooth_integrand_converges_on_the_starting_panels() -> None:
+    calls = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        calls.append(x.size)
+        return np.exp(x) * np.cos(x)
+
+    expected = 0.5 * (math.e * (math.cos(1.0) + math.sin(1.0)) - 1.0)
+    assert integrate(f, 0.0, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert calls == [15, 7 * 15]  # the first of the 8 panels alone, then the other 7
+
+
 def test_zero_integrand_returns_zero() -> None:
     assert integrate(lambda x: np.zeros_like(x), -3.0, 7.0) == 0.0
 
@@ -244,16 +267,16 @@ def test_an_integrand_that_turns_complex_on_a_refined_panel_keeps_its_imaginary_
 # Sweeps: every panel a sweep bisects is evaluated in one integrand call
 # ---------------------------------------------------------------------------
 
-_RULE = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (15, 7)])
+_RULE = quadrature._NODES  # the 15 Kronrod nodes, ascending, the centre 0 in the middle
 
 
 def _panels(x: np.ndarray) -> list[tuple[float, float]]:
-    """The panels [lo, hi] whose 15 + 7 rule nodes make up ``x``, checked whole."""
+    """The panels [lo, hi] whose 15 rule nodes make up ``x``, checked whole."""
     assert x.size % _RULE.size == 0
     out = []
     for nodes in x.reshape(-1, _RULE.size):
-        half = (nodes[0] - nodes[1]) / (_RULE[0] - _RULE[1])
-        mid = nodes[0] - half * _RULE[0]
+        half = (nodes[-1] - nodes[0]) / (_RULE[-1] - _RULE[0])
+        mid = nodes[_RULE.size // 2]
         np.testing.assert_allclose(nodes, mid + half * _RULE, rtol=0.0, atol=1e-14)
         out.append((mid - half, mid + half))
     return out
@@ -285,7 +308,8 @@ def test_a_square_root_needs_one_call_per_refinement_level() -> None:
     narrowest = min(hi - lo for call in calls for lo, hi in call)
     levels = round(math.log2(1.0 / narrowest))
     assert levels > 10
-    assert len(calls) <= levels + 1
+    # two calls for the 8 starting panels of width 1/8, then one per level below that
+    assert len(calls) <= levels - 1
 
 
 def test_breakpoint_panels_share_calls() -> None:
@@ -297,8 +321,9 @@ def test_breakpoint_panels_share_calls() -> None:
 
     cuts = np.linspace(0.0, 1.0, 12)[1:-1]
     assert integrate(f, 0.0, 1.0, breakpoints=cuts) == pytest.approx(math.e - 1.0, rel=1e-14)
-    # the first panel alone tells the row count, the other ten share one call
-    assert [len(call) for call in calls] == [1, 10]
+    # the first panel alone tells the row count, the other 17 (8 equal panels split at 10
+    # cuts) share one call
+    assert [len(call) for call in calls] == [1, 17]
 
 
 def test_a_stacked_integrand_keeps_every_call_within_the_value_cap() -> None:
@@ -314,21 +339,22 @@ def test_a_stacked_integrand_keeps_every_call_within_the_value_cap() -> None:
     values = integrate(f, 0.0, 1.0, breakpoints=edge, abs_tol=0.0, rel_tol=1e-12)
     np.testing.assert_allclose(values, 1.0 / (js + 1.0), rtol=1e-11)
     assert max(sizes) <= quadrature._MAX_CALL_VALUES
-    assert len(sizes) < sum(sizes) / (js.size * 22)  # calls still carry several panels
+    assert len(sizes) < sum(sizes) / (js.size * 15)  # calls still carry several panels
 
 
 def test_the_panel_budget_caps_a_sweep(monkeypatch) -> None:
     calls = []
 
     def f(x: np.ndarray) -> np.ndarray:
-        calls.append(x.size // 22)
+        calls.append(x.size // 15)
         return np.abs(np.sin(200.0 * x))  # 63 kinks: every panel needs bisecting
 
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_PANELS", 50)
     with pytest.raises(QuadratureError, match="after 50 panels"):
         integrate(f, 0.0, 1.0)
-    # the sweep from 32 panels bisects only the 18 the budget leaves room for
-    assert calls == [1, 2, 4, 8, 16, 32, 2 * 18]
+    # the first panel, the other 7 of the start, then one call per sweep; the sweep from
+    # 32 panels bisects only the 18 the budget leaves room for
+    assert calls == [1, 7, 16, 32, 2 * 18]
 
 
 def test_a_panel_at_the_floating_point_limit_raises() -> None:
