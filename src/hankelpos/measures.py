@@ -742,12 +742,14 @@ def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):
     """``c int_lo^hi dlambda / (lambda + a)^k``, the finite part where hi = oo, k = 1."""
     if k == 2:  # (hi - lo) / (hi + a) first: (lo + a)(hi + a) may overflow where S does not
         return c / (lo + a) if unbounded else c * ((hi - lo) / (hi + a)) / (lo + a)
-    if unbounded:  # -log(lo + a), by log1p((lo - 1) + a) where lo + a nears 1 (lo - 1 exact)
-        v = (lo - 1.0) + a
-        with np.errstate(over="ignore", divide="ignore"):
-            near = np.abs(v) < 0.5
-            log1p = 0.5 * np.log1p(v.real * (2.0 + v.real) + v.imag * v.imag)
-        return -c * np.where(near, log1p + 1j * np.arctan2(v.imag, 1.0 + v.real), np.log(lo + a))
+    if unbounded:  # -log(lo + a), by log1p(x + iy) where lo + a nears 1: x = (s - 1) + the
+        # rounding of s = lo + Re a (TwoSum), s - 1 exact there (lo - 1 is not for lo < 1/2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = (s := lo + a.real) - lo
+            x, y = (s - 1.0) + ((lo - (s - d)) + (a.real - d)), a.imag
+            near = np.hypot(x, y) < 0.5
+            log1p = 0.5 * np.log1p(x * (2.0 + x) + y * y)
+        return -c * np.where(near, log1p + 1j * np.arctan2(y, 1.0 + x), np.log(lo + a))
     # log1p(u): NumPy's complex log1p loses the real part for small |u|; where 1 + u nears 0
     # or u re + im^2 would overflow, the logs and angles of hi + a and lo + a apart
     u = (hi - lo) / (lo + a)
@@ -835,7 +837,7 @@ def _scaled_power(x: np.ndarray, e: float, i: int, b: np.ndarray, j: int, v) -> 
 
 #: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per chunk; least normal.
 _GAUSS = np.polynomial.legendre.leggauss(12)
-_CHUNK, _TINY = 1 << 12, np.finfo(float).tiny
+_CHUNK, _TINY = 1 << 8, np.finfo(float).tiny
 
 
 def _octave_edges(m: np.ndarray, big: np.ndarray, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -859,19 +861,21 @@ def _panels(edges: np.ndarray, owner: np.ndarray):
 
 def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray,
                   n: int, split: bool = False) -> np.ndarray:
-    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio
-    <= 2^(1/n), ragged per point; where Re a < 0, graded toward the pole -Re a too, and
-    next to it lambda + a formed from the left edge and k = 2 taken by parts.  A point whose
-    value is not a normal double is taken again by :func:`_scaled_power` (``split``)."""
+    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio <= 2^(1/n),
+    ragged per point; where Re a < 0, graded toward the pole -Re a too, next to it lambda + a
+    formed from the left edge, and k = 2 by parts where the pole is in (m, big).  A point
+    whose value is not a normal double is taken again by :func:`_scaled_power` (``split``)."""
     # the pole -Re a where Re a < 0 and it is within [m/2, 2 big], else 0
     neg = np.flatnonzero(a.real < 0.0)
     pole = np.zeros(a.size)
     if neg.size:
         pole[neg] = np.where((-a.real[neg] >= 0.5 * m[neg]) & (-a.real[neg] <= 2.0 * big[neg]),
                              -a.real[neg], 0.0)
-    if k == 2 and not split and pole.any():  # by parts next to a pole: there the panels'
-        # (lambda + a)^-2 cancel from ~1/Im a to S, its parts do not
-        out, near = np.empty(a.size, dtype=complex), pole > 0.0
+    # by parts where the pole is inside (m, big), |Im a| < big - m: the panels' (lambda + a)^-2
+    # cancel there, the parts do not; outside, the two end terms can cancel, the panels do not
+    near = (pole > m) & (pole < big) & (np.abs(a.imag) < big - m) if neg.size else None
+    if k == 2 and not split and neg.size and near.any():
+        out = np.empty(a.size, dtype=complex)
         out[~near] = _gauss_panels(e, a[~near], 2, m[~near], big[~near], n)
         ends = m ** (e - 1.0) * (m / (m + a)) - big ** (e - 1.0) * (big / (big + a))
         out[near] = ends[near] + e * _gauss_panels(

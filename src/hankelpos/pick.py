@@ -12,10 +12,11 @@ the distinguished bounded symbol
 
     h(p) = (i/pi) int p/(lambda^2 + p^2) d mu(lambda)   (purely imaginary),
 
-which satisfies h(-p) = -h(p) = conj(h(p)) (sharp symmetry) and
-``h(p) = (i/pi) Im kappa(ip)``.  When the measure passes the Widom-type
-boundedness test, ``||h||_inf <= (1/pi) rho((0,oo)) + (1/2) max(beta, gamma)``
-— the constant returned by :func:`symbol_bound`.
+which satisfies h(-p) = -h(p) = conj(h(p)) (sharp symmetry, so on a grid mirrored about 0
+the Stieltjes transform below is taken at p >= 0 alone, exactly: :func:`symbol_h_values`)
+and ``h(p) = (i/pi) Im kappa(ip)``.  When the measure passes the Widom-type boundedness
+test, ``||h||_inf <= (1/pi) rho((0,oo)) + (1/2) max(beta, gamma)`` — the constant returned
+by :func:`symbol_bound`.
 
 The module also provides the Poisson superposition
 
@@ -40,6 +41,7 @@ import numpy as np
 
 from .measures import (
     Measure,
+    _sorted_unique,
     rho_total as _rho_total,
     stieltjes,
     total_mass,
@@ -158,10 +160,22 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     lambda = 0), so h(0) = 0 — the symmetric value of the odd symbol.  When
     the density extends down to 0 the one-sided limits differ from it (h has
     a jump there); samples record that through their ``jumps`` field.
+
+    On a grid mirrored about 0, as :func:`default_symbol_grid` builds it, S is
+    taken on the upper half alone and h(-p) = -h(p) gives the rest, in the bits
+    of one call per point: S is point-local and S(conj a) = conj S(a) in the
+    bits but for the sign of a zero, so where Im S is 0 it is taken again.
     """
     _require_halfplane(mu, "the boundary symbol")
     p = np.asarray(p, dtype=float)
-    im_s = stieltjes(mu, -1j * p).imag
+    n = p.size // 2
+    if p.ndim == 1 and np.array_equal(p[:n], -p[:-n - 1:-1]):  # mirrored: S on p[n:] alone
+        im_s = stieltjes(mu, -1j * p[n:]).imag
+        im_s = np.concatenate([-im_s[:-n - 1:-1], im_s])
+        zero = np.flatnonzero(im_s[:n] == 0.0)  # the sign of a zero does not mirror
+        im_s[zero] = stieltjes(mu, -1j * p[zero]).imag if zero.size else 0.0
+    else:
+        im_s = stieltjes(mu, -1j * p).imag
     im_s[p == 0.0] = 0.0
     # (i/pi) Im S, without the nan that the product's 0 * Im S makes where Im S is infinite:
     # Re h is the zero of the sign of Im S, as that product gives it
@@ -177,12 +191,9 @@ def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
     finite density-support endpoints and 1.0 (the symbol of a unit atom peaks
     exactly at |p| = position), then mirrored to negative p.
     """
-    mags = set(np.logspace(-6.0, 6.0, n).tolist())
-    mags.add(1.0)
-    mags.update(a.position for a in mu.atoms)
-    for piece in mu.pieces:
-        mags.update(e for e in piece.support if math.isfinite(e) and e > 0.0)
-    pos = np.array(sorted(mags))
+    ends = [e for piece in mu.pieces for e in piece.support if math.isfinite(e) and e > 0.0]
+    extras = [1.0, *(a.position for a in mu.atoms), *ends]
+    pos = _sorted_unique(np.append(np.logspace(-6.0, 6.0, n), extras))
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -271,6 +282,11 @@ def psi_mu_values(mu: Measure, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def symbol_samples_csv(samples: SymbolSamples) -> str:
-    """Render samples as CSV with columns p, re_h, im_h."""
-    rows = zip(samples.grid.tolist(), samples.values.real.tolist(), samples.values.imag.tolist())
-    return "p,re_h,im_h\n" + "".join(f"{p!r},{re!r},{im!r}\n" for p, re, im in rows)
+    """Render samples as CSV with columns p, re_h, im_h, by one ``repr`` per distinct
+    magnitude of a column: repr(-x) is "-" + repr(x) for x >= 0, -0.0 included."""
+    cols = []
+    for x in (samples.grid, samples.values.real, samples.values.imag):
+        mags, neg = np.abs(x).tolist(), (np.signbit(x) & ~np.isnan(x)).tolist()
+        text = {m: repr(m) for m in set(mags)}
+        cols.append(["-" + text[m] if s else text[m] for m, s in zip(mags, neg)])
+    return "p,re_h,im_h\n" + "".join(f"{p},{re},{im}\n" for p, re, im in zip(*cols))

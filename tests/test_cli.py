@@ -481,10 +481,10 @@ def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, monkeypatch,
     # once ran 52 s to 4096 panels on a nan error estimate before it exited 4
     stieltjes = hankelpos.pick.stieltjes
 
-    def nan_at_p_minus_1(mu, a, k=1):  # a = -ip
-        return np.where(np.asarray(a) == 1j, complex(np.nan, np.nan), stieltjes(mu, a, k))
+    def nan_at_p_1(mu, a, k=1):  # a = -ip; h is taken at p >= 0 and mirrored, so nan at +-1
+        return np.where(np.asarray(a) == -1j, complex(np.nan, np.nan), stieltjes(mu, a, k))
 
-    monkeypatch.setattr(hankelpos.pick, "stieltjes", nan_at_p_minus_1)
+    monkeypatch.setattr(hankelpos.pick, "stieltjes", nan_at_p_1)
     spec = write_spec({"domain": "halfplane", "densities": [
         {"kind": "power", "coeff": 1.0, "exponent": 0.5, "base": "lambda", "support": [1.0, 2.0]}]})
     with warnings.catch_warnings():

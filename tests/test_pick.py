@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,12 @@ from scipy import integrate as sp_integrate
 import hankelpos as hp
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parents[1]
+HALF_LINE_SPECS = ("atoms13", "invsqrt_0_inf", "leb01_atom2", "sqrt_0_2", "sqrt_1_2")
+
+
+def _spec(name: str) -> hp.Measure:
+    return hp.load_measure(ROOT / "bench" / "specs" / f"{name}.json")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,55 @@ def test_symbol_is_odd_and_purely_imaginary(mix: hp.Measure) -> None:
     values = hp.symbol_h_values(mix, p)
     mirror = hp.symbol_h_values(mix, -p)
     np.testing.assert_allclose(values.real, 0.0, atol=1e-16)
-    np.testing.assert_allclose(mirror, -values, rtol=1e-14)
+    assert mirror.tobytes() == (-values).tobytes()
+
+
+def _one_call_per_point(mu: hp.Measure, p: np.ndarray) -> np.ndarray:
+    return np.array([hp.symbol_h_values(mu, p[i:i + 1])[0] for i in range(p.size)], complex)
+
+
+@pytest.mark.parametrize("spec", HALF_LINE_SPECS)
+def test_symbol_on_a_mirrored_grid_is_one_call_per_point(spec: str) -> None:
+    # S is taken on the upper half alone and mirrored: the bytes must not change, with
+    # and without a middle 0
+    mu = _spec(spec)
+    grid = hp.default_symbol_grid(mu, 64)
+    for p in (grid, np.insert(grid, grid.size // 2, 0.0)):
+        assert hp.symbol_h_values(mu, p).tobytes() == _one_call_per_point(mu, p).tobytes()
+
+
+@st.composite
+def mirrored_cases(draw) -> tuple[hp.Measure, np.ndarray]:
+    """A measure of atoms and a power piece, masses down to 1e-300 so that Im S can
+    underflow to 0, and a mirrored grid of |p| in [1e-300, 1e300], with or without 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = [(10.0 ** rng.uniform(-8.0, 8.0), 10.0 ** rng.uniform(-300.0, 0.0))
+             for _ in range(draw(st.integers(0, 3)))]
+    e, lo = draw(st.floats(-0.9, 2.0)), draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    pieces = [hp.power_piece(10.0 ** rng.uniform(-300.0, 0.0), e, "lambda",
+                             (lo, lo + 10.0 ** rng.uniform(-6.0, 6.0)))] if draw(
+        st.booleans()) else []
+    pos = np.unique(10.0 ** rng.uniform(-300.0, 300.0, draw(st.integers(0, 40))))
+    middle = [0.0] if draw(st.booleans()) else []
+    return hp.halfplane_measure(atoms=atoms, pieces=pieces), np.concatenate(
+        [-pos[::-1], middle, pos])
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=mirrored_cases())
+def test_symbol_on_any_mirrored_grid_is_one_call_per_point(case) -> None:
+    mu, p = case
+    with np.errstate(all="ignore"):
+        assert hp.symbol_h_values(mu, p).tobytes() == _one_call_per_point(mu, p).tobytes()
+
+
+def test_where_im_s_underflows_the_lower_half_takes_s_again() -> None:
+    # Im S(-ip) of a mass of 1e-300 at |p| = 1e300 is 0: -0.0 mirrored, +0.0 taken again
+    mu = hp.halfplane_measure(atoms=[(1.0, 1e-300)])
+    p = np.array([-1e300, -1.0, 1.0, 1e300])
+    h = hp.symbol_h_values(mu, p)
+    assert h.tobytes() == _one_call_per_point(mu, p).tobytes()
+    assert h[0] == 0.0 and h[2] != 0.0
 
 
 def test_symbol_matches_the_imaginary_part_of_kappa(
@@ -168,6 +223,15 @@ def test_sample_grids_are_symmetric_and_include_atoms(mix: hp.Measure) -> None:
     assert 3.0 in grid and -3.0 in grid
     ordered = np.sort(grid)
     np.testing.assert_allclose(ordered, -ordered[::-1], rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", HALF_LINE_SPECS)
+def test_sample_grids_are_the_sorted_set_of_magnitudes_mirrored(spec: str) -> None:
+    mu = _spec(spec)
+    mags = {*np.logspace(-6.0, 6.0, 1024).tolist(), 1.0, *(a.position for a in mu.atoms)}
+    mags.update(e for q in mu.pieces for e in q.support if math.isfinite(e) and e > 0.0)
+    pos = np.array(sorted(mags))
+    assert hp.default_symbol_grid(mu).tobytes() == np.concatenate([-pos[::-1], pos]).tobytes()
 
 
 def test_samples_record_the_supremum_at_the_atom(d1: hp.Measure) -> None:
@@ -303,6 +367,55 @@ def test_psi_rejects_infinite_mass() -> None:
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
+
+
+def _csv_by_f_strings(samples: hp.SymbolSamples) -> str:
+    """The renderer the CSV must match byte for byte: one repr per float."""
+    rows = zip(samples.grid.tolist(), samples.values.real.tolist(), samples.values.imag.tolist())
+    return "p,re_h,im_h\n" + "".join(f"{p!r},{re!r},{im!r}\n" for p, re, im in rows)
+
+
+def _samples(grid, values) -> hp.SymbolSamples:
+    values = np.asarray(values, dtype=complex)
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    return hp.SymbolSamples("halfplane", grid, values, False, peak)
+
+
+@pytest.mark.parametrize("spec", HALF_LINE_SPECS)
+def test_symbol_csv_of_the_default_grids_matches_the_f_strings(spec: str) -> None:
+    samples = hp.symbol_h_samples(_spec(spec))
+    assert hp.symbol_samples_csv(samples) == _csv_by_f_strings(samples)
+
+
+def _parts(re, im) -> np.ndarray:
+    """re + i im with the sign of each zero kept (re + 1j * im would add 0 * im to re)."""
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+def test_symbol_csv_of_odd_values_matches_the_f_strings(mix: hp.Measure) -> None:
+    tiny = np.finfo(float).tiny
+    odd = [0.0, -0.0, 5e-324, -5e-324, tiny / 3.0, -tiny / 3.0, 1e300, -1e300, 1e-300, -1e-300]
+    cases = [  # not mirrored; odd with p = 0 in the middle; zeros, subnormals, 1e+-300;
+        # repeated magnitudes; empty; nan and infinities
+        (grid, hp.symbol_h_values(mix, grid)) for grid in (
+            np.array([-3.0, 0.5, 2.0, 7.0]), np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))] + [
+        (np.array(odd), _parts(odd, odd[::-1])),
+        (np.array([-1.0, 1.0, 1.0, -1.0, 2.0, 2.0]), [1j, -1j, 1j, 0.5, -0.5 - 1j, 0.5]),
+        (np.array([]), []),
+        (np.array([np.nan, -np.inf, np.inf]), _parts([np.nan, 1.0, -np.inf], [-np.nan, 0.0, 2.0])),
+    ]
+    for grid, values in cases:
+        samples = _samples(grid, values)
+        assert hp.symbol_samples_csv(samples) == _csv_by_f_strings(samples)
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0]), max_size=30))
+def test_symbol_csv_of_any_floats_matches_the_f_strings(xs) -> None:
+    x = np.array(xs, dtype=float)
+    samples = _samples(x, _parts(x[::-1], x))
+    assert hp.symbol_samples_csv(samples) == _csv_by_f_strings(samples)
 
 
 def test_symbol_csv_round_trips(d1: hp.Measure) -> None:

@@ -313,6 +313,11 @@ def wide_cases(draw) -> tuple[float, complex, int, float, float]:
 
 @settings(deadline=None, max_examples=60)  # a reference can take seconds at ~500 digits
 @given(case=wide_cases())
+# a pole -Re a = 0.99 just outside a short support: by parts its two end terms, each ~7,
+# cancelled to ~5e-3 (1.08e-13 off); the panels take it
+@example(case=(-1.0, -0.9899924966004454 + 0.1411200080598672j, 2, 1.0, 1.0001))
+# -log(lo + a) near 0 by log1p((lo - 1) + a): lo - 1 rounds for lo < 1/2 (1.1e-13 off)
+@example(case=(0.0, 1.0 + 0.0j, 1, 1e-4, math.inf))
 def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     e, a, k, lo, hi = case
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
@@ -324,6 +329,23 @@ def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
         warnings.simplefilter("error", RuntimeWarning)
         got = complex(stieltjes(mu, a, k))
     assert abs(got - expected) <= 1e-13 * abs(expected), (got, expected)
+
+
+@given(case=wide_cases())
+# Im S underflows to 0 with the sign its last operation leaves, not the conjugate's
+@example(case=(0.0, 1.0 + 0.0j, 2, 0.0, 1e-162))
+def test_stieltjes_commutes_with_conjugation_bit_for_bit_on_the_imaginary_axis(case) -> None:
+    # the symbol takes S at -ip for p >= 0 alone and mirrors it: S(ip) = conj S(-ip) must
+    # hold in the bits, but for the sign of a zero or a nan (the symbol takes a zero again)
+    e, a, k, lo, hi = case
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    a = -1j * np.array([math.copysign(abs(a), a.imag)])  # a = -ip, p of either sign
+    with np.errstate(all="ignore"):  # a value past the float range compares as itself
+        got, mirror = stieltjes(mu, np.conj(a), k), np.conj(stieltjes(mu, a, k))
+    x, y = got.view(float), mirror.view(float)
+    same = (x.view(np.uint64) == y.view(np.uint64)) | ((x == 0.0) & (y == 0.0)) | (
+        np.isnan(x) & np.isnan(y))
+    assert same.all(), (got, mirror)
 
 
 @pytest.mark.parametrize("e, a, k, lo, hi, rtol", [
@@ -340,6 +362,8 @@ def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     (1000.5, 2.0**-7 / 3.0, 2, 2.0**-7, 2.0, 1e-14),
     # Lebesgue: -log(lo + a) by log1p where lo + a nears 1 (1.1e-13 off before)
     (0.0, 0.001, 1, 1.0, math.inf, 1e-14),
+    # ... and where lo < 1/2, whose lo - 1 rounds (5e-9 off before)
+    (0.0, 1.0, 1, 1e-8, math.inf, 1e-15),
     # Lebesgue: u = (hi - lo)/(lo + a) and (lo + a)(hi + a) past the float range (inf, 0, nan
     # before), and 1 + u near 0, a pole at hi (-inf before)
     (0.0, 1e-300j, 1, 1e-300, 1e300, 1e-14),
