@@ -4,11 +4,12 @@ A finite Hankel section is the matrix ``M[j][k] = c[j+k]`` built from a moment
 sequence; for a positive measure on [0, 1] this is the classical positive
 definite (Hilbert-type) matrix, and its operator norms increase to the full
 Hankel operator norm.  The same sections arise from a bounded disc symbol k
-through its Fourier coefficients, ``M[j][k] = khat(j + k + 1)`` — the
-``pairing`` flag of :func:`section_from_symbol_disc` selects between that
-Taylor-coefficient normalization and the moment normalization
-``2 pi khat(j + k + 1)``, which is the one matching ``c[j+k]`` for length
-measure on the circle (see :mod:`hankelpos.kernels`).
+through its Fourier coefficients, ``M[j][k] = khat(j + k + 1)``, or
+``2 pi khat(j + k + 1)`` in the moment pairing that matches ``c[j+k]`` for
+length measure on the circle (see :mod:`hankelpos.kernels`).  The disc symbol
+of a line symbol is the same samples re-indexed, k(e^{i theta}) =
+-h(-cot(theta/2)), with no second sampling of h; its coefficients are one
+adaptive integral of its evaluator.
 
 On the half-plane side the same quadratic forms are carried by the symbol
 kernel
@@ -22,11 +23,11 @@ upper half-plane).  Measure mode is ``(S(a) - S(b)) / (4 pi^2 (b - a))`` with
 ``a = -i z``, ``b = i conj(w)`` and S the Stieltjes transform of
 :func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b);
 :func:`measure_kernels` and :func:`boundary_kernels` take a list of pairs.
-:func:`verify_rp_transport` checks the polar-transported
-boundary integral ``u |delta|`` against the measure mode, and
-:func:`polar_decomposition_check` verifies that ``h = delta / conj(g*)^2`` is
-unimodular on the boundary once the outer factor g of |delta|^(1/2) is divided
-out.
+:func:`verify_rp_transport` checks the polar-transported boundary integral
+``u |delta|`` against the measure mode, in one integral with the offset's
+kernel rows, and :func:`polar_decomposition_check` verifies that
+``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
+factor g of |delta|^(1/2) is divided out.
 
 Every section is built by one index builder, ``c[j + k + shift]`` over a
 rows x cols grid, and every spectrum is read by one dense Hermitian
@@ -136,29 +137,26 @@ def hilbert_section(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
-    """khat(1), ..., khat(top) of a disc symbol, jump-aware.
+    """khat(1), ..., khat(top) of a disc symbol.
 
-    Smooth symbols use an offset DFT on an aliasing-safe grid; symbols with
-    declared jump angles are integrated adaptively with the jumps as panel
-    breakpoints (a plain DFT converges only like O(1/m) across a jump, far too
-    slow for the tolerances used here); all coefficients share one panel tree.
+    A symbol with an evaluator is one adaptive integral, all coefficients on one
+    panel tree and its jumps as breakpoints: a DFT converges like O(1/m) across a
+    jump, and the feature of an atom at lambda is 2 lambda wide at theta = pi.  A
+    sampled-only symbol (``func`` None) takes an offset DFT of its interpolant on
+    an aliasing-safe grid, spectral where its samples lie on that grid.
     """
     if samples.domain != "disc":
         raise ValueError("Fourier coefficients are taken on the circle")
     ns = np.arange(1, top + 1)
-    if samples.jumps:
+    if samples.func is not None:
         def integrand(t: np.ndarray) -> np.ndarray:
-            return np.asarray(samples(t), dtype=complex) * np.exp(-1j * np.outer(ns, t))
+            return samples(t) * np.exp(-1j * np.outer(ns, t))
 
         return integrate(integrand, 0.0, TWO_PI,
                          breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
     m = max(4096, 16 * top)  # even, so theta = pi is never a node of the offset grid
     theta = circle_nodes(m)
-    # the samples' own values where their grid is these nodes, as hp_to_disc_symbol's is
-    values = samples.values if np.array_equal(samples.grid, theta) else np.asarray(
-        samples(theta), dtype=complex)
-    phases = np.exp(-1j * np.outer(ns, theta))
-    return phases @ values / m
+    return np.exp(-1j * np.outer(ns, theta)) @ samples(theta) / m
 
 
 def section_from_symbol_disc(
@@ -211,23 +209,20 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
 
     The sign implements the reflection convention under which the section of
     the transferred symbol (moment pairing) matches the moment section of the
-    pushforward measure.  Jump locations are mapped through the boundary
-    correspondence; sharp symmetry is preserved (theta -> 2 pi - theta matches
-    x -> -x).
+    pushforward measure.  The line samples are re-indexed (grid mapped by
+    theta = pi + 2 arctan(x), values negated, the same ``sup_estimate``), not
+    taken again; the evaluator and the jumps go through the same map, and
+    sharp symmetry is preserved (theta -> 2 pi - theta matches x -> -x).
     """
     if samples.domain != "halfplane":
         raise ValueError("expected a half-plane (line) symbol")
 
     def func(theta):
-        return -np.asarray(samples(_line_from_angle(theta)), dtype=complex)
+        return -samples(_line_from_angle(theta))
 
-    theta = circle_nodes(4096)
-    values = func(theta)
     jumps = tuple(sorted(float(_angle_from_line(x)) for x in samples.jumps))
-    sup = max(samples.sup_estimate, float(np.max(np.abs(values))))
-    return SymbolSamples(
-        "disc", theta, values, samples.sharp_symmetric, sup, func=func, jumps=jumps
-    )
+    return SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
+                         samples.sharp_symmetric, samples.sup_estimate, func=func, jumps=jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +258,10 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     zs, wbars = _probe_pairs(pairs)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.asarray(samples(x), dtype=complex) * _kernel_rows(x, zs, wbars)
+        return samples(x) * _kernel_rows(x, zs, wbars)
 
-    value = integrate(integrand, -math.inf, math.inf, abs_tol=1e-9, rel_tol=1e-10,
-                      breakpoints=tuple(samples.jumps))
-    return value / _FOUR_PI_SQ
+    return integrate(integrand, -math.inf, math.inf,
+                     breakpoints=tuple(samples.jumps)) / _FOUR_PI_SQ
 
 
 def measure_kernels(mu: Measure, pairs: Sequence) -> np.ndarray:
@@ -530,16 +524,17 @@ def verify_rp_transport(
     zs, wbars = _probe_pairs(pair_list)
     lhs = measure_kernels(mu, pair_list)
 
-    def polar_integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray) -> np.ndarray:  # the polar rows, then the bare kernel rows
         d = np.asarray(delta_values(mu, c, x), dtype=complex)
         modulus = np.abs(d)
         with np.errstate(invalid="ignore"):  # a delta that is not finite: nan, which
             unimodular = d / modulus  # integrate reports as an integrand not finite
-        return unimodular * modulus * _kernel_rows(x, zs, wbars)
+        rows = _kernel_rows(x, zs, wbars)
+        return np.concatenate([unimodular * modulus * rows, rows])
 
-    line = (-math.inf, math.inf)
-    rhs = integrate(polar_integrand, *line, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
-    ghost = c * integrate(lambda x: _kernel_rows(x, zs, wbars), *line) / _FOUR_PI_SQ
+    # c times the kernel rows after the integral: their absolute tolerance is the bare kernel's
+    both = integrate(integrand, -math.inf, math.inf, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
+    rhs, ghost = both[:len(pair_list)], c * both[len(pair_list):]
     residuals = np.abs(lhs - rhs).tolist()
     invisibility = np.abs(ghost).tolist()
     max_res = max(residuals, default=0.0)

@@ -877,9 +877,12 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     if k == 2 and not split and neg.size and near.any():
         out = np.empty(a.size, dtype=complex)
         out[~near] = _gauss_panels(e, a[~near], 2, m[~near], big[~near], n)
-        ends = m ** (e - 1.0) * (m / (m + a)) - big ** (e - 1.0) * (big / (big + a))
-        out[near] = ends[near] + e * _gauss_panels(
-            e - 1.0, a[near], 1, m[near], big[near], max(n, math.ceil(abs(e - 1.0) / 3.0)))
+        # parts from s, an octave below the pole, and panels on [m, s]: from m << |a| the end
+        # term m^e / (m + a) is |a| / m times S_2 where e < -1 (490 times: 2.2e-13 off)
+        a, m, big, s = a[near], m[near], big[near], np.maximum(m, 0.5 * pole)[near]
+        ends = s ** (e - 1.0) * (s / (s + a)) - big ** (e - 1.0) * (big / (big + a))
+        out[near] = ends + _gauss_panels(e, a, 2, m, s, n) + e * _gauss_panels(
+            e - 1.0, a, 1, s, big, max(n, math.ceil(abs(e - 1.0) / 3.0)))
         return out
     x, owner = _octave_edges(m, big, n)
     if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|, point by point

@@ -190,7 +190,8 @@ def _suite_polar(mu: Measure, samples) -> SuiteResult:
         "polar",
         report.verdict == "pass",
         worst,
-        f"max ||h|-1|={report.max_modulus_defect:.3e}",
+        f"max ||h|-1|={report.max_modulus_defect:.3e} "
+        f"g_symmetry={report.g_symmetry_defect:.3e} h_symmetry={report.h_symmetry_defect:.3e}",
     )
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
+import hankelpos.hankel
 from hankelpos import TWO_PI
+from hankelpos.hankel import _fourier_coefficients
 from hankelpos.kernels import circle_nodes
 
 PI = math.pi
@@ -142,7 +144,7 @@ def test_adjoint_section_comes_from_the_sharp_symbol() -> None:
     np.testing.assert_allclose(m_sharp, m.conj().T, atol=1e-12)
 
 
-def test_jump_aware_extraction_matches_the_fast_path() -> None:
+def test_a_declared_jump_of_a_smooth_symbol_leaves_its_section_unchanged() -> None:
     smooth = _mode_symbol(2)
     with_jump_flag = hp.SymbolSamples(
         domain="disc",
@@ -153,9 +155,9 @@ def test_jump_aware_extraction_matches_the_fast_path() -> None:
         func=smooth.func,
         jumps=(math.pi,),
     )
-    fast = hp.section_from_symbol_disc(smooth, 3)
-    adaptive = hp.section_from_symbol_disc(with_jump_flag, 3)
-    np.testing.assert_allclose(adaptive, fast, atol=1e-9)
+    plain = hp.section_from_symbol_disc(smooth, 3)
+    split = hp.section_from_symbol_disc(with_jump_flag, 3)
+    np.testing.assert_allclose(split, plain, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +181,46 @@ def test_disc_symbol_round_trips_to_the_line(d1: hp.Measure) -> None:
     np.testing.assert_allclose(-disc(math.pi + 2.0 * np.arctan(probe)), delta(probe), atol=1e-10)
 
 
-def test_a_transferred_symbol_is_sampled_once_for_its_section() -> None:
-    # S at a point depends on that point alone, so the values hp_to_disc_symbol stored on its
-    # 4096 offset nodes are the ones a second evaluation there gives, bit for bit; the
-    # section reads them instead of evaluating h again
+def test_a_transferred_symbol_is_the_line_symbol_re_indexed(monkeypatch) -> None:
+    # the disc symbol is h in another coordinate: its grid is the mapped line grid and its
+    # values the negated line values, with no second evaluation of h; its section is one
+    # adaptive integral of the evaluator
     mu = hp.halfplane_measure(atoms=[(0.5, 0.3)],
                               pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
-    disc = hp.hp_to_disc_symbol(hp.symbol_h_samples(mu))
-    assert not disc.jumps
-    assert disc.grid.tobytes() == circle_nodes(4096).tobytes()
-    again = disc.func(disc.grid)
-    assert again.tobytes() == disc.values.tobytes()
+    line = hp.symbol_h_samples(mu)
     calls = []
 
-    def func(theta: np.ndarray) -> np.ndarray:
-        calls.append(theta.size)
-        return disc.func(theta)
+    def func(x: np.ndarray) -> np.ndarray:
+        calls.append(x.size)
+        return line.func(x)
 
-    counted = dataclasses.replace(disc, func=func)
-    section = hp.section_from_symbol_disc(counted, 4, pairing="moment")
+    disc = hp.hp_to_disc_symbol(dataclasses.replace(line, func=func))
     assert calls == []
-    phases = np.exp(-1j * np.outer(np.arange(1, 8), disc.grid))
-    coeffs = TWO_PI * (phases @ again / 4096)
-    expected = coeffs[np.add.outer(np.arange(4), np.arange(4))].real
-    assert section.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert not disc.jumps
+    assert disc.grid.tobytes() == (PI + 2.0 * np.arctan(line.grid)).tobytes()
+    assert disc.values.tobytes() == (-line.values).tobytes()
+    assert disc.sup_estimate == line.sup_estimate
+    integrals = []
+    original = hankelpos.hankel.integrate
+
+    def counted(*args, **kwargs):
+        integrals.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hankelpos.hankel, "integrate", counted)
+    section = hp.section_from_symbol_disc(disc, 4, pairing="moment")
+    assert len(integrals) == 1 and calls
+    np.testing.assert_allclose(
+        section, hp.section_from_measure(hp.cayley_pushforward(mu), 4), rtol=0.0, atol=1e-12)
+
+
+def test_a_sampled_only_symbol_takes_the_offset_dft() -> None:
+    # on its own uniform grid the DFT of e^{i theta} is spectrally exact
+    theta = circle_nodes(4096)
+    samples = hp.SymbolSamples("disc", theta, np.exp(1j * theta), False, 1.0)
+    coeffs = _fourier_coefficients(samples, 3)
+    assert abs(coeffs[0] - 1.0) <= 1e-15
+    assert np.max(np.abs(coeffs[1:])) <= 1e-15
 
 
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:

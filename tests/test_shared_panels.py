@@ -217,11 +217,11 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
     assert np.shape(evaluations[0][1]) == (8,)  # 4 approach points, 2 probes, 2 reflections
 
 
-def test_transport_makes_two_integrals(monkeypatch) -> None:
+def test_transport_makes_one_integral(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
     report = hp.verify_rp_transport(MEASURES["lebesgue_01"], 1.0)
     assert report.verdict == "pass"
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:

@@ -318,6 +318,9 @@ def wide_cases(draw) -> tuple[float, complex, int, float, float]:
 @example(case=(-1.0, -0.9899924966004454 + 0.1411200080598672j, 2, 1.0, 1.0001))
 # -log(lo + a) near 0 by log1p((lo - 1) + a): lo - 1 rounds for lo < 1/2 (1.1e-13 off)
 @example(case=(0.0, 1.0 + 0.0j, 1, 1e-4, math.inf))
+# S_2 of lambda^-2 by parts from m = |a| / 490 took an end term 490 times S_2 (2.2e-13 off);
+# the parts now start an octave below the pole -Re a, the panels take [m, pole / 2]
+@example(case=(-2.0, -0.4161468365471424 + 0.9092974268256817j, 2, 10.0**-2.6875, math.inf))
 def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     e, a, k, lo, hi = case
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)

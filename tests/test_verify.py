@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import hankelpos as hp
@@ -140,3 +141,27 @@ def test_the_widom_suite_needs_a_definite_verdict_and_finite_constants(
     report = dataclasses.replace(hp.widom_check(d1), **change)
     monkeypatch.setattr(hankelpos.verify, "widom_check", lambda mu: report)
     assert hp.run_suites(d1)[0].status == status
+
+
+@pytest.mark.parametrize("atoms", [
+    *([(position, 1.0)] for position in (1e-3, 1e-4, 1e-6, 1e-8)),
+    [(float(position), 1.0) for position in np.geomspace(1e-3, 1e3, 2000)],
+], ids=["1e-3", "1e-4", "1e-6", "1e-8", "2000_atoms"])
+def test_a_narrow_feature_of_h_passes_the_section_chain(atoms: list) -> None:
+    # an atom at lambda puts a feature of width ~2 lambda at theta = pi on the circle, finer
+    # than a fixed 4096-node DFT resolves; the adaptive integral of the symbol resolves it
+    mu = hp.halfplane_measure(atoms=atoms)
+    result = hankelpos.verify._suite_section_chain(mu, hp.symbol_h_samples(mu))
+    assert result.status == "pass", result
+
+
+def test_a_light_far_atom_passes_kernel_modes() -> None:
+    # K_h of mass 0.01 at 100 is ~2.5e-8: an absolute tolerance of 1e-9 left it 3.7e-5 off
+    mu = hp.halfplane_measure(atoms=[(100.0, 0.01)])
+    result = hankelpos.verify._suite_kernel_modes(mu, hp.symbol_h_samples(mu))
+    assert result.status == "pass" and result.worst_residual <= 1e-12, result
+
+
+def test_the_polar_detail_names_every_defect_it_judges(d1: hp.Measure) -> None:
+    result = hankelpos.verify._suite_polar(d1, None)
+    assert all(name in result.detail for name in ("||h|-1|", "g_symmetry", "h_symmetry"))
