@@ -29,10 +29,13 @@ kernel rows, and :func:`polar_decomposition_check` verifies that
 ``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
 factor g of |delta|^(1/2) is divided out.
 
-Every section is built by one index builder, ``c[j + k + shift]`` over a
-rows x cols grid, and every spectrum is read by one dense Hermitian
-eigen-solve, which raises ``ValueError`` when the trace or an eigenvalue is not
-finite (entries near the top of the double range overflow both).
+Every section is a read-only strided view of its coefficient vector: row j
+of ``[c[j + k + shift]]`` is ``c[j + shift : j + shift + cols]``, with no index
+matrix and no copy (``.copy()`` gives a writable array).  Every spectrum is
+read by one dense Hermitian eigen-solve, after an exact test of Hermitian-ness
+that forms the defect |m - m^H| only where it fails; it raises ``ValueError``
+when the trace or an eigenvalue is not finite (entries near the top of the
+double range overflow both).
 
 Operator-theoretic checks:
 
@@ -108,8 +111,9 @@ def _as_moment_array(moment_seq: Sequence[float], needed: int) -> np.ndarray:
 
 
 def _hankel(c: np.ndarray, rows: int, cols: int, shift: int = 0) -> np.ndarray:
-    """The rows x cols Hankel block [c[j + k + shift]]."""
-    return c[np.add.outer(np.arange(rows), np.arange(cols)) + shift]
+    """The rows x cols Hankel block [c[j + k + shift]], a read-only view of ``c``:
+    row j is ``c[j + shift : j + shift + cols]``, with no index matrix and no copy."""
+    return np.lib.stride_tricks.sliding_window_view(c[shift:shift + rows + cols - 1], cols)
 
 
 def section_from_moments(moment_seq: Sequence[float], n: int) -> np.ndarray:
@@ -183,11 +187,10 @@ def section_from_symbol_disc(
     coeffs = _fourier_coefficients(samples, 2 * n - 1)
     if pairing == "moment":
         coeffs = TWO_PI * coeffs
-    section = _hankel(coeffs, n, n)
-    scale = float(np.max(np.abs(section))) if section.size else 0.0
-    if float(np.max(np.abs(section.imag))) <= 1e-9 * (1.0 + scale):
-        return np.ascontiguousarray(section.real)
-    return section
+    # every coefficient is an entry of the section: its maxima are theirs
+    if float(np.max(np.abs(coeffs.imag))) <= 1e-9 * (1.0 + float(np.max(np.abs(coeffs)))):
+        coeffs = np.ascontiguousarray(coeffs.real)
+    return _hankel(coeffs, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +346,11 @@ def _spectrum(section: np.ndarray) -> tuple[np.ndarray, float]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.max(np.abs(m), initial=0.0))
-        if float(np.max(np.abs(m - m.conj().T), initial=0.0)) > 1e-10 * (1.0 + scale):
-            raise ValueError("section is not Hermitian")
+        # exact Hermitian-ness first (every real Hankel section): no N x N defect formed
+        if not np.array_equal(m, m.conj().T):  # a real m is its own conj, not a copy
+            scale = float(np.max(np.abs(m), initial=0.0))
+            if float(np.max(np.abs(m - m.conj().T), initial=0.0)) > 1e-10 * (1.0 + scale):
+                raise ValueError("section is not Hermitian")
         trace = float(np.real(np.trace(m)))
     # LAPACK fails or returns nan on non-finite entries; skip it for those
     evals = np.linalg.eigvalsh(m) if np.all(np.isfinite(m)) else np.array([np.nan])
@@ -446,7 +451,7 @@ def contraction_check(
             raise ValueError("disc_shift mode needs exactly one of mu= or moment_seq=")
         c = _as_moment_array(moment_seq if mu is None else moments(mu, 2 * n + 1), 2 * n + 1)
         with np.errstate(over="ignore"):  # _spectrum rejects an overflowed defect
-            defect = _hankel(c, n, n) - _hankel(c, n, n, 2)
+            defect = _hankel(c[:2 * n - 1] - c[2:2 * n + 1], n, n)
         params = {"n": int(n)}
     elif mode == "hp_gram":
         if mu is None or mu.domain != "halfplane":

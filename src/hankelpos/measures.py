@@ -705,8 +705,11 @@ def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
 def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     """``int_lo^hi p.density / (lambda + a)^k``; a, lo, hi broadcast (hi = oo: scalar)."""
     e, c, unbounded = float(p.exponent), p.coeff, np.ndim(hi) == 0 and math.isinf(hi)
+    # |e| 745 < 2^-54: lambda^e rounds to 1 at every positive double, so a bounded piece
+    # is Lebesgue (at k = 1 its tail series would take 1 / e, which overflows for a subnormal e)
+    flat = e == 0.0 or (abs(e) * 745.0 < 2.0**-54 and not unbounded)
     a = np.asarray(a, dtype=complex)
-    if e == 0.0 and not (a == 0.0).any():  # no masks: an empty cut gives 0 here by itself
+    if flat and not (a == 0.0).any():  # no masks: an empty cut gives 0 here by itself
         return _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
     pad = np.zeros(np.broadcast(a, lo, hi).shape)  # np.broadcast_arrays costs ~20 us
     a, lo, hi = (np.ravel(v + pad) for v in (a, lo, hi))
@@ -716,7 +719,7 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
         out.real[zero] = c * _power_primitive_diff(e - k, lo[zero], hi[zero])
     live = ~zero & (lo < hi)
     a, lo, hi = a[live], lo[live], hi[live]
-    if e == 0.0:
+    if flat:
         s = _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
     else:  # the head [lo, m] and tail [M, hi] by end series, [m, M] by Gauss panels;
         # a series wherever it spares 8 or more octaves (hi = oo keeps its tail)
@@ -1039,14 +1042,14 @@ def _log_grid(span: tuple[float, float], n: int) -> np.ndarray:
     return np.logspace(math.log10(span[0]), math.log10(span[1]), n)
 
 
-def _hp_constants(mu: Measure) -> tuple[float, float]:
+def _hp_constants(mu: Measure) -> tuple[float, float, float]:
     # The suprema of the piecewise-smooth ratios sit at atoms and support
     # endpoints; probing them keeps closed-form cases exact.
     marks = [a.position for a in mu.atoms]
     marks += [e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0]
     t = _sorted_unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), marks))
-    head, tail = _rho_cdf(mu, t)
-    return float(np.max(head / t)), float(np.max(t * tail))
+    head, tail = _rho_cdf(mu, np.append(t, 0.0))  # the tail at 0 is rho((0, oo))
+    return float(np.max(head[:-1] / t)), float(np.max(t * tail[:-1])), float(tail[-1])
 
 
 def _moment_sup(mu: Measure, hi: float, n: int) -> float:
@@ -1063,16 +1066,16 @@ def _moment_sup(mu: Measure, hi: float, n: int) -> float:
     return float(np.max((js + 1) * np.abs(_moment_orders(mu, js, cap))))
 
 
-def _disc_constants(mu: Measure) -> tuple[float, float]:
+def _disc_constants(mu: Measure) -> tuple[float, float, float]:
     span, n = _GRID["fine_span"], _GRID["fine"]
     beta = _moment_sup(mu, span[1], n)
     marks = np.array([a.position for a in mu.atoms] + [e for p in mu.pieces for e in p.support])
     gaps = np.concatenate([np.clip(_log_grid(span, n), None, 2.0), 1.0 - marks, 1.0 + marks])
     g = _sorted_unique(gaps[(gaps > 0.0) & (gaps <= 2.0)])
-    lo = np.concatenate([1.0 - g, np.full(g.shape, -1.0)])
-    hi = np.concatenate([np.ones(g.shape), -1.0 + g])
-    gamma = float(np.max(_mass_between(mu, lo, hi) / np.tile(g, 2)))
-    return beta, gamma
+    lo = np.concatenate([1.0 - g, np.full(g.shape, -1.0), [-math.inf]])
+    hi = np.concatenate([np.ones(g.shape), -1.0 + g, [math.inf]])  # the last cut: the total
+    masses = _mass_between(mu, lo, hi)
+    return beta, float(np.max(masses[:-1] / np.tile(g, 2))), float(masses[-1])
 
 
 @lru_cache(maxsize=64)
@@ -1088,14 +1091,15 @@ def widom_check(mu: Measure) -> WidomReport:
     rooted there) and, on an unbounded support, exponent <= 0 at oo (the sum of
     all of them).  No probe grid enters the verdict; beta, gamma and alpha come
     from one scan of the grid in ``WidomReport.grid`` and are reported values.
+    The total is read from the same scan: its probe t = 0 on the half-line, its
+    cut [-oo, oo] on the disc.
     """
     if mu.domain == "halfplane":
-        beta, gamma = _hp_constants(mu)
+        beta, gamma, total = _hp_constants(mu)
         alpha = 0.5 * _moment_sup(cayley_pushforward(mu), _GRID["fine_span"][1], _GRID["fine"])
-        total = rho_total(mu)
     else:  # beta is the supremum sup (j+1) c_j of alpha, over the same j-grid
-        beta, gamma = _disc_constants(mu)
-        alpha, total = 0.5 * beta, total_mass(mu)
+        beta, gamma, total = _disc_constants(mu)
+        alpha = 0.5 * beta
     verdict = "bounded" if _widom_bounded(mu) else "unbounded"
     return WidomReport(mu.domain, beta, gamma, alpha, total, verdict, dict(_GRID))
 

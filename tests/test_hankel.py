@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,77 @@ def test_antidiagonal_section_is_indefinite() -> None:
 def test_certificates_reject_non_hermitian_input() -> None:
     with pytest.raises(ValueError, match="Hermitian"):
         hp.positivity_certificate(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # an asymmetry of 1e-9 is past the allowance 1e-10 (1 + max |m|)
+    with pytest.raises(ValueError, match="Hermitian"):
+        hp.norm_estimate(np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]]))
+    # a complex Hermitian section with round-off in one entry is read, not rejected
+    exact = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
+    rounded = exact.copy()
+    rounded[1, 0] += 4e-16
+    cert = hp.positivity_certificate(rounded)
+    assert cert.verdict == "positive"
+    assert cert.min_eig == pytest.approx(hp.positivity_certificate(exact).min_eig, abs=1e-15)
+    # nan entries, on and off the diagonal: no verdict
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [0.0, 1.0]],
+                [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            hp.positivity_certificate(np.array(bad))
+
+
+def _copy_section(c: np.ndarray, n: int, shift: int = 0) -> np.ndarray:
+    """The n x n section [c[j + k + shift]] as its own writable array."""
+    return np.array([[c[j + k + shift] for k in range(n)] for j in range(n)])
+
+
+@st.composite
+def positive_moments(draw) -> tuple[np.ndarray, int]:
+    """The moments c_0 .. c_2n of a random positive measure on (-1, 1), n up to 256."""
+    atoms = draw(st.lists(st.tuples(st.floats(-0.99, 0.99), st.floats(1e-3, 10.0)),
+                          max_size=5))
+    pieces = []
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 0.9))
+        pieces.append(hp.power_piece(draw(st.floats(0.1, 10.0)), draw(st.floats(-0.5, 2.0)),
+                                     "x", (lo, draw(st.floats(lo + 0.05, 1.0)))))
+    if not (atoms or pieces):
+        atoms = [(0.5, 1.0)]
+    n = draw(st.integers(1, 256))
+    return hp.moments(hp.disc_measure(atoms=atoms, pieces=pieces), 2 * n + 1), n
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=positive_moments())
+def test_sections_are_views_that_certify_like_copies(case) -> None:
+    c, n = case
+    section = hp.section_from_moments(c, n)
+    assert not section.flags.writeable and np.shares_memory(section, c)
+    with pytest.raises(ValueError):
+        section[0, 0] = 1.0
+    copy = _copy_section(c, n)
+    assert np.array_equal(section, copy)
+    assert hp.positivity_certificate(section) == hp.positivity_certificate(copy)
+    assert hp.norm_estimate(section).hex() == hp.norm_estimate(copy).hex()
+    # the shifted sections of the contraction (shift 2) and support (shift 1) checks
+    contraction = hp.contraction_check(mode="disc_shift", moment_seq=c, n=n)
+    defect = hp.positivity_certificate(copy - _copy_section(c, n, 2))
+    assert contraction.min_eig.hex() == defect.min_eig.hex()
+    support = hp.support_sign_test(c, n)
+    assert support.min_eig_plain.hex() == hp.positivity_certificate(copy).min_eig.hex()
+    shifted = hp.positivity_certificate(_copy_section(c, n, 1))
+    assert support.min_eig_shifted.hex() == shifted.min_eig.hex()
+
+
+def test_a_certificate_takes_no_n_by_n_scratch() -> None:
+    # the section is a view of its 2N - 1 moments: the traced peak of the N = 256
+    # certificate stays below one N x N float array (512 KB); 1.5 MB with a gathered copy
+    n = 256
+    tracemalloc.start()
+    try:
+        hp.positivity_certificate(hp.section_from_moments(1.0 / np.arange(1.0, 2.0 * n), n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 # ---------------------------------------------------------------------------

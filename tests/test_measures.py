@@ -5,6 +5,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -690,14 +691,24 @@ def _count(monkeypatch, name: str) -> list:
 def test_widom_check_scans_a_halfline_piece_once(monkeypatch) -> None:
     calls = _count(monkeypatch, "_rho_cdf")
     hp.widom_check(_halfline_power(0.5, 0.0, 2.0))
-    assert len(calls) == 2  # the scan and rho_total
+    assert len(calls) == 1  # the scan, whose probe t = 0 gives rho_total
 
 
 def test_widom_check_scans_a_disc_piece_once(monkeypatch) -> None:
     masses = _count(monkeypatch, "_mass_between")
     orders = _count(monkeypatch, "_moment_orders")
     hp.widom_check(_disc_piece(hp.power_piece(1.0, 0.5, "one_minus_x", (0.0, 1.0))))
-    assert (len(masses), len(orders)) == (2, 1)  # the scan and total_mass; the j-grid
+    assert (len(masses), len(orders)) == (1, 1)  # the scan, whose last cut is the total; the j-grid
+
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "bench" / "specs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SPECS, ids=[p.stem for p in SPECS])
+def test_the_widom_total_is_rho_total_or_total_mass_in_the_bits(path: Path) -> None:
+    mu = hp.load_measure(path)
+    total = hp.rho_total(mu) if mu.domain == "halfplane" else hp.total_mass(mu)
+    assert hp.widom_check(mu).rho_total.hex() == total.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,9 @@ def wide_cases(draw) -> tuple[float, complex, int, float, float]:
 # S_2 of lambda^-2 by parts from m = |a| / 490 took an end term 490 times S_2 (2.2e-13 off);
 # the parts now start an octave below the pole -Re a, the panels take [m, pole / 2]
 @example(case=(-2.0, -0.4161468365471424 + 0.9092974268256817j, 2, 10.0**-2.6875, math.inf))
+# a subnormal exponent on a bounded support: lambda^e is 1 at every double, the Lebesgue
+# value; its tail series took 1 / e, which overflowed, and gave nan + nan i
+@example(case=(-2.2e-309, 3.8e-276j, 1, 0.0, 0.0017))
 def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     e, a, k, lo, hi = case
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)

@@ -235,6 +235,20 @@ def test_disc_widom_constants_match_a_probe_loop(mu: hp.Measure) -> None:
     assert math.isclose(report.gamma, gamma, rel_tol=rel(mu), abs_tol=0.0)
 
 
+@settings(deadline=None, max_examples=60)
+@given(mu=halfline_measures(integer_exponents=True) | disc_measures())
+def test_the_widom_total_is_the_scan_of_rho_total_and_total_mass(mu: hp.Measure) -> None:
+    # the scan's probe t = 0 (its cut [-oo, oo] on the disc) is the total: the same point-local
+    # values, so the same bits; a two-factor piece's rule has the scan's cuts as breakpoints,
+    # and its sum of weights may differ in the last bits from the rule without them
+    got = hp.widom_check(mu).rho_total
+    total = hp.rho_total(mu) if mu.domain == "halfplane" else hp.total_mass(mu)
+    if any(len(p.factors) > 1 for p in mu.pieces):
+        assert abs(got - total) <= 2.0**-50 * total  # 4.7e-16 at most in 3,000 draws
+    else:
+        assert got.hex() == total.hex()
+
+
 def test_a_disc_atom_next_to_the_boundary_is_bounded() -> None:
     # sup_j (j+1) x^j sits at j = 9998 and 9999, past the moment cap 4096
     for x in (0.9999, -0.9999):
