@@ -3,7 +3,7 @@
     hankelpos report       --spec PATH [--grid INT] [--out PATH]
     hankelpos widom        --spec PATH [--out PATH]
     hankelpos symbol       --spec PATH [--grid INT] [--out PATH]
-    hankelpos kernel-check --spec PATH [--tol FLOAT] [--grid INT] [--out PATH]
+    hankelpos kernel-check --spec PATH [--tol FLOAT] [--out PATH]
     hankelpos positivity   --spec PATH [--N INT] [--tol FLOAT] [--out PATH]
     hankelpos transport    --spec PATH [--tol FLOAT] [--offset FLOAT] [--out PATH]
     hankelpos verify-all   --spec PATH [--out PATH]
@@ -179,7 +179,7 @@ def _cmd_symbol(mu: Measure, args: SimpleNamespace) -> tuple[str, int]:
 
 
 def _cmd_kernel_check(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
-    residuals = kernel_residuals(mu, symbol_h_samples(mu, n=args.grid))
+    residuals = kernel_residuals(mu, symbol_h_samples(mu, grid=np.empty(0)))  # h at the nodes
     verdict = "pass" if residuals["max_rel_residual"] <= args.tol else "fail"
     payload = {"tol": args.tol, "residuals": residuals, "verdict": verdict}
     return payload, 0 if verdict == "pass" else 1
@@ -222,7 +222,7 @@ _COMMANDS = {
     "widom": (_cmd_widom, "boundedness test", False, {}),
     "symbol": (_cmd_symbol, "CSV samples of the boundary symbol", True, {"grid": 1024}),
     "kernel-check": (_cmd_kernel_check, "measure-mode vs boundary-mode kernel residuals",
-                     True, {"tol": 1e-6, "grid": 1024}),
+                     True, {"tol": 1e-6}),
     "positivity": (_cmd_positivity, "eigenvalue certificate of the size-N moment section",
                    False, {"N": 64, "tol": 1e-10}),
     "transport": (_cmd_transport, "polar-transport residuals",

@@ -60,7 +60,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
-from .pick import SymbolSamples, _check_offset, _h_jumps, delta_values
+from .pick import SymbolSamples, _check_offset, delta_values
 from .quadrature import QuadratureError, integrate
 from .kernels import TWO_PI, circle_nodes
 
@@ -213,9 +213,9 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     The sign implements the reflection convention under which the section of
     the transferred symbol (moment pairing) matches the moment section of the
     pushforward measure.  The line samples are re-indexed (grid mapped by
-    theta = pi + 2 arctan(x), values negated, the same ``sup_estimate``), not
-    taken again; the evaluator and the jumps go through the same map, and
-    sharp symmetry is preserved (theta -> 2 pi - theta matches x -> -x).
+    theta = pi + 2 arctan(x), values negated), not taken again; the evaluator
+    and the jumps go through the same map, and sharp symmetry is preserved
+    (theta -> 2 pi - theta matches x -> -x).
     """
     if samples.domain != "halfplane":
         raise ValueError("expected a half-plane (line) symbol")
@@ -225,7 +225,7 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
 
     jumps = tuple(sorted(float(_angle_from_line(x)) for x in samples.jumps))
     return SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
-                         samples.sharp_symmetric, samples.sup_estimate, func=func, jumps=jumps)
+                         func=func, jumps=jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +537,9 @@ def verify_rp_transport(
         rows = _kernel_rows(x, zs, wbars)
         return np.concatenate([unimodular * modulus * rows, rows])
 
-    # c times the kernel rows after the integral: their absolute tolerance is the bare kernel's
-    both = integrate(integrand, -math.inf, math.inf, breakpoints=_h_jumps(mu)) / _FOUR_PI_SQ
+    # c times the kernel rows after the integral: their absolute tolerance is the bare kernel's;
+    # a jump of h at 0 needs no breakpoint, as x = 0 is an edge of the starting panels
+    both = integrate(integrand, -math.inf, math.inf) / _FOUR_PI_SQ
     rhs, ghost = both[:len(pair_list)], c * both[len(pair_list):]
     residuals = np.abs(lhs - rhs).tolist()
     invisibility = np.abs(ghost).tolist()

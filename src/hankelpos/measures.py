@@ -42,7 +42,9 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8, 19).
   Re a < 0 adds breakpoints ``-Re a +- 0.4 |Im a| 2^i`` until they pass 4 |Re a|,
   next to which lambda + a is formed from the panel's left edge and S_2 by parts;
-  a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.
+  a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.  A point
+  whose parts leave the float range apart (inf - inf) is taken again scaled by a
+  power of two, so each part of S is +-inf of its sign or finite.
 
 Moment closed forms are evaluated over the whole vector of requested orders.
 The rest — moments and cut masses of the Moebius-power pieces of the Cayley
@@ -705,12 +707,17 @@ def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
 def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     """``int_lo^hi p.density / (lambda + a)^k``; a, lo, hi broadcast (hi = oo: scalar)."""
     e, c, unbounded = float(p.exponent), p.coeff, np.ndim(hi) == 0 and math.isinf(hi)
-    # |e| 745 < 2^-54: lambda^e rounds to 1 at every positive double, so a bounded piece
-    # is Lebesgue (at k = 1 its tail series would take 1 / e, which overflows for a subnormal e)
-    flat = e == 0.0 or (abs(e) * 745.0 < 2.0**-54 and not unbounded)
+    # |e| 745 < 2^-54: lambda^e rounds to 1 at every positive double, so a bounded piece is
+    # Lebesgue (at k = 1 its tail series would take 1 / e, which overflows for a subnormal e);
+    # an unbounded one at k = 1 where 1 / e overflows too, plus the real -c/e that
+    # int_lo^oo lambda^(e-1) = -lo^e / e = -1/e - log lo adds to the Lebesgue -log(lo + a)
+    flat = e == 0.0 or abs(e) * 745.0 < 2.0**-54 and (
+        not unbounded or k == 1 and abs(e) <= 2.0**-1024)
+    far = -c / e if flat and e and unbounded and k == 1 else 0.0
     a = np.asarray(a, dtype=complex)
     if flat and not (a == 0.0).any():  # no masks: an empty cut gives 0 here by itself
-        return _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
+        s = _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
+        return s + far if far else s
     pad = np.zeros(np.broadcast(a, lo, hi).shape)  # np.broadcast_arrays costs ~20 us
     a, lo, hi = (np.ravel(v + pad) for v in (a, lo, hi))
     out = np.zeros(a.shape, dtype=complex)
@@ -721,24 +728,49 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     a, lo, hi = a[live], lo[live], hi[live]
     if flat:
         s = _lebesgue_stieltjes(c, a, k, lo, hi, unbounded)
-    else:  # the head [lo, m] and tail [M, hi] by end series, [m, M] by Gauss panels;
-        # a series wherever it spares 8 or more octaves (hi = oo keeps its tail)
-        r = np.abs(a)
-        m = np.minimum(np.maximum(0.5 * r, lo), hi)  # np.clip costs ~5 us a call
-        head = lo <= m * 2.0**-8
-        m = np.where(head, m, lo)
-        big = np.minimum(np.maximum(2.0 * r, m), hi)
-        tail = big <= hi * 2.0**-8
-        big = np.where(tail, big, hi)
-        s = _gauss_panels(e, a, k, m, big, _per_octave(p))
-        if head.any():
-            s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
-        if tail.any():
-            s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
+        s = s + far if far else s
+    else:
+        n = _per_octave(p)
+        with np.errstate(invalid="ignore"):  # inf - inf: taken again below
+            s = _power_stieltjes(e, a, k, lo, hi, n)
         s.real *= c  # not c * s: 0 * inf = nan where a part of s is inf
         s.imag *= c
+        # parts that leave the float range apart (inf - inf = nan) where S may not: the same
+        # integral over [lo, hi] / 2^j at a / 2^j times 2^(j (e + 1 - k)), 2^j near the end
+        # that S grows toward (hi where e + 1 - k > 0, else |a| or lo) but within 2^1000 |a|;
+        # not where S_1 is a finite part, whose dropped constant would then depend on a
+        bad = np.flatnonzero(np.isnan(s.real) | np.isnan(s.imag))
+        if bad.size and not (unbounded and k == 1 and e >= 0.0):
+            r = np.abs(a[bad])
+            end = hi[bad] if e + 1.0 - k > 0.0 else np.maximum(r, lo[bad])
+            j = np.round(np.log2(np.minimum(end, 2.0**1000 * r))).astype(np.int64)
+            t = j * (e + 1.0 - k)
+            v = _power_stieltjes(e, np.ldexp(a.real[bad], -j) + 1j * np.ldexp(a.imag[bad], -j),
+                                 k, np.ldexp(lo[bad], -j), np.ldexp(hi[bad], -j), n)
+            g, top = c * np.exp2(t - np.floor(t)), np.floor(t).astype(np.int64)
+            s.real[bad], s.imag[bad] = np.ldexp(v.real * g, top), np.ldexp(v.imag * g, top)
     out[live] = s
     return out.reshape(pad.shape)
+
+
+def _power_stieltjes(e: float, a: np.ndarray, k: int, lo: np.ndarray, hi: np.ndarray,
+                     n: int) -> np.ndarray:
+    """``int_lo^hi lambda^e / (lambda + a)^k`` (a != 0, lo < hi): the head [lo, m] and the tail
+    [M, hi] by end series, [m, M] by Gauss panels; a series wherever it spares 8 or more
+    octaves (hi = oo keeps its tail)."""
+    r = np.abs(a)
+    m = np.minimum(np.maximum(0.5 * r, lo), hi)  # np.clip costs ~5 us a call
+    head = lo <= m * 2.0**-8
+    m = np.where(head, m, lo)
+    big = np.minimum(np.maximum(2.0 * r, m), hi)
+    tail = big <= hi * 2.0**-8
+    big = np.where(tail, big, hi)
+    s = _gauss_panels(e, a, k, m, big, n)
+    if head.any():
+        s[head] += _end_series(e, a[head], k, lo[head], m[head], True)
+    if tail.any():
+        s[tail] += _end_series(e, a[tail], k, big[tail], hi[tail], False)
+    return s
 
 
 def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):

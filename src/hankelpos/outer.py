@@ -20,11 +20,10 @@ of weights stay in the family (the multiplicativity identity
 ``Out(k1 k2) = Out(k1) Out(k2)`` and the unit-group identity
 ``Out(k) Out(1/k) = 1`` are exact at the level of integrands).
 
-The boundedness flags implement the invertibility criterion: when both k and
-1/k are essentially bounded, Out(k) is invertible in H^infinity.  For
-``k = |delta|^(1/2)`` this holds whenever the measure passes the Widom test
-(so ||h||_inf < oo) and c != 0 (h is purely imaginary and c real, hence
-|delta| >= |c|).
+Out(k) is invertible in H^infinity when both k and 1/k are essentially
+bounded.  For ``k = |delta|^(1/2)`` this holds whenever the measure passes the
+Widom test (so ||h||_inf < oo) and c != 0 (h is purely imaginary and c real,
+hence |delta| >= |c|): :func:`g_from_delta` checks exactly these two.
 
 Outer values are only computed at strictly interior points (Im z >= 1e-6,
 respectively 1 - |z| >= 1e-6); boundary moduli are recovered by approach
@@ -38,12 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .measures import Measure, _widom_bounded
-from .pick import _check_offset, _h_jumps, delta_values
+from .pick import _check_offset, delta_values
 from .quadrature import integrate
 
 __all__ = [
@@ -87,32 +85,11 @@ class _RationalModulusFactor:
             out = out - np.log(np.abs(b - p))
         return out
 
-    @property
-    def bounded(self) -> bool:
-        return self.domain == "disc" or len(self.zeros) <= len(self.poles)
-
-    @property
-    def inverse_bounded(self) -> bool:
-        return self.domain == "disc" or len(self.zeros) >= len(self.poles)
-
-    jumps: tuple[float, ...] = ()
-
-    def reflected(self, domain: str) -> "_RationalModulusFactor":
-        if domain == "halfplane":
-            # |x - z| at -x equals |x - (-z)| for real x.
-            return _RationalModulusFactor(
-                self.scale,
-                tuple(-z for z in self.zeros),
-                tuple(-p for p in self.poles),
-                self.domain,
-            )
-        # |e^{-i t} - z| = |e^{i t} - conj(z)|
-        return _RationalModulusFactor(
-            self.scale,
-            tuple(np.conj(z) for z in self.zeros),
-            tuple(np.conj(p) for p in self.poles),
-            self.domain,
-        )
+    def reflected(self) -> "_RationalModulusFactor":
+        # |x - z| at -x is |x - (-z)| for real x; |e^{-i t} - z| = |e^{i t} - conj(z)|
+        flip = np.negative if self.domain == "halfplane" else np.conj
+        return _RationalModulusFactor(self.scale, tuple(flip(z) for z in self.zeros),
+                                      tuple(flip(p) for p in self.poles), self.domain)
 
 
 @dataclass(frozen=True)
@@ -125,23 +102,8 @@ class _DeltaModulusFactor:
     def log_values(self, x: np.ndarray) -> np.ndarray:
         return np.log(np.abs(delta_values(self.mu, self.c, x)))
 
-    @property
-    def bounded(self) -> bool:
-        return _widom_bounded(self.mu)
-
-    @property
-    def inverse_bounded(self) -> bool:
-        return self.c != 0.0  # |delta|^2 = c^2 + |h|^2 >= c^2
-
-    @property
-    def jumps(self) -> tuple[float, ...]:
-        return _h_jumps(self.mu)
-
-    def reflected(self, domain: str) -> "_DeltaModulusFactor":
+    def reflected(self) -> "_DeltaModulusFactor":
         return self  # |delta| is even: delta(-x) = conj(delta(x))
-
-
-_Factor = Union[_RationalModulusFactor, _DeltaModulusFactor]
 
 
 @dataclass(frozen=True)
@@ -154,7 +116,7 @@ class BoundaryWeight:
     """
 
     domain: str
-    factors: tuple[tuple[_Factor, float], ...]
+    factors: tuple[tuple[_RationalModulusFactor | _DeltaModulusFactor, float], ...]
 
     def log_values(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(x))
@@ -166,37 +128,13 @@ class BoundaryWeight:
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_values(x))
 
-    @property
-    def bounded(self) -> bool:
-        return all(
-            (f.bounded if p > 0 else f.inverse_bounded)
-            for f, p in self.factors if p != 0.0
-        )
-
-    @property
-    def inverse_bounded(self) -> bool:
-        return all(
-            (f.inverse_bounded if p > 0 else f.bounded)
-            for f, p in self.factors if p != 0.0
-        )
-
-    @property
-    def jumps(self) -> tuple[float, ...]:
-        out: set[float] = set()
-        for f, p in self.factors:
-            if p != 0.0:
-                out.update(f.jumps)
-        return tuple(sorted(out))
-
     def __mul__(self, other: "BoundaryWeight") -> "BoundaryWeight":
         if self.domain != other.domain:
             raise ValueError("cannot multiply weights on different boundaries")
         return BoundaryWeight(self.domain, self.factors + other.factors)
 
     def __pow__(self, power: float) -> "BoundaryWeight":
-        return BoundaryWeight(
-            self.domain, tuple((f, p * power) for f, p in self.factors)
-        )
+        return BoundaryWeight(self.domain, tuple((f, p * power) for f, p in self.factors))
 
 
 def constant_weight(value: float, *, domain: str = "halfplane") -> BoundaryWeight:
@@ -234,9 +172,7 @@ def delta_modulus_weight(mu: Measure, c: float) -> BoundaryWeight:
 
 def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
     """The reflected weight k^v (x -> -x on the line, theta -> -theta on the circle)."""
-    return BoundaryWeight(
-        k.domain, tuple((f.reflected(k.domain), p) for f, p in k.factors)
-    )
+    return BoundaryWeight(k.domain, tuple((f.reflected(), p) for f, p in k.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +216,9 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
         def integrand(p: np.ndarray) -> np.ndarray:
             return (1.0 / (p - pts) - p / (1.0 + p * p)) * k.log_values(p)
 
+        # a jump of h at 0 needs no breakpoint: x = 0 is an edge of the starting panels
         integral = integrate(integrand, -math.inf, math.inf,
-                             breakpoints=(*k.jumps, *_graded_seeds(pts.ravel())))
+                             breakpoints=_graded_seeds(pts.ravel()))
         values = C * np.exp(integral / (math.pi * 1j))
     else:
         if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():
@@ -294,7 +231,7 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
             u = np.exp(1j * t)
             return (u + pts) / (u - pts) * k.log_values(t)
 
-        integral = integrate(integrand, 0.0, 2.0 * math.pi, breakpoints=k.jumps)
+        integral = integrate(integrand, 0.0, 2.0 * math.pi)
         values = C * np.exp(integral / (2.0 * math.pi))
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 

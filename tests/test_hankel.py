@@ -29,8 +29,6 @@ def _mode_symbol(frequency: int, amplitude: complex = 1.0) -> hp.SymbolSamples:
         domain="disc",
         grid=theta,
         values=func(theta),
-        sharp_symmetric=False,
-        sup_estimate=abs(amplitude),
         func=func,
     )
 
@@ -113,8 +111,6 @@ def test_sampled_only_symbols_hit_the_aliasing_guard() -> None:
         domain="disc",
         grid=theta,
         values=np.exp(1j * theta),
-        sharp_symmetric=False,
-        sup_estimate=1.0,
     )
     with pytest.raises(ValueError, match="aliasing"):
         hp.section_from_symbol_disc(samples, 8)
@@ -136,8 +132,6 @@ def test_adjoint_section_comes_from_the_sharp_symbol() -> None:
         domain="disc",
         grid=theta,
         values=f(theta),
-        sharp_symmetric=False,
-        sup_estimate=float(np.abs(f(theta)).max()),
         func=f,
     )
     m = hp.section_from_symbol_disc(mk(h), 3)
@@ -151,8 +145,6 @@ def test_a_declared_jump_of_a_smooth_symbol_leaves_its_section_unchanged() -> No
         domain="disc",
         grid=smooth.grid,
         values=smooth.values,
-        sharp_symmetric=False,
-        sup_estimate=smooth.sup_estimate,
         func=smooth.func,
         jumps=(math.pi,),
     )
@@ -200,7 +192,6 @@ def test_a_transferred_symbol_is_the_line_symbol_re_indexed(monkeypatch) -> None
     assert not disc.jumps
     assert disc.grid.tobytes() == (PI + 2.0 * np.arctan(line.grid)).tobytes()
     assert disc.values.tobytes() == (-line.values).tobytes()
-    assert disc.sup_estimate == line.sup_estimate
     integrals = []
     original = hankelpos.hankel.integrate
 
@@ -218,7 +209,7 @@ def test_a_transferred_symbol_is_the_line_symbol_re_indexed(monkeypatch) -> None
 def test_a_sampled_only_symbol_takes_the_offset_dft() -> None:
     # on its own uniform grid the DFT of e^{i theta} is spectrally exact
     theta = circle_nodes(4096)
-    samples = hp.SymbolSamples("disc", theta, np.exp(1j * theta), False, 1.0)
+    samples = hp.SymbolSamples("disc", theta, np.exp(1j * theta))
     coeffs = _fourier_coefficients(samples, 3)
     assert abs(coeffs[0] - 1.0) <= 1e-15
     assert np.max(np.abs(coeffs[1:])) <= 1e-15
@@ -226,7 +217,7 @@ def test_a_sampled_only_symbol_takes_the_offset_dft() -> None:
 
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:
     disc = hp.hp_to_disc_symbol(hp.delta_samples(d1, 1.0))
-    assert disc.sharp_symmetric
+    assert np.array_equal(disc.values[::-1], np.conj(disc.values))
     theta = np.array([0.3, 1.1, 2.0])
     np.testing.assert_allclose(
         disc(-theta), np.conj(disc(theta)), atol=1e-12
@@ -606,6 +597,13 @@ def test_negative_mass_is_detected() -> None:
     report = hp.support_sign_test(mu, 2)
     assert report.verdict == "mass_on_negative"
     assert report.min_eig_shifted < -1e-3
+
+
+def test_an_indefinite_plain_section_is_inconclusive() -> None:
+    # 1, 0, -1, 0, 1 are no moments of a positive measure: [[1, 0], [0, -1]] is indefinite
+    report = hp.support_sign_test([1.0, 0.0, -1.0, 0.0, 1.0], 2)
+    assert report.verdict == "inconclusive"
+    assert report.min_eig_plain == pytest.approx(-1.0)
 
 
 def test_an_atom_at_the_origin_counts_as_nonnegative() -> None:

@@ -20,7 +20,7 @@ def _rational_example() -> hp.BoundaryWeight:
 
 
 # ---------------------------------------------------------------------------
-# Constructors and flags
+# Constructors and bounds
 # ---------------------------------------------------------------------------
 
 
@@ -38,22 +38,32 @@ def test_rational_weights_reject_boundary_zeros_and_poles() -> None:
         hp.rational_modulus_weight(poles=[np.exp(0.3j)], domain="disc")
 
 
-def test_boundedness_flags_follow_the_degree_balance() -> None:
-    balanced = _rational_example()
-    assert balanced.bounded and balanced.inverse_bounded
-    growing = hp.rational_modulus_weight(zeros=[-1j])
-    assert not growing.bounded
-    assert growing.inverse_bounded
-    # on the circle every rational modulus is bounded
-    disc = hp.rational_modulus_weight(zeros=[0.5 + 0.5j], domain="disc")
-    assert disc.bounded and disc.inverse_bounded
+def test_the_degree_balance_bounds_a_rational_weight_and_its_inverse() -> None:
+    x = np.array([-1e12, -1e6, -1.0, 0.0, 1.0, 1e6, 1e12])
+    slack = 1e-15
+    # |x + i| / |x + 2i| lies in [1/2, 1]: the weight and its inverse are bounded
+    balanced = _rational_example().values(x)
+    assert np.all((balanced >= 0.5 - slack) & (balanced <= 1.0 + slack))
+    # |x + i| >= 1 grows like |x|: the inverse is bounded, the weight is not
+    growing = hp.rational_modulus_weight(zeros=[-1j]).values(x)
+    assert np.all(growing >= 1.0 - slack)
+    assert growing.max() == pytest.approx(1e12, rel=1e-15)
+    # on the circle every rational modulus is bounded both ways: |e^{it} - z| in [1 - |z|, 1 + |z|]
+    theta = np.linspace(0.0, 2.0 * PI, 1001)
+    disc = hp.rational_modulus_weight(zeros=[0.5 + 0.5j], domain="disc").values(theta)
+    r = abs(0.5 + 0.5j)
+    assert np.all((disc >= 1.0 - r - slack) & (disc <= 1.0 + r + slack))
 
 
-def test_delta_weight_flags_and_jumps(leb01_hp: hp.Measure, d1: hp.Measure) -> None:
-    w = hp.delta_modulus_weight(leb01_hp, 1.0)
-    assert w.bounded and w.inverse_bounded
-    assert w.jumps == (0.0,)
-    assert hp.delta_modulus_weight(d1, 1.0).jumps == ()
+def test_a_delta_weight_lies_between_the_offset_and_the_offset_plus_the_symbol_bound(
+    leb01_hp: hp.Measure, d1: hp.Measure
+) -> None:
+    # |c| <= |c + h| <= |c| + sup |h| <= |c| + symbol_bound: g_from_delta's two guards
+    for mu in (leb01_hp, d1):
+        grid = hp.default_symbol_grid(mu)
+        k = hp.delta_modulus_weight(mu, 1.0).values(grid)
+        assert np.all(k >= 1.0 - 1e-15)
+        assert np.all(k <= 1.0 + hp.symbol_bound(mu))
 
 
 def test_delta_weight_rejects_zero_offset(d1: hp.Measure) -> None:
@@ -137,7 +147,6 @@ def test_invertible_weights_form_a_unit_group(d1: hp.Measure) -> None:
         hp.delta_modulus_weight(d1, 1.0),
     ]
     for k in weights:
-        assert k.bounded and k.inverse_bounded
         for z in (1j, 1.0 + 1.0j):
             value = hp.outer_eval(k, z) * hp.outer_eval(k**-1.0, z)
             assert value == pytest.approx(1.0, rel=1e-8)
@@ -149,6 +158,19 @@ def test_sharp_rule_for_rational_weights() -> None:
     for z in PROBES_HP:
         lhs = hp.outer_eval(reflected, z)
         rhs = np.conj(hp.outer_eval(k, -np.conj(z)))
+        assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def test_sharp_rule_for_disc_weights() -> None:
+    # Out(k^v)(z) = conj(Out(k)(conj z)) on the disc: |e^{-it} - z| = |e^{it} - conj(z)|
+    k = hp.rational_modulus_weight(zeros=[0.5 + 0.5j, -2.0 + 1.0j], poles=[0.3 - 1.5j], scale=2.0,
+                                   domain="disc")
+    reflected = hp.reflect_weight(k)
+    theta = np.array([0.3, 1.7, 4.0])
+    np.testing.assert_allclose(reflected.values(theta), k.values(-theta), rtol=1e-14)
+    for z in PROBES_DISC:
+        lhs = hp.outer_eval(reflected, z)
+        rhs = np.conj(hp.outer_eval(k, np.conj(z)))
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 

@@ -241,9 +241,8 @@ def test_sample_grids_are_the_sorted_set_of_magnitudes_mirrored(spec: str) -> No
 
 def test_samples_record_the_supremum_at_the_atom(d1: hp.Measure) -> None:
     samples = hp.symbol_h_samples(d1)
-    assert samples.sharp_symmetric
     assert samples.jumps == ()
-    assert samples.sup_estimate == pytest.approx(1.0 / (2.0 * PI), abs=1e-12)
+    assert np.max(np.abs(samples.values)) == pytest.approx(1.0 / (2.0 * PI), abs=1e-12)
     peak = samples.grid[np.argmax(np.abs(samples.values))]
     assert abs(peak) == pytest.approx(1.0)
 
@@ -252,17 +251,27 @@ def test_samples_expose_a_jump_when_the_density_reaches_zero(leb01_hp: hp.Measur
     assert hp.symbol_h_samples(leb01_hp).jumps == (0.0,)
 
 
-def test_samples_validate_declared_symmetry() -> None:
-    grid = np.array([-2.0, -1.0, 1.0, 2.0])
-    values = np.array([1j, 1j, 1j, 1j])  # not odd
-    with pytest.raises(ValueError, match="sharp"):
-        hp.SymbolSamples(
-            domain="halfplane",
-            grid=grid,
-            values=values,
-            sharp_symmetric=True,
-            sup_estimate=1.0,
-        )
+def test_built_samples_are_sharp_symmetric_value_for_value() -> None:
+    # h(-p) = conj(h(p)) on the mirrored grid, and so delta = c + h and the disc symbol,
+    # whose grid theta -> 2 pi - theta mirrors x -> -x: equal values, not only close ones
+    for spec in HALF_LINE_SPECS:
+        h = hp.symbol_h_samples(_spec(spec))
+        assert np.array_equal(h.grid[::-1], -h.grid)
+        delta = hp.delta_samples(_spec(spec), 0.5, grid=h.grid)
+        for samples in (h, delta, hp.hp_to_disc_symbol(h)):
+            assert np.array_equal(samples.values[::-1], np.conj(samples.values)), spec
+
+
+def test_the_evaluator_raises_at_a_node_where_h_is_not_finite() -> None:
+    # int lambda^-2.7 over [1e-200, 1] is ~1e340: h is infinite at every p; an empty grid
+    # samples nothing, so the evaluator is the first to meet it, at the node it is given
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, -2.7, "lambda", (1e-200, 1.0))])
+    samples = hp.symbol_h_samples(mu, grid=np.empty(0))
+    assert samples.values.size == 0
+    with pytest.raises(hp.QuadratureError, match=r"^h is not finite at p = 2\.5$"):
+        samples(np.array([2.5, 3.0]))
+    with pytest.raises(hp.QuadratureError, match=r"^h is not finite at p = -1000000\.0$"):
+        hp.symbol_h_samples(mu)
 
 
 def test_samples_interpolate_between_grid_points(d1: hp.Measure) -> None:
@@ -276,7 +285,6 @@ def test_delta_samples_shift_the_symbol(d1: hp.Measure) -> None:
     delta = hp.delta_samples(d1, c)
     h = hp.symbol_h_samples(d1, grid=delta.grid)
     np.testing.assert_allclose(delta.values, c + h.values, rtol=1e-14)
-    assert delta.sup_estimate == pytest.approx(float(np.abs(delta.values).max()))
 
 
 def test_delta_samples_allow_a_zero_offset_but_the_outer_layer_does_not(
@@ -313,7 +321,7 @@ def test_symbol_bound_dominates_the_grid_sup(
 ) -> None:
     for mu in (d1, mix, leb01_hp):
         samples = hp.symbol_h_samples(mu)
-        assert samples.sup_estimate <= hp.symbol_bound(mu)
+        assert np.max(np.abs(samples.values)) <= hp.symbol_bound(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +389,7 @@ def _csv_by_f_strings(samples: hp.SymbolSamples) -> str:
 
 
 def _samples(grid, values) -> hp.SymbolSamples:
-    values = np.asarray(values, dtype=complex)
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return hp.SymbolSamples("halfplane", grid, values, False, peak)
+    return hp.SymbolSamples("halfplane", grid, values)
 
 
 @pytest.mark.parametrize("spec", HALF_LINE_SPECS)

@@ -237,6 +237,52 @@ def test_a_stacked_boundary_integral_that_cannot_converge_raises() -> None:
         return 1.0 / np.abs(np.asarray(x) - 0.3) + 0j
 
     grid = np.array([-1.0, 1.0])
-    samples = hp.SymbolSamples("halfplane", grid, func(grid), False, 2.0, func=func)
+    samples = hp.SymbolSamples("halfplane", grid, func(grid), func=func)
     with pytest.raises(hp.QuadratureError), np.errstate(divide="ignore", invalid="ignore"):
         hp.boundary_kernels(samples, PAIRS)
+
+
+# ---------------------------------------------------------------------------
+# The jump of h at 0 needs no breakpoint
+# ---------------------------------------------------------------------------
+
+
+def _nodes(a: float, b: float, breakpoints=()) -> np.ndarray:
+    """Every abscissa ``integrate`` gives a smooth integrand that converges at once."""
+    seen = []
+
+    def f(x: np.ndarray) -> np.ndarray:
+        seen.append(x.copy())
+        return 1.0 / (1.0 + x * x)
+
+    hp.integrate(f, a, b, breakpoints=breakpoints)
+    return np.concatenate(seen)
+
+
+def test_a_jump_at_the_origin_is_an_edge_of_the_starting_panels(monkeypatch) -> None:
+    # x = 0 on the folded line (u = 0) and theta = pi on [0, 2 pi] are edges of the 8 equal
+    # starting panels, so a breakpoint there changes no panel
+    assert np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9)[4] == 0.0
+    assert np.linspace(0.0, TWO_PI, 9)[4] == math.pi
+    for a, b, jump in ((-math.inf, math.inf, 0.0), (0.0, TWO_PI, math.pi)):
+        assert _nodes(a, b).tobytes() == _nodes(a, b, (jump,)).tobytes()
+    # and the transport rows and the outer factor of sqrt_0_2, whose h jumps at 0, come out
+    # the same in the bits with that breakpoint as without it
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (0.0, 2.0))])
+    points = np.array([1j, 0.5 + 1e-4j, -2.0 + 0.3j])
+
+    def run():
+        report = hp.verify_rp_transport(mu, 1.0, probes=PAIRS)
+        return np.array([*report.residuals, *report.invisibility]), hp.g_from_delta(mu, 1.0, points)
+
+    plain = run()
+    for module in (hankelpos.hankel, hankelpos.outer):
+        original = module.integrate
+
+        def with_jump(f, a, b, *, breakpoints=(), original=original, **options):
+            return original(f, a, b, breakpoints=(0.0, *breakpoints), **options)
+
+        monkeypatch.setattr(module, "integrate", with_jump)
+    split = run()
+    for x, y in zip(plain, split):
+        assert x.tobytes() == y.tobytes()

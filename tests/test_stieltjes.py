@@ -386,6 +386,46 @@ def test_stieltjes_where_its_edge_rules_take_over(e, a, k: int, lo, hi, rtol) ->
     assert abs(got - expected) <= rtol * abs(expected), (got, expected)
 
 
+@pytest.mark.parametrize("lo", [1.0, 0.0])
+@pytest.mark.parametrize("a", [1j, 3.8e-276j])
+def test_a_subnormal_exponent_on_an_unbounded_support_is_finite(lo: float, a: complex) -> None:
+    # lambda^e is 1 at every double, but int_lo^oo lambda^(e-1) = 1/|e| ~ 4.5e308 is not:
+    # its tail series took 1/e, which overflowed, and gave nan + nan i; times the coefficient
+    # it is a finite c/|e| + the Lebesgue -c log(lo + a)
+    e, c = -2.2e-309, 1.2e-109
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(c, e, "lambda", (lo, math.inf))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complex(stieltjes(mu, a))
+        h = hp.symbol_h_values(mu, np.array([1.0]))
+    expected = c * _hypergeometric_reference(e, a, 1, lo, math.inf).imag
+    assert abs(got.imag - expected) <= 1e-15 * abs(expected), (got, expected)
+    assert got.real == pytest.approx(c / -e, rel=1e-15)
+    assert np.isfinite(h).all()
+
+
+@pytest.mark.parametrize("e, a, k, lo, hi", [
+    # a steep head: parts ~1e314 and ~1e309 of opposite signs made inf - inf
+    (-3.0, 1e-103j, 1, 1e-106, 1.0),
+    (-3.0, -1e-103j, 1, 1e-106, 1.0),
+    (-3.0, 1e-103j, 2, 1e-106, 1.0),
+    (-3.0, -1e-103j, 2, 1e-106, 1.0),
+    (-3.0, -1e-90j, 2, 1e-106, 1.0),  # S_1 there is a finite 1e286 + 5e301i
+    # a steep tail, whose far end hi leaves the float range
+    (3.0, 1.771525441243767e-66 - 3.10298531606886e-68j, 1, 0.0, 1.0156830158070485e+292),
+    (2.0, -2.324958911195197e+201 + 1.0347104223074818e+201j, 1, 2.8139325902825455e-169,
+     4.626913998601532e+245),
+])
+def test_where_s_overflows_each_part_is_an_infinity_of_its_sign(e, a, k: int, lo, hi) -> None:
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = complex(stieltjes(mu, a, k))
+    expected = _hypergeometric_reference(e, a, k, lo, hi)
+    assert math.isinf(expected.real) and math.isinf(expected.imag)
+    assert got == expected
+
+
 def test_scaled_power_of_factors_past_the_float_range() -> None:
     # x^(e+i) b^j = x^0.5 (b/x)^1100 = x^0.5: x^-1100 overflows and b^1100 underflows alone
     # (nan where m^i was taken whole); a complex power b^n of numpy errs by ~n eps

@@ -71,6 +71,19 @@ def test_disc_measures_run_the_moment_side_suites(disc_leb: hp.Measure) -> None:
     assert "supported_in_[0,1]" in by_name["support_localization"].detail
 
 
+@pytest.mark.parametrize("mu", [
+    hp.disc_measure(atoms=[(-0.5, 1.0)]),
+    hp.disc_measure(atoms=[(0.5, 1.0)], pieces=[hp.lebesgue_piece(-0.5, 0.5, domain="disc")]),
+], ids=["atom", "piece"])
+def test_a_measure_on_the_negative_axis_records_the_support_verdict(mu: hp.Measure) -> None:
+    # the support suite enforces [0, 1] only where the measure stays there; past 0 it records
+    by_name = {r.name: r for r in hp.run_suites(mu)}
+    support = by_name["support_localization"]
+    assert support.status == "pass"
+    assert support.detail.endswith("(measure touches the negative axis)")
+    assert support.detail.startswith("verdict=")
+
+
 def test_the_empty_measure_passes_trivially(empty_hp: hp.Measure) -> None:
     results = hp.run_suites(empty_hp)
     assert all(r.status == "pass" for r in results)
