@@ -38,7 +38,6 @@ isometric from the length-measure norm on the circle onto L^2(R).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

@@ -30,21 +30,19 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   loses digits (:func:`_beta_moment`); the part at y < 0 and pieces with
   ``e <= -1`` take the graded rule below;
 * Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
-  pieces on [lo, hi] (:func:`stieltjes`), with no difference of nearly equal
-  terms, each value a function of its own point alone.  The head [lo, m],
-  m = min(|a|/2, hi), and the tail [M, hi], M = max(2|a|, lo), take 62 terms
-  (|q| <= 1/2) of the series in lambda/a and a/lambda wherever that spares 8 or
-  more octaves, for every e, each term integrated between the ends:
+  pieces on [lo, hi] at Re a >= 0 (:func:`stieltjes`), with no difference of
+  nearly equal terms, each value a function of its own point alone.  The head
+  [lo, m], m = min(|a|/2, hi), and the tail [M, hi], M = max(2|a|, lo), take 62
+  terms (|q| <= 1/2) of the series in lambda/a and a/lambda wherever that spares
+  8 or more octaves, for every e, each term integrated between the ends:
   ``x^s (1 - (x0/x1)^|s|) / |s|`` from the end x where |x^s| is larger,
   log(x1/x0) at s = 0, the finite part -x0^s/s where x1 = oo.  The rest takes
   12-point Gauss-Legendre on panels of ratio <= 2^(1/n), |e| <= 3n, whose ellipse
-  of parameter 3 + sqrt 8 leaves out 0 and, for Re a >= 0, the pole -a: ~5.8^-24
-  (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8, 19).
-  Re a < 0 adds breakpoints ``-Re a +- 0.4 |Im a| 2^i`` until they pass 4 |Re a|,
-  next to which lambda + a is formed from the panel's left edge and S_2 by parts;
-  a = 0 takes the power rule, Lebesgue pieces (``e = 0``) a logarithm.  A point
-  whose parts leave the float range apart (inf - inf) is taken again scaled by a
-  power of two, so each part of S is +-inf of its sign or finite.
+  of parameter 3 + sqrt 8 leaves out 0 and the pole -a: ~5.8^-24 (Trefethen,
+  *Approximation Theory and Approximation Practice*, ch. 8, 19).  a = 0 takes
+  the power rule, Lebesgue pieces (``e = 0``) a logarithm.  A point whose parts
+  leave the float range apart (inf - inf) is taken again scaled by a power of
+  two, so each part of S is +-inf of its sign or finite.
 
 Moment closed forms are evaluated over the whole vector of requested orders.
 The rest — moments and cut masses of the Moebius-power pieces of the Cayley
@@ -428,7 +426,7 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
         return _rule_moments(p, js, lo, hi)
     (r, s, e), = p.factors
     if r == 0.0:
-        return p.coeff * _power_primitive_diff(e + js, lo, hi)
+        return p.coeff * _power_primitive_diff(e + js + 1.0, lo, hi)
     # root r = -s = +-1, in y = -s x: the recurrence serves y >= 0 where e > -1;
     # the rest (y < 0, or a piece off the endpoint y = 1 with e <= -1) the graded rule
     y_lo, y_hi = sorted((-s * lo, -s * hi))
@@ -441,15 +439,16 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
     return total
 
 
-def _power_primitive_diff(power, lo: float, hi: float) -> np.ndarray:
-    """``int_lo^hi x^power dx`` by the power rule (log where power == -1)."""
-    s = np.asarray(power, dtype=float) + 1.0
+def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray:
+    """``c int_lo^hi x^(s-1) dx`` by the power rule (log where s == 0); c before the
+    division, which a tiny s would otherwise overflow."""
+    s = np.asarray(s, dtype=float)
     with np.errstate(all="ignore"):  # C pow: 0^-s = inf, (-x)^j signed; hi / 0 = inf
-        rule = (np.power(hi, s) - np.power(lo, s)) / s
+        rule = c * (np.power(hi, s) - np.power(lo, s)) / s
         ratio = np.float64(hi) / lo
         # where hi / lo overflows (lo near 0) a difference of logs, of |.| left of 0
         log = np.where(np.isinf(ratio), np.log(np.abs(hi)) - np.log(np.abs(lo)), np.log(ratio))
-        return np.where(s == 0.0, log, rule)
+        return np.where(s == 0.0, c * log, rule)
 
 
 def _beta_moment(js: np.ndarray, e: float, a: float, b: float) -> np.ndarray | None:
@@ -540,7 +539,7 @@ def _per_octave(p: Piece) -> int:
 
 def _gauss_nodes(edges: np.ndarray, owner: np.ndarray):
     """12-point Gauss-Legendre nodes, weights and owners on the :func:`_panels`."""
-    half, mid, owner, _ = _panels(edges, owner)
+    half, mid, owner = _panels(edges, owner)
     return ((mid[:, None] + half[:, None] * _GAUSS[0]).ravel(),
             (half[:, None] * _GAUSS[1]).ravel(), np.repeat(owner, _GAUSS[0].size))
 
@@ -635,7 +634,7 @@ def _piece_mass(p: PowerPiece, lo, hi):
     # the power rule in u = s (x - r) covers hi = oo and the log at e = -1
     (r, s, e), = p.factors
     lo, hi = s * (lo - r), s * (hi - r)
-    return p.coeff * _power_primitive_diff(e, *((lo, hi) if s > 0.0 else (hi, lo)))
+    return p.coeff * _power_primitive_diff(e + 1.0, *((lo, hi) if s > 0.0 else (hi, lo)))
 
 
 def laplace_transform(mu: Measure, t):
@@ -682,19 +681,23 @@ def _halfline_rule(p: PowerPiece, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
     """``S_k(a) = int d mu(lambda) / (lambda + a)^k`` of a half-line measure.
 
-    Vectorized over ``a`` off the cut ``(-oo, 0]``, ``Re a < 0`` included;
-    ``k`` is 1 or 2.  At ``a = 0`` a piece gives the power rule, +oo where it
-    diverges.  Where S_1 diverges (unbounded support, ``0 <= e < 1``) its
-    finite part is returned: the real constant it drops does not depend on
-    ``a``, so it cancels in ``S(a) - S(b)`` and ``Im S``.  For ``0 < e << 1``
-    that finite part carries ``-M^e/e``, so ``Re S`` is ill-conditioned
-    (absolute error ~eps/e) while ``Im S`` keeps its digits.
+    Vectorized over ``a`` in the closed right half-plane ``Re a >= 0``, where
+    every transform of the package takes its points; ``k`` is 1 or 2.  At
+    ``a = 0`` a piece gives the power rule, +oo where it diverges.  Where S_1
+    diverges (unbounded support, ``0 <= e < 1``) its finite part is returned:
+    the real constant it drops does not depend on ``a``, so it cancels in
+    ``S(a) - S(b)`` and ``Im S``.  For ``0 < e << 1`` that finite part carries
+    ``-M^e/e``, so ``Re S`` is ill-conditioned (absolute error ~eps/e) while
+    ``Im S`` keeps its digits.
     """
     if mu.domain != "halfplane":
         raise ValueError("the Stieltjes transform is defined for half-line measures")
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     a = np.asarray(a, dtype=complex)
+    if (a.real < 0.0).any():
+        raise ValueError(f"S is taken on the closed right half-plane Re a >= 0, got a = "
+                         f"{a[a.real < 0.0][0]}")
     out = np.zeros(a.shape, dtype=complex)
     for at in mu.atoms:
         out += at.mass * (at.position + a) ** -k
@@ -722,8 +725,9 @@ def _piece_stieltjes(p: PowerPiece, a, k: int, lo, hi):
     a, lo, hi = (np.ravel(v + pad) for v in (a, lo, hi))
     out = np.zeros(a.shape, dtype=complex)
     zero = a == 0.0
-    if zero.any():  # real: an infinite value meets no 0 * inf
-        out.real[zero] = c * _power_primitive_diff(e - k, lo[zero], hi[zero])
+    if zero.any():  # real: an infinite value meets no 0 * inf; e + 1 - k from e, which may be
+        # tiny beside 1 (1/|e| on [1, oo))
+        out.real[zero] = _power_primitive_diff(e + (1 - k), lo[zero], hi[zero], c)
     live = ~zero & (lo < hi)
     a, lo, hi = a[live], lo[live], hi[live]
     if flat:
@@ -785,14 +789,14 @@ def _lebesgue_stieltjes(c: float, a, k: int, lo, hi, unbounded: bool):
             near = np.hypot(x, y) < 0.5
             log1p = 0.5 * np.log1p(x * (2.0 + x) + y * y)
         return -c * np.where(near, log1p + 1j * np.arctan2(y, 1.0 + x), np.log(lo + a))
-    # log1p(u): NumPy's complex log1p loses the real part for small |u|; where 1 + u nears 0
-    # or u re + im^2 would overflow, the logs and angles of hi + a and lo + a apart
+    # log1p(u): NumPy's complex log1p loses the real part for small |u|; where u re + im^2
+    # would overflow, the logs and angles of hi + a and lo + a apart (|1 + u| >= 1: Re u >= 0)
     u = (hi - lo) / (lo + a)
     re, im = u.real, u.imag
     with np.errstate(over="ignore", divide="ignore"):
         t = re * (2.0 + re) + im * im  # |1 + u|^2 - 1
         log, arg = 0.5 * np.log1p(t), np.arctan2(im, 1.0 + re)
-        far = ~((t >= -0.75) & (t < 1e300))
+        far = ~(t < 1e300)
         if far.any():
             log = np.where(far, np.log(np.abs(hi + a)) - np.log(np.abs(lo + a)), log)
             arg = np.where(far, np.angle(hi + a) - np.angle(lo + a), arg)
@@ -809,7 +813,7 @@ def _end_series(e: float, a: np.ndarray, k: int, x0: np.ndarray, x1: np.ndarray,
     f = max(0, math.ceil(-shift))
     n = np.arange(f + 62)
     d = n + shift
-    log = -_power_primitive_diff(-1.0, x0, x1)  # log(x0/x1), -oo where x0 = 0 or x1 = oo
+    log = -_power_primitive_diff(0.0, x0, x1)  # log(x0/x1), -oo where x0 = 0 or x1 = oo
     # -expm1(|d| log) / d, whole where s nears 0: (1 - (x0/x1)^|s|) / |s| at the near end,
     # its negative at the far end (d < 0) but where x1 = oo: there the finite part x0^s/d;
     # one row per term (-expm1(-oo) = 1: no expm1 where every log is -oo); the rows d = 0
@@ -859,9 +863,13 @@ def _scaled_power(x: np.ndarray, e: float, i: int, b: np.ndarray, j: int, v) -> 
     """``v x^(e+i) b^j`` (x > 0; integers i, j of either sign) with its factors scaled by powers
     of 2: a normal double wherever it is one, whatever x^e, x^i and b^j are alone (|e log2 x|,
     |i|, |j| < 8000).  x = m1 2^e1 and b = mb 2^eb, 1/2 <= m1, |mb| < 1; then x^e = (x^(e/8))^8
-    and m^i = (m^(i//8))^8 m^(i%8), each factor in the float range and scaled to [1/2, 1)."""
+    and m^i = (m^(i//8))^8 m^(i%8), each factor in the float range and scaled to [1/2, 1);
+    v too (a panel's half-width can be near the least normal, and the product would lose its
+    digits below it)."""
     (mx, ex), e1, eb = np.frexp(x ** (e / 8.0)), np.frexp(x)[1], np.frexp(np.abs(b))[1]
-    p, scale = mx**8 * v, 8 * ex + i * e1 + j * eb
+    ev = np.frexp(np.abs(v))[1]
+    v = np.ldexp(np.real(v), -ev) + 1j * np.ldexp(np.imag(v), -ev)
+    p, scale = mx**8 * v, 8 * ex + i * e1 + j * eb + ev
     for z, n in ((np.ldexp(x, -e1), i), (np.ldexp(b.real, -eb) + 1j * np.ldexp(b.imag, -eb), j)):
         y = z ** (n // 8)  # 2^-1000 < |y| <= 2^1000
         c = np.frexp(np.abs(y))[1]
@@ -887,50 +895,18 @@ def _octave_edges(m: np.ndarray, big: np.ndarray, n: int = 1) -> tuple[np.ndarra
 
 
 def _panels(edges: np.ndarray, owner: np.ndarray):
-    """Half-width, midpoint, owner and left edge of each nonempty panel between edges of one
-    owner."""
+    """Half-width, midpoint and owner of each nonempty panel between edges of one owner."""
     inside = (owner[1:] == owner[:-1]) & (edges[1:] > edges[:-1])
     left, right = edges[:-1][inside], edges[1:][inside]
-    return 0.5 * (right - left), 0.5 * (right + left), owner[:-1][inside], left
+    return 0.5 * (right - left), 0.5 * (right + left), owner[:-1][inside]
 
 
 def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray,
                   n: int, split: bool = False) -> np.ndarray:
-    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big) on panels of ratio <= 2^(1/n),
-    ragged per point; where Re a < 0, graded toward the pole -Re a too, next to it lambda + a
-    formed from the left edge, and k = 2 by parts where the pole is in (m, big).  A point
-    whose value is not a normal double is taken again by :func:`_scaled_power` (``split``)."""
-    # the pole -Re a where Re a < 0 and it is within [m/2, 2 big], else 0
-    neg = np.flatnonzero(a.real < 0.0)
-    pole = np.zeros(a.size)
-    if neg.size:
-        pole[neg] = np.where((-a.real[neg] >= 0.5 * m[neg]) & (-a.real[neg] <= 2.0 * big[neg]),
-                             -a.real[neg], 0.0)
-    # by parts where the pole is inside (m, big), |Im a| < big - m: the panels' (lambda + a)^-2
-    # cancel there, the parts do not; outside, the two end terms can cancel, the panels do not
-    near = (pole > m) & (pole < big) & (np.abs(a.imag) < big - m) if neg.size else None
-    if k == 2 and not split and neg.size and near.any():
-        out = np.empty(a.size, dtype=complex)
-        out[~near] = _gauss_panels(e, a[~near], 2, m[~near], big[~near], n)
-        # parts from s, an octave below the pole, and panels on [m, s]: from m << |a| the end
-        # term m^e / (m + a) is |a| / m times S_2 where e < -1 (490 times: 2.2e-13 off)
-        a, m, big, s = a[near], m[near], big[near], np.maximum(m, 0.5 * pole)[near]
-        ends = s ** (e - 1.0) * (s / (s + a)) - big ** (e - 1.0) * (big / (big + a))
-        out[near] = ends + _gauss_panels(e, a, 2, m, s, n) + e * _gauss_panels(
-            e - 1.0, a, 1, s, big, max(n, math.ceil(abs(e - 1.0) / 3.0)))
-        return out
-    x, owner = _octave_edges(m, big, n)
-    if neg.size:  # -Re a +- 0.4 |Im a| 2^i, until the steps pass 4 |Re a|, point by point
-        x0 = -a.real[neg]
-        d = 0.4 * np.maximum(np.abs(a.imag[neg]), 2.0**-60 * x0)
-        i = np.repeat(np.arange(neg.size), np.maximum(np.ceil(np.log2(4.0 * x0 / d)) + 1.0, 0.0)
-                      .astype(np.int64))  # the point of each step
-        step, who = d[i] * np.exp2(np.arange(i.size) - np.searchsorted(i, i)), np.tile(neg[i], 2)
-        x = np.append(x, np.clip(np.append(x0[i] - step, x0[i] + step), m[who], big[who]))
-        owner = np.append(owner, who)
-        order = np.lexsort((x, owner))
-        x, owner = x[order], owner[order]
-    half, mid, owner, left = _panels(x, owner)
+    """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big, Re a >= 0) on panels of ratio
+    <= 2^(1/n), ragged per point.  A point whose value is not a normal double is taken again
+    by :func:`_scaled_power` (``split``)."""
+    half, mid, owner = _panels(*_octave_edges(m, big, n))
     out = np.zeros(a.size, dtype=complex)
     # chunks of whole points, each about _CHUNK panels, and the rows added one by one,
     # not by a BLAS product, so that S at one point does not depend on the other points
@@ -938,15 +914,9 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     for c in map(slice, bounds[:-1], bounds[1:]):
         lam = mid[c] + half[c] * _GAUSS[0][:, None]  # one row per Gauss node
         r = 1.0 / (lam + a[owner[c]])
-        near = pole[owner[c]] > 0.0 if neg.size else None  # there lambda + a = (left - pole)
-        if neg.size and near.any():  # + half (1 + t) + i Im a: left - pole is exact, and the
-            # panels tile there
-            p = owner[c][near]
-            r[:, near] = 1.0 / ((left[c][near] - pole[p])
-                                + half[c][near] * (1.0 + _GAUSS[0][:, None]) + 1j * a.imag[p])
-        # half r first (|half r| <= 1/2 for Re a >= 0): lambda^e half or lambda^e r^k
-        # can leave the float range where the panel's integral does not; the first pass is
-        # quiet there, as such a point is taken again
+        # half r first (|half r| <= 1/2): lambda^e half or lambda^e r^k can leave the float
+        # range where the panel's integral does not; the first pass is quiet there, as such a
+        # point is taken again
         with np.errstate(over=None if split else "ignore", invalid=None if split else "ignore"):
             v = _scaled_power(lam, e, 0, r, k, half[c]) if split else lam**e * (half[c] * r)
             if k == 2 and not split:

@@ -4,8 +4,11 @@ For a positive measure mu on (0, oo) with finite rho-integral,
 
     kappa(z) = int [ lambda/(1+lambda^2) - 1/(z+lambda) ] d mu(lambda)
 
-is holomorphic off (-oo, 0] and maps the right half-plane into the closed
-upper half-plane (a Pick-type function).  Its difference quotients recover the
+is holomorphic off (-oo, 0] and maps the upper half-plane into its closure (a
+Pick-type function, Im kappa(z) = Im z int d mu / |z + lambda|^2).
+:func:`kappa` takes it on the closed right half-plane Re z >= 0, z != 0, as every
+consumer in the package does: the symbol reads it on the imaginary axis, the
+kernel checks at points of Re z > 0.  Its difference quotients recover the
 symbol kernel of the associated Hankel operator (see
 :func:`hankelpos.hankel.symbol_kernel`), and its boundary imaginary part gives
 the distinguished bounded symbol
@@ -42,7 +45,6 @@ import numpy as np
 from .measures import (
     Measure,
     _sorted_unique,
-    rho_total as _rho_total,
     stieltjes,
     total_mass,
     widom_check,
@@ -115,15 +117,14 @@ def _require_halfplane(mu: Measure, what: str) -> None:
 def kappa(mu: Measure, z: complex) -> complex:
     """Evaluate kappa(z) = int [lambda/(1+lambda^2) - 1/(z+lambda)] d mu.
 
-    ``z`` must avoid the cut (-oo, 0]; computed as ``Re S(-i) - S(z)``.
+    ``z`` lies in the closed right half-plane off the cut (-oo, 0], that is
+    Re z >= 0 and z != 0; computed as ``Re S(-i) - S(z)``.
     """
     _require_halfplane(mu, "kappa")
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise ValueError(f"kappa is not defined on the cut (-oo, 0]; got z = {z}")
-    for a in mu.atoms:
-        if abs(z + a.position) < 1e-14:
-            raise ValueError(f"z = {z} collides with the pole at -{a.position}")
+    if z.real < 0.0 or z == 0.0:
+        raise ValueError("kappa is taken on the closed right half-plane Re z >= 0 off the "
+                         f"cut (-oo, 0]; got z = {z}")
     s_i, s_z = stieltjes(mu, np.array([-1j, z]))
     return complex(s_i.real - s_z)
 

@@ -40,7 +40,7 @@ def test_kappa_rejects_the_cut_and_poles(d1: hp.Measure) -> None:
         hp.kappa(d1, -0.5)
     with pytest.raises(ValueError, match="cut"):
         hp.kappa(d1, 0.0)
-    with pytest.raises(ValueError, match="pole"):
+    with pytest.raises(ValueError, match="closed right half-plane"):
         hp.kappa(d1, complex(-1.0, 1e-15))
 
 
@@ -63,7 +63,7 @@ def test_kappa_density_matches_quad_oracle(leb01_hp: hp.Measure) -> None:
 def test_kappa_commutes_with_conjugation(mix: hp.Measure) -> None:
     rng = np.random.default_rng(11)
     for _ in range(20):
-        z = complex(rng.normal(), rng.uniform(0.1, 3.0))
+        z = complex(abs(rng.normal()), rng.uniform(0.1, 3.0))
         assert hp.kappa(mix, np.conj(z)) == pytest.approx(
             np.conj(hp.kappa(mix, z)), rel=1e-13
         )

@@ -57,7 +57,7 @@ def test_symbol_and_rho_of_a_power_ray(e: float) -> None:
 
 def test_kappa_of_the_inverse_square_root_ray() -> None:
     mu = _power_ray(-0.5)
-    for z in (1.0, 2j, 3.0 - 1.0j, 1e-6 + 1e-6j, 1e6j, -1.0 + 0.5j):
+    for z in (1.0, 2j, 3.0 - 1.0j, 1e-6 + 1e-6j, 1e6j):
         expected = PI / math.sqrt(2.0) - PI / cmath.sqrt(z)
         assert hp.kappa(mu, z) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
@@ -94,7 +94,7 @@ def test_lebesgue_transforms_far_out_keep_full_precision(leb01_hp: hp.Measure) -
 def test_power_piece_matches_quadrature() -> None:
     piece = hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))
     mu = hp.halfplane_measure(pieces=[piece])
-    for a in (1.0, 2.0, 1.0 - 1.0j, 0.1 + 3.0j, 1e-3j, 50.0, -1.5 + 0.2j):
+    for a in (1.0, 2.0, 1.0 - 1.0j, 0.1 + 3.0j, 1e-3j, 50.0):
         for k in (1, 2):
             ref = integrate(lambda lam: lam**0.5 * (lam + a) ** -k, 1.0, 2.0, rel_tol=1e-13)
             assert complex(stieltjes(mu, a, k)) == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -199,6 +199,34 @@ def test_stieltjes_rejects_disc_measures_and_other_orders(
         stieltjes(disc_leb, 1.0)
     with pytest.raises(ValueError, match="k must be"):
         stieltjes(d1, 1.0, 3)
+
+
+def test_s_and_kappa_take_the_closed_right_half_plane() -> None:
+    mu = hp.halfplane_measure(atoms=[(1.0, 1.0)],
+                              pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
+    for k in (1, 2):
+        for a in (-1.0 + 0.5j, -1e-300 - 1j, np.array([1.0, -2.0 + 1e-15j])):
+            with pytest.raises(ValueError, match="closed right half-plane"):
+                stieltjes(mu, a, k)
+        # the edge Re a = 0 is in: the symbol's points (signed zeros), rho's -i and a = 0
+        assert np.isfinite(stieltjes(mu, np.array([-0.0 - 1j, 0.0, 2j, -0.0 + 1e-9j]), k)).all()
+    for z in (-1.0 + 0.5j, -1e-300 - 1j, -0.5, 0.0, -0.0 - 0.0j):
+        with pytest.raises(ValueError, match="closed right half-plane") as raised:
+            hp.kappa(mu, z)
+        if z.imag == 0.0:  # on the cut (-oo, 0]
+            assert "cut" in str(raised.value)
+    assert np.isfinite(hp.kappa(mu, -0.0 - 1j)) and np.isfinite(hp.kappa(mu, 1e-9j))
+
+
+@pytest.mark.parametrize("c, e", [(1.0, -1e-10), (1.0, -1e-13), (1.0, -1e-17),
+                                  (1.2e-109, -2.2e-309)])
+def test_s_at_zero_of_a_tiny_exponent_on_an_unbounded_support(c: float, e: float) -> None:
+    # S(0) = c int_1^oo lambda^(e-1) = c/|e|: the power rule's exponent e + 1 - k formed as
+    # (e - k) + 1 lost e beside 1 (8.3e-8 off at e = -1e-10, inf at -1e-17), and c/|e| is
+    # finite where 1/|e| overflows
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(c, e, "lambda", (1.0, math.inf))])
+    got = complex(stieltjes(mu, 0.0))
+    assert got.imag == 0.0 and abs(got.real - c / -e) <= 1e-15 * (c / -e), got
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +334,21 @@ def wide_cases(draw) -> tuple[float, complex, int, float, float]:
         hi = math.inf
     else:  # hi - lo from 1e-12 lo (1e-300 at lo = 0) to 1e300
         hi = lo + 10.0 ** draw(st.floats(math.log10(lo) - 12.0 if lo else -300.0, 300.0))
-    angle = draw(st.floats(-PI, PI, exclude_min=True, exclude_max=True))
+    angle = draw(st.floats(-0.5 * PI, 0.5 * PI))
     a = 10.0 ** draw(st.floats(-300.0, 300.0)) * cmath.exp(1j * angle)
     return e, a, draw(st.sampled_from([1, 2])), lo, hi
 
 
 @settings(deadline=None, max_examples=60)  # a reference can take seconds at ~500 digits
 @given(case=wide_cases())
-# a pole -Re a = 0.99 just outside a short support: by parts its two end terms, each ~7,
-# cancelled to ~5e-3 (1.08e-13 off); the panels take it
-@example(case=(-1.0, -0.9899924966004454 + 0.1411200080598672j, 2, 1.0, 1.0001))
 # -log(lo + a) near 0 by log1p((lo - 1) + a): lo - 1 rounds for lo < 1/2 (1.1e-13 off)
 @example(case=(0.0, 1.0 + 0.0j, 1, 1e-4, math.inf))
-# S_2 of lambda^-2 by parts from m = |a| / 490 took an end term 490 times S_2 (2.2e-13 off);
-# the parts now start an octave below the pole -Re a, the panels take [m, pole / 2]
-@example(case=(-2.0, -0.4161468365471424 + 0.9092974268256817j, 2, 10.0**-2.6875, math.inf))
 # a subnormal exponent on a bounded support: lambda^e is 1 at every double, the Lebesgue
 # value; its tail series took 1 / e, which overflowed, and gave nan + nan i
 @example(case=(-2.2e-309, 3.8e-276j, 1, 0.0, 0.0017))
+# a panel of half-width 5e-306 taken again by powers of 2: that half-width, not scaled, fell
+# below the least normal in the product (4.3e-13 off)
+@example(case=(-1.0, 1.0 + 0.0j, 1, 1e-293, 1.0000000000010001e-293))
 def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     e, a, k, lo, hi = case
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
@@ -359,10 +384,6 @@ def test_stieltjes_commutes_with_conjugation_bit_for_bit_on_the_imaginary_axis(c
     (-1.5, -1e300j, 1, 1e-12, 1e300, 1e-14),
     # lambda^e half r^k past the float range where the panel's integral is not (nan before)
     (-2.0, 1.0, 1, 1e-155, 2e-155, 1e-13),
-    # next to a pole -Re a: lambda + a from the panel's left edge (3e-4 off before)
-    (1.0, -1.0 + 1e-15j, 1, 0.0, 1.0, 1e-13),
-    # S_2 next to a pole, by parts (relative error 5e10 before)
-    (0.5, -1.5 + 1e-14j, 2, 1.0, 2.0, 1e-13),
     # a steep tail: x^(e+i) a^f with i = -1001, f = 1001, whose factors leave the float range
     (1000.5, 2.0**-7 / 3.0, 1, 2.0**-7, 2.0, 1e-14),
     (1000.5, 2.0**-7 / 3.0, 2, 2.0**-7, 2.0, 1e-14),
@@ -371,11 +392,10 @@ def test_stieltjes_commutes_with_conjugation_bit_for_bit_on_the_imaginary_axis(c
     # ... and where lo < 1/2, whose lo - 1 rounds (5e-9 off before)
     (0.0, 1.0, 1, 1e-8, math.inf, 1e-15),
     # Lebesgue: u = (hi - lo)/(lo + a) and (lo + a)(hi + a) past the float range (inf, 0, nan
-    # before), and 1 + u near 0, a pole at hi (-inf before)
+    # before)
     (0.0, 1e-300j, 1, 1e-300, 1e300, 1e-14),
-    (0.0, -1e150 + 1e-10j, 2, 1e-200, 1e200, 1e-14),
-    (0.0, -1e300 + 1e280j, 2, 1.0, 1e300, 1e-14),
-    (0.0, -2.0 + 1e-15j, 1, 1.0, 2.0, 1e-14),
+    (0.0, 1e150 + 1e-10j, 2, 1e-200, 1e200, 1e-14),
+    (0.0, 1e300 + 1e280j, 2, 1.0, 1e300, 1e-14),
 ])
 def test_stieltjes_where_its_edge_rules_take_over(e, a, k: int, lo, hi, rtol) -> None:
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
@@ -413,8 +433,6 @@ def test_a_subnormal_exponent_on_an_unbounded_support_is_finite(lo: float, a: co
     (-3.0, -1e-90j, 2, 1e-106, 1.0),  # S_1 there is a finite 1e286 + 5e301i
     # a steep tail, whose far end hi leaves the float range
     (3.0, 1.771525441243767e-66 - 3.10298531606886e-68j, 1, 0.0, 1.0156830158070485e+292),
-    (2.0, -2.324958911195197e+201 + 1.0347104223074818e+201j, 1, 2.8139325902825455e-169,
-     4.626913998601532e+245),
 ])
 def test_where_s_overflows_each_part_is_an_infinity_of_its_sign(e, a, k: int, lo, hi) -> None:
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
@@ -436,22 +454,23 @@ def test_scaled_power_of_factors_past_the_float_range() -> None:
 
 @st.composite
 def grids(draw) -> tuple[float, float, float, np.ndarray]:
-    """A piece, and a batch of up to 300 points off the cut, a third of them next to it."""
+    """A piece, and a batch of up to 300 points of Re a >= 0, a third of them next to the
+    imaginary axis."""
     e = draw(_exponents())
     lo = draw((st.just(0.0) if e > -1.0 else st.nothing()) | st.floats(-6.0, 2.0).map(
         lambda u: 10.0**u))
     hi = math.inf if e < 1.0 and draw(st.booleans()) else lo + 10.0 ** draw(st.floats(-3.0, 6.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(2, 300))
-    angle = rng.uniform(-PI, PI, size)
-    near = rng.random(size) < 1.0 / 3.0  # Re a < 0, |Im a| down to 1e-15 |a|: pole steps
-    angle[near] = np.copysign(PI - 10.0 ** -rng.uniform(1.0, 15.0, near.sum()), angle[near])
+    angle = rng.uniform(-0.5 * PI, 0.5 * PI, size)
+    near = rng.random(size) < 1.0 / 3.0  # Re a down to 1e-15 |a|
+    angle[near] = np.copysign(0.5 * PI - 10.0 ** -rng.uniform(1.0, 15.0, near.sum()), angle[near])
     return e, lo, hi, 10.0 ** rng.uniform(-8.0, 8.0, size) * np.exp(1j * angle)
 
 
 @settings(deadline=None, max_examples=20)
 @given(case=grids(), k=st.sampled_from([1, 2]))
-@example(case=(0.5, 1.0, 2.0, -np.logspace(-3.0, 3.0, 200) + 1e-12j), k=1)  # > 4096 panels
+@example(case=(0.5, 1.0, 2.0**20, 1j * np.logspace(-3.0, 3.0, 200)), k=1)  # > 256 panels
 def test_stieltjes_at_a_point_does_not_depend_on_the_other_points(case, k: int) -> None:
     e, lo, hi, a = case
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
@@ -465,7 +484,7 @@ def test_stieltjes_at_a_point_does_not_depend_on_the_other_points(case, k: int) 
 def test_stieltjes_on_the_density_grids_does_not_depend_on_the_other_points(spec) -> None:
     mu = hp.load_measure(ROOT / "bench" / "specs" / f"{spec}.json")
     p = hp.default_symbol_grid(mu, 1024)
-    for a in (-1j * p, -0.5 * p + 0.1j):  # the symbol's points, and Re a < 0
+    for a in (-1j * p, 0.5 * np.abs(p) + 0.1j):  # the symbol's points, and Re a > 0
         batch = stieltjes(mu, a)
         alone = np.concatenate([stieltjes(mu, a[i:i + 1]) for i in range(a.size)])
         assert batch.tobytes() == alone.tobytes()
