@@ -62,7 +62,7 @@ import numpy as np
 from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import SymbolSamples, _check_offset, delta_values
 from .quadrature import QuadratureError, integrate
-from .kernels import TWO_PI, circle_nodes
+from .kernels import TWO_PI
 
 __all__ = [
     "section_from_moments",
@@ -93,6 +93,9 @@ _EIG_TOL = 1e-10
 
 #: Largest |kernel term| of the offset c that :func:`verify_rp_transport` accepts.
 _INVISIBILITY_TOL = 1e-8
+
+#: Probes z of the check g(-conj(z)) = conj(g(z)) in :func:`polar_decomposition_check`.
+_POLAR_PROBES = np.array([1j, 1.0 + 1j])
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +144,18 @@ def hilbert_section(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
-    """khat(1), ..., khat(top) of a disc symbol.
-
-    A symbol with an evaluator is one adaptive integral, all coefficients on one
-    panel tree and its jumps as breakpoints: a DFT converges like O(1/m) across a
-    jump, and the feature of an atom at lambda is 2 lambda wide at theta = pi.  A
-    sampled-only symbol (``func`` None) takes an offset DFT of its interpolant on
-    an aliasing-safe grid, spectral where its samples lie on that grid.
-    """
+    """khat(1), ..., khat(top) of a disc symbol: one adaptive integral of its evaluator,
+    all coefficients on one panel tree and its jumps as breakpoints (a DFT converges
+    like O(1/m) across a jump, and the feature of an atom at lambda is 2 lambda wide at
+    theta = pi)."""
     if samples.domain != "disc":
         raise ValueError("Fourier coefficients are taken on the circle")
     ns = np.arange(1, top + 1)
-    if samples.func is not None:
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return samples(t) * np.exp(-1j * np.outer(ns, t))
 
-        return integrate(integrand, 0.0, TWO_PI,
-                         breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
-    m = max(4096, 16 * top)  # even, so theta = pi is never a node of the offset grid
-    theta = circle_nodes(m)
-    return np.exp(-1j * np.outer(ns, theta)) @ samples(theta) / m
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return samples(t) * np.exp(-1j * np.outer(ns, t))
+
+    return integrate(integrand, 0.0, TWO_PI, breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
 
 
 def section_from_symbol_disc(
@@ -178,12 +173,6 @@ def section_from_symbol_disc(
         raise ValueError(f"section size must be >= 1, got {n}")
     if pairing not in ("taylor", "moment"):
         raise ValueError(f"pairing must be 'taylor' or 'moment', got {pairing!r}")
-    if samples.func is None and len(samples.grid) < 8 * n:
-        raise ValueError(
-            f"aliasing guard: a sampled-only symbol needs a grid of size >= 8n "
-            f"= {8 * n}, got {len(samples.grid)} (attach a callable for exact "
-            f"resampling)"
-        )
     coeffs = _fourier_coefficients(samples, 2 * n - 1)
     if pairing == "moment":
         coeffs = TWO_PI * coeffs
@@ -584,7 +573,6 @@ def polar_decomposition_check(
     c: float,
     *,
     x_grid: Sequence[float] = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
-    probes: Sequence[complex] = (1j, 1.0 + 1j),
 ) -> PolarReport:
     """Check that h = delta / conj(g*)^2 is unimodular on the boundary.
 
@@ -593,7 +581,7 @@ def polar_decomposition_check(
     as g(x + i epsilon), which converges first order in epsilon at continuity
     points — hence the 1e-4 approach for a 1e-3 modulus tolerance.
     The sharp symmetries g(-conj(z)) = conj(g(z)) and h(-x) = conj(h(x)) are
-    checked as well (the weight |delta| is even).
+    checked as well (the weight |delta| is even), g at the points of ``_POLAR_PROBES``.
     """
     from .outer import g_from_delta  # local import: outer builds on pick, not on us
 
@@ -604,7 +592,7 @@ def polar_decomposition_check(
         raise ValueError("the boundary grid must avoid x = 0 (possible jump of h)")
 
     x = np.array(grid)
-    zs = np.array([_require_upper(complex(z), "probe") for z in probes], dtype=complex)
+    zs = _POLAR_PROBES
     # g at the approach points, the probes and their reflections: one integral
     g = g_from_delta(mu, c, np.concatenate([x + 1j * epsilon, zs, -np.conj(zs)]))
     g_star, g_z, g_reflected = np.split(g, [len(x), len(x) + len(zs)])

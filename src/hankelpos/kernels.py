@@ -56,7 +56,6 @@ __all__ = [
     "cayley_map",
     "sqrt_cayley_derivative",
     "gamma2_eval",
-    "circle_nodes",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -206,19 +205,4 @@ def gamma2_eval(f: HardyCoeffs, x: complex | np.ndarray) -> complex | np.ndarray
     if values.ndim == 0:
         return complex(values)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Circle nodes
-# ---------------------------------------------------------------------------
-
-def circle_nodes(n: int = 4096, *, offset: bool = True) -> np.ndarray:
-    """Uniform angles on [0, 2 pi); ``offset`` shifts by half a step.
-
-    The half-step offset keeps z = 1 (the Cayley singularity) off the grid.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    k = np.arange(n, dtype=float)
-    return (k + (0.5 if offset else 0.0)) * (TWO_PI / n)
 

@@ -441,10 +441,15 @@ def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
 
 def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray:
     """``c int_lo^hi x^(s-1) dx`` by the power rule (log where s == 0); c before the
-    division, which a tiny s would otherwise overflow."""
+    division, which a tiny s would otherwise overflow.  Where lo > 0, hi < oo and
+    |s log(hi/lo)| < 1 (hi^s - lo^s cancels), c lo^s expm1(s log1p((hi - lo)/lo)) / s."""
     s = np.asarray(s, dtype=float)
     with np.errstate(all="ignore"):  # C pow: 0^-s = inf, (-x)^j signed; hi / 0 = inf
-        rule = c * (np.power(hi, s) - np.power(lo, s)) / s
+        rule = c * (np.power(hi, s) - (lo_s := np.power(lo, s))) / s
+        if s.any():  # s = 0 is the log; log1p of the difference: the rounded ratio costs digits
+            t = s * np.log1p(np.subtract(hi, lo) / lo)
+            near = (0.0 < lo) & (np.abs(t) < 1.0)  # not at hi = oo: t is inf there
+            rule = np.where(near, c * lo_s * np.expm1(t) / s, rule)
         ratio = np.float64(hi) / lo
         # where hi / lo overflows (lo near 0) a difference of logs, of |.| left of 0
         log = np.where(np.isinf(ratio), np.log(np.abs(hi)) - np.log(np.abs(lo)), np.log(ratio))
@@ -878,8 +883,13 @@ def _scaled_power(x: np.ndarray, e: float, i: int, b: np.ndarray, j: int, v) -> 
     return p
 
 
-#: 12-point Gauss-Legendre nodes and weights on [-1, 1]; panels per chunk; least normal.
-_GAUSS = np.polynomial.legendre.leggauss(12)
+#: 12-point Gauss-Legendre nodes and weights on [-1, 1]: ``leggauss(12)``, mirrored from its
+#: positive half (``numpy.polynomial`` costs 9 imports); panels per chunk; least normal.
+_GAUSS = tuple(np.concatenate([sign * half[::-1], half]) for sign, half in (
+    (-1.0, np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                     0.7699026741943047, 0.9041172563704748, 0.9815606342467192])),
+    (1.0, np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141]))))
 _CHUNK, _TINY = 1 << 8, np.finfo(float).tiny
 
 

@@ -66,7 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolSamples:
-    """A boundary symbol sampled on a grid, optionally with an evaluator.
+    """A boundary symbol: its evaluator, and its values on a grid.
 
     ``domain="halfplane"``: ``grid`` holds real boundary points x and
     ``values[k] = h(x_k)``.  ``domain="disc"``: ``grid`` holds angles theta in
@@ -74,15 +74,15 @@ class SymbolSamples:
     sharp-symmetric (h(-x) = conj(h(x)) on the line, h(conj(z)) = conj(h(z)) on the
     circle) on their mirrored grids, value for value; their sup is ``max |values|``.
 
-    ``func`` (optional) evaluates the symbol at arbitrary boundary points
-    (vectorized); ``jumps`` lists known discontinuities (x on the line, theta
-    on the circle) so that quadratures can split panels there.
+    ``func`` evaluates the symbol at arbitrary boundary points (vectorized), and
+    every integral of the symbol reads it; ``jumps`` lists known discontinuities
+    (x on the line, theta on the circle) so that quadratures can split panels there.
     """
 
     domain: str
     grid: np.ndarray
     values: np.ndarray
-    func: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    func: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     jumps: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -94,15 +94,12 @@ class SymbolSamples:
             raise ValueError(f"unknown domain {self.domain!r}")
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be 1-d arrays of equal length")
+        if not callable(self.func):
+            raise ValueError(f"func must evaluate the symbol, got {self.func!r}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate via ``func`` when available, else linear interpolation."""
-        x = np.asarray(x, dtype=float)
-        if self.func is not None:
-            return np.asarray(self.func(x), dtype=complex)
-        re = np.interp(x, self.grid, self.values.real)
-        im = np.interp(x, self.grid, self.values.imag)
-        return re + 1j * im
+        """The symbol at the boundary points ``x``, by ``func``."""
+        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=complex)
 
 
 def _require_halfplane(mu: Measure, what: str) -> None:

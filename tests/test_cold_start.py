@@ -2,8 +2,9 @@
 
 SciPy takes ~0.3 s to import; ``numpy.ma`` (behind NumPy 2's ``np.unique``)
 and ``numpy.random`` take tens of milliseconds on first use, in every
-command that reaches them.  One interpreter runs every command on every
-benchmark spec and reports which of them it loaded.
+command that reaches them, and ``numpy.polynomial`` 9 modules for what 12
+constants give.  One interpreter runs every command on every benchmark spec
+and reports which of them it loaded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = sorted((ROOT / "bench" / "specs").glob("*.json"))
 COMMANDS = ("report", "widom", "symbol", "kernel-check", "positivity", "transport", "verify-all")
-UNWANTED = ("scipy", "numpy.ma", "numpy.random", "argparse", "gettext", "locale")
+UNWANTED = ("scipy", "numpy.ma", "numpy.random", "numpy.polynomial", "argparse", "gettext",
+            "locale")
 
 SCRIPT = f"""
 import contextlib, io, json, sys

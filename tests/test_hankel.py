@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import hankelpos as hp
 import hankelpos.hankel
 from hankelpos import TWO_PI
-from hankelpos.hankel import _fourier_coefficients
-from hankelpos.kernels import circle_nodes
 
 PI = math.pi
+#: 256 uniform angles on [0, 2 pi), offset by half a step
+THETA = (np.arange(256) + 0.5) * TWO_PI / 256
 
 
 def _mode_symbol(frequency: int, amplitude: complex = 1.0) -> hp.SymbolSamples:
@@ -24,11 +24,10 @@ def _mode_symbol(frequency: int, amplitude: complex = 1.0) -> hp.SymbolSamples:
     def func(theta: np.ndarray) -> np.ndarray:
         return amplitude * np.exp(1j * frequency * np.asarray(theta, dtype=float))
 
-    theta = hp.circle_nodes(256)
     return hp.SymbolSamples(
         domain="disc",
-        grid=theta,
-        values=func(theta),
+        grid=THETA,
+        values=func(THETA),
         func=func,
     )
 
@@ -105,17 +104,6 @@ def test_moment_pairing_is_a_length_normalization() -> None:
         hp.section_from_symbol_disc(samples, 2, pairing="fourier")
 
 
-def test_sampled_only_symbols_hit_the_aliasing_guard() -> None:
-    theta = hp.circle_nodes(32)
-    samples = hp.SymbolSamples(
-        domain="disc",
-        grid=theta,
-        values=np.exp(1j * theta),
-    )
-    with pytest.raises(ValueError, match="aliasing"):
-        hp.section_from_symbol_disc(samples, 8)
-
-
 def test_adjoint_section_comes_from_the_sharp_symbol() -> None:
     rng = np.random.default_rng(21)
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -127,11 +115,10 @@ def test_adjoint_section_comes_from_the_sharp_symbol() -> None:
     def h_sharp(theta: np.ndarray) -> np.ndarray:
         return np.conj(h(-np.asarray(theta, dtype=float)))
 
-    theta = hp.circle_nodes(256)
     mk = lambda f: hp.SymbolSamples(  # noqa: E731
         domain="disc",
-        grid=theta,
-        values=f(theta),
+        grid=THETA,
+        values=f(THETA),
         func=f,
     )
     m = hp.section_from_symbol_disc(mk(h), 3)
@@ -204,15 +191,6 @@ def test_a_transferred_symbol_is_the_line_symbol_re_indexed(monkeypatch) -> None
     assert len(integrals) == 1 and calls
     np.testing.assert_allclose(
         section, hp.section_from_measure(hp.cayley_pushforward(mu), 4), rtol=0.0, atol=1e-12)
-
-
-def test_a_sampled_only_symbol_takes_the_offset_dft() -> None:
-    # on its own uniform grid the DFT of e^{i theta} is spectrally exact
-    theta = circle_nodes(4096)
-    samples = hp.SymbolSamples("disc", theta, np.exp(1j * theta))
-    coeffs = _fourier_coefficients(samples, 3)
-    assert abs(coeffs[0] - 1.0) <= 1e-15
-    assert np.max(np.abs(coeffs[1:])) <= 1e-15
 
 
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:

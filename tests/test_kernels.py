@@ -9,7 +9,6 @@ import hankelpos as hp
 from hankelpos import (
     TWO_PI,
     cayley_map,
-    circle_nodes,
     disc_point,
     gamma2_eval,
     halfplane_point,
@@ -88,7 +87,7 @@ def test_poisson_halfplane_integrates_to_one() -> None:
 
 def test_poisson_disc_integrates_to_one() -> None:
     z = disc_point(0.3 + 0.4j)
-    theta = circle_nodes(2048)
+    theta = (np.arange(2048) + 0.5) * TWO_PI / 2048
     values = np.array([poisson(z, np.exp(1j * t)) for t in theta])
     assert TWO_PI * values.mean() == pytest.approx(1.0, rel=1e-12)  # trapezoidal rule
 
@@ -194,7 +193,7 @@ def test_hardy_norm_uses_the_length_dictionary() -> None:
 
 def test_reproducing_property_at_finite_order() -> None:
     rng = np.random.default_rng(6)
-    theta = circle_nodes(4096)
+    theta = (np.arange(4096) + 0.5) * TWO_PI / 4096
     zeta = np.exp(1j * theta)
     for _ in range(5):
         n = int(rng.integers(1, 33))
@@ -242,16 +241,3 @@ def test_cayley_unitary_accepts_interior_points() -> None:
     expected = math.sqrt(2.0) / (z + 1j) * f((z - 1j) / (z + 1j))
     assert gamma2_eval(f, z) == pytest.approx(expected)
 
-
-# ---------------------------------------------------------------------------
-# Circle nodes
-# ---------------------------------------------------------------------------
-
-
-def test_circle_nodes_avoid_the_real_axis_crossing() -> None:
-    theta = circle_nodes(8)
-    assert theta.shape == (8,)
-    assert 0.0 not in theta
-    assert math.pi not in theta
-    spacing = np.diff(theta)
-    np.testing.assert_allclose(spacing, spacing[0])

@@ -276,6 +276,36 @@ def test_reciprocal_power_masses_do_not_overflow_and_keep_their_sign() -> None:
     np.testing.assert_allclose(hp.moments(left, 3), [8.0, math.log(0.2), 0.4], rtol=1e-15)
 
 
+def _power_s0(e: float, lo: float, hi: float) -> float:
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    return float(hp.stieltjes(mu, np.array([0.0]))[0].real)
+
+
+def _power_mass(e: float, lo: float, hi: float) -> float:
+    mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, e, "lambda", (lo, hi))])
+    return hp.mass_interval(mu, lo, hi)
+
+
+def _power_c2(e: float, lo: float, hi: float) -> float:
+    return float(hp.moments(hp.disc_measure(pieces=[hp.power_piece(1.0, e, "x", (lo, hi))]), 3)[2])
+
+
+@pytest.mark.parametrize("value, e, shift, lo, hi", [
+    (_power_s0, -1e-14, 0, 1.0, 2.0),  # S(0) = int lambda^(e - 1)
+    (_power_mass, -1.0 + 1e-12, 1, 1.0, 2.0),
+    (_power_c2, -3.0 + 1e-12, 3, 0.5, 0.9),  # c_2 = int x^(e + 2)
+], ids=["stieltjes-at-0", "mass", "disc-moment"])
+def test_the_power_rule_keeps_its_digits_where_the_exponent_is_tiny(
+        value, e: float, shift: int, lo: float, hi: float) -> None:
+    # (hi^s - lo^s) / s with s = e + shift tiny: hi^s and lo^s both round near 1
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(e) + shift
+        exact = (mpmath.mpf(hi) ** s - mpmath.mpf(lo) ** s) / s
+        assert abs((value(e, lo, hi) - exact) / exact) <= 1e-15
+
+
 def test_signed_odd_moments_of_a_symmetric_measure_vanish() -> None:
     mu = hp.disc_measure(pieces=[hp.lebesgue_piece(-0.5, 0.5, domain="disc")])
     assert hp.moment(mu, 1) == pytest.approx(0.0, abs=1e-14)

@@ -20,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
-from hankelpos.measures import MOMENT_CAP, CayleyPiece, _powers, _rule_moments, power_piece
+from hankelpos.measures import (
+    _GAUSS, MOMENT_CAP, CayleyPiece, _powers, _rule_moments, power_piece)
 
 U = 2.0**-53
 
@@ -30,6 +31,15 @@ def powers(x, js) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return _powers(np.asarray(x, dtype=float), np.asarray(js, dtype=int))
+
+
+def test_the_gauss_legendre_rule_is_that_of_leggauss() -> None:
+    # within 1 ulp, not bit for bit: another NumPy may round its eigen-solve otherwise
+    for mine, ref in zip(_GAUSS, np.polynomial.legendre.leggauss(12)):
+        assert mine.shape == (12,)
+        assert np.all(np.abs(mine - ref) <= np.spacing(np.abs(ref)))
+    assert np.array_equal(_GAUSS[0], -_GAUSS[0][::-1])
+    assert np.array_equal(_GAUSS[1], _GAUSS[1][::-1])
 
 
 # ---------------------------------------------------------------------------

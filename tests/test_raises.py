@@ -18,8 +18,8 @@ from hankelpos.measures import CayleyPiece, MeasureSpecError
 ROOT = Path(__file__).resolve().parents[1]
 LEB = hp.halfplane_measure(pieces=[hp.lebesgue_piece(0.0, 1.0)])
 DISC = hp.disc_measure(atoms=[(0.5, 1.0)])
-LINE = hp.SymbolSamples("halfplane", np.linspace(-1.0, 1.0, 16), np.zeros(16))
-CIRCLE = hp.SymbolSamples("disc", np.linspace(0.0, 6.0, 16), np.zeros(16))
+LINE = hp.SymbolSamples("halfplane", np.linspace(-1.0, 1.0, 16), np.zeros(16), func=np.zeros_like)
+CIRCLE = hp.SymbolSamples("disc", np.linspace(0.0, 6.0, 16), np.zeros(16), func=np.zeros_like)
 
 
 def _spec(**densities) -> dict:
@@ -95,7 +95,7 @@ RAISES = [
       ValueError, "must avoid x = 0", id="polar-grid-at-zero"),
     P(lambda: hp.support_sign_test(DISC, 0),
       ValueError, "section size must be >= 1", id="support-test-size"),
-    # kernels: points, boundary points and nodes
+    # kernels: points and boundary points
     P(lambda: hp.disc_point(1.0), ValueError, "|z| < 1", id="disc-point-outside"),
     P(lambda: hp.halfplane_point(1.0), ValueError, "Im z > 0", id="halfplane-point-below"),
     P(lambda: hp.DomainPoint(0j, "sphere"), ValueError, "unknown domain", id="point-domain"),
@@ -103,17 +103,20 @@ RAISES = [
       ValueError, "are real", id="line-boundary-point-not-real"),
     P(lambda: hp.poisson(hp.disc_point(0.0), 2.0),
       ValueError, "are unimodular", id="circle-boundary-point-off-the-circle"),
-    P(lambda: hp.circle_nodes(0), ValueError, "at least one node", id="no-circle-nodes"),
     # outer: weights
     P(lambda: hp.rational_modulus_weight(scale=0.0),
       ValueError, "scale must be nonzero", id="weight-scale-zero"),
     P(lambda: hp.delta_modulus_weight(DISC, 1.0),
       ValueError, "built from half-line measures", id="delta-weight-of-a-disc-measure"),
     # pick: samples and the half-line transforms
-    P(lambda: hp.SymbolSamples("sphere", [0.0], [0.0]),
+    P(lambda: hp.SymbolSamples("sphere", [0.0], [0.0], func=np.zeros_like),
       ValueError, "unknown domain", id="samples-domain"),
-    P(lambda: hp.SymbolSamples("halfplane", [0.0, 1.0], [0.0]),
+    P(lambda: hp.SymbolSamples("halfplane", [0.0, 1.0], [0.0], func=np.zeros_like),
       ValueError, "equal length", id="samples-lengths"),
+    P(lambda: hp.SymbolSamples("halfplane", [0.0], [0.0]),
+      TypeError, "'func'", id="samples-without-an-evaluator"),
+    P(lambda: hp.SymbolSamples("halfplane", [0.0], [0.0], func=[0.0]),
+      ValueError, "func must evaluate the symbol", id="samples-evaluator-not-callable"),
     P(lambda: hp.kappa(DISC, 1.0),
       ValueError, "kappa is defined for half-line measures", id="kappa-of-a-disc-measure"),
 ]
