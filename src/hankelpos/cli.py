@@ -72,7 +72,7 @@ from .measures import (
     moments,
     widom_check,
 )
-from .pick import symbol_bound, symbol_h_samples, symbol_samples_csv
+from .pick import _h_jumps, symbol_bound, symbol_h_samples, symbol_samples_csv
 from .quadrature import QuadratureError
 from .verify import kernel_residuals, run_suites
 
@@ -164,7 +164,7 @@ def _cmd_report(mu: Measure, args: SimpleNamespace) -> tuple[dict, int]:
             "grid_points": int(samples.grid.size),
             "sup": float(np.max(np.abs(samples.values))),
             "bound": symbol_bound(mu),
-            "jumps": list(samples.jumps),
+            "jumps": list(_h_jumps(mu)),
         },
         "residuals": kernel_residuals(mu, samples),
     }, 0

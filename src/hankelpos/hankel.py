@@ -8,8 +8,9 @@ through its Fourier coefficients, ``M[j][k] = khat(j + k + 1)``, or
 ``2 pi khat(j + k + 1)`` in the moment pairing that matches ``c[j+k]`` for
 length measure on the circle (see :mod:`hankelpos.kernels`).  The disc symbol
 of a line symbol is the same samples re-indexed, k(e^{i theta}) =
--h(-cot(theta/2)), with no second sampling of h; its coefficients are one
-adaptive integral of its evaluator.
+-h(-cot(theta/2)), on the grid and on the graded line rule of
+:mod:`hankelpos.pick` alike, with no second evaluation of h; its coefficients
+are one weighted sum over that rule.
 
 On the half-plane side the same quadratic forms are carried by the symbol
 kernel
@@ -17,17 +18,19 @@ kernel
     K_h(z, w) = (1/4 pi^2) int h(x) / ((x - z)(-x - conj(w))) dx
               = (1/4 pi^2) int d mu(lambda) / ((lambda - i z)(lambda + i conj(w)))
 
-(Im z, Im w > 0), computable in ``boundary``, ``measure``, or ``rank_one``
-mode; real additive constants in h are invisible (both kernel poles sit in the
-upper half-plane).  Measure mode is ``(S(a) - S(b)) / (4 pi^2 (b - a))`` with
+(Im z, Im w > 0), computable in ``boundary`` (one weighted sum over the line
+rule), ``measure``, or ``rank_one`` mode; real additive constants in h are
+invisible (both kernel poles sit in the upper half-plane).  Measure mode is
+``(S(a) - S(b)) / (4 pi^2 (b - a))`` with
 ``a = -i z``, ``b = i conj(w)`` and S the Stieltjes transform of
 :func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b);
 :func:`measure_kernels` and :func:`boundary_kernels` take a list of pairs.
 :func:`verify_rp_transport` checks the polar-transported boundary integral
-``u |delta|`` against the measure mode, in one integral with the offset's
-kernel rows, and :func:`polar_decomposition_check` verifies that
+``u |delta|`` against the measure mode, in one sum over the line rule with the
+offset's kernel rows, and :func:`polar_decomposition_check` verifies that
 ``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
-factor g of |delta|^(1/2) is divided out.
+factor g of |delta|^(1/2) is divided out.  No function here calls the adaptive
+integrator of :mod:`hankelpos.quadrature`.
 
 Every section is a read-only strided view of its coefficient vector: row j
 of ``[c[j + k + shift]]`` is ``c[j + shift : j + shift + cols]``, with no index
@@ -59,9 +62,18 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
-from .pick import SymbolSamples, _check_offset, delta_values
-from .quadrature import QuadratureError, integrate
+from .measures import Measure, _marks, _sorted_unique, laplace_transform, moments, stieltjes
+from .pick import (
+    SymbolSamples,
+    _angle_from_line,
+    _check_offset,
+    _graded_seeds,
+    _line_from_angle,
+    _line_rule,
+    _rule_integral,
+    delta_values,
+)
+from .quadrature import QuadratureError
 from .kernels import TWO_PI
 
 __all__ = [
@@ -144,18 +156,21 @@ def hilbert_section(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
-    """khat(1), ..., khat(top) of a disc symbol: one adaptive integral of its evaluator,
-    all coefficients on one panel tree and its jumps as breakpoints (a DFT converges
-    like O(1/m) across a jump, and the feature of an atom at lambda is 2 lambda wide at
-    theta = pi)."""
+    """khat(1), ..., khat(top) of a disc symbol: one weighted sum over its rule for all
+    of them (a DFT converges like O(1/m) across a jump, and the feature of an atom at
+    lambda is 2 lambda wide at theta = pi: the rule's octaves in x = -cot(theta/2)
+    resolve both)."""
     if samples.domain != "disc":
         raise ValueError("Fourier coefficients are taken on the circle")
-    ns = np.arange(1, top + 1)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return samples(t) * np.exp(-1j * np.outer(ns, t))
+    def sums(t: np.ndarray, wv: np.ndarray) -> np.ndarray:  # wv e^{-i m theta}, m = 1, 2, ...
+        e, out = np.exp(-1j * t), np.empty(top, dtype=complex)
+        for m in range(top):
+            wv = wv * e
+            out[m] = wv.sum()
+        return out
 
-    return integrate(integrand, 0.0, TWO_PI, breakpoints=tuple(sorted(samples.jumps))) / TWO_PI
+    return _rule_integral(lambda n: samples._rule(n, ()), sums) / TWO_PI
 
 
 def section_from_symbol_disc(
@@ -186,25 +201,16 @@ def section_from_symbol_disc(
 # Symbol transfer between the half-plane and the disc
 # ---------------------------------------------------------------------------
 
-def _angle_from_line(x: np.ndarray) -> np.ndarray:
-    """theta(x) = pi + 2 arctan(x): the boundary angle with -cot(theta/2) = x."""
-    return math.pi + 2.0 * np.arctan(np.asarray(x, dtype=float))
-
-
-def _line_from_angle(theta: np.ndarray) -> np.ndarray:
-    """x(theta) = -cot(theta/2), the Cayley image of e^{i theta} on the line."""
-    return -1.0 / np.tan(np.asarray(theta, dtype=float) / 2.0)
-
-
 def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     """Pull a line symbol back to the circle: k(e^{i theta}) = -h(-cot(theta/2)).
 
     The sign implements the reflection convention under which the section of
     the transferred symbol (moment pairing) matches the moment section of the
     pushforward measure.  The line samples are re-indexed (grid mapped by
-    theta = pi + 2 arctan(x), values negated), not taken again; the evaluator
-    and the jumps go through the same map, and sharp symmetry is preserved
-    (theta -> 2 pi - theta matches x -> -x).
+    theta = pi + 2 arctan(x), values negated), not taken again, and so are the
+    symbol's values on each level of the line rule (weights 2 w / (1 + x^2)); the
+    evaluator and the marks go through the same map, and sharp symmetry is
+    preserved (theta -> 2 pi - theta matches x -> -x).
     """
     if samples.domain != "halfplane":
         raise ValueError("expected a half-plane (line) symbol")
@@ -212,9 +218,15 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     def func(theta):
         return -samples(_line_from_angle(theta))
 
-    jumps = tuple(sorted(float(_angle_from_line(x)) for x in samples.jumps))
-    return SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
-                         func=func, jumps=jumps)
+    def take_rule(n: int, seeds: tuple[float, ...]):  # the line's levels, re-indexed
+        x, w, v = samples._rule(n, seeds)
+        return _angle_from_line(x), 2.0 * w / (1.0 + x * x), -v
+
+    marks = tuple(sorted(float(_angle_from_line(x)) for x in samples.marks))
+    disc = SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
+                         func=func, marks=marks)
+    object.__setattr__(disc, "_take_rule", take_rule)  # in place of taking func on the rule
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +240,19 @@ def _require_upper(z: complex, name: str) -> complex:
     return z
 
 
-def _kernel_rows(x: np.ndarray, zs: np.ndarray, wbars: np.ndarray) -> np.ndarray:
-    """1 / ((x - z)(-x - conj(w))) with one row per probe pair, one column per node."""
-    return 1.0 / ((x - zs[:, None]) * (-x - wbars[:, None]))
+def _kernel_sums(zs: np.ndarray, wbars: np.ndarray):
+    """The sums over nodes x of wv / ((x - z)(-x - conj(w))), one per probe pair (the last
+    axis; a stack of wv rows first).  Each factor is taken once per distinct z and conj(w),
+    and a pair reads its entry of the matrix of sums (wv / (x - z)) (1 / (-x - conj(w))):
+    products, not partial fractions, which would cancel where h is large far out."""
+    z, wb = list(dict.fromkeys(zs.tolist())), list(dict.fromkeys(wbars.tolist()))
+    iz, iw = [z.index(v) for v in zs.tolist()], [wb.index(v) for v in wbars.tolist()]
+    z, wb = np.array(z)[:, None], np.array(wb)[:, None]
+
+    def sums(x: np.ndarray, wv: np.ndarray) -> np.ndarray:
+        return ((wv[..., None, :] / (x - z)) @ (1.0 / (-x - wb)).T)[..., iz, iw]
+
+    return sums
 
 
 def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -242,18 +264,15 @@ def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
 def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
-    All pairs share one real-line panel tree (each still meets the tolerances
-    on its own), so the symbol is evaluated once per node for all of them.
+    One weighted sum over the symbol's graded line rule for all pairs (each still
+    meets the tolerances on its own), its edges graded toward every kernel pole z
+    and -conj(w) with Im < 1; the symbol's values there are the ones its rule keeps.
     """
     if samples is None or samples.domain != "halfplane":
         raise ValueError("boundary mode needs a half-plane symbol samples=")
     zs, wbars = _probe_pairs(pairs)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return samples(x) * _kernel_rows(x, zs, wbars)
-
-    return integrate(integrand, -math.inf, math.inf,
-                     breakpoints=tuple(samples.jumps)) / _FOUR_PI_SQ
+    seeds = tuple(_graded_seeds(np.concatenate([zs, -wbars])))
+    return _rule_integral(lambda n: samples._rule(n, seeds), _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
 
 
 def measure_kernels(mu: Measure, pairs: Sequence) -> np.ndarray:
@@ -517,19 +536,19 @@ def verify_rp_transport(
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
     lhs = measure_kernels(mu, pair_list)
+    seeds = _graded_seeds(np.concatenate([zs, -wbars]))
 
-    def integrand(x: np.ndarray) -> np.ndarray:  # the polar rows, then the bare kernel rows
+    def rule(n: int):  # u |delta| and 1 on the graded line rule; h's jump at 0 is its edge
+        x, w = _line_rule(_marks(mu), n, seeds)
         d = np.asarray(delta_values(mu, c, x), dtype=complex)
         modulus = np.abs(d)
         with np.errstate(invalid="ignore"):  # a delta that is not finite: nan, which
-            unimodular = d / modulus  # integrate reports as an integrand not finite
-        rows = _kernel_rows(x, zs, wbars)
-        return np.concatenate([unimodular * modulus * rows, rows])
+            unimodular = d / modulus  # the sum reports as an integrand not finite
+        return x, w, np.stack([unimodular * modulus, np.ones_like(modulus)])
 
-    # c times the kernel rows after the integral: their absolute tolerance is the bare kernel's;
-    # a jump of h at 0 needs no breakpoint, as x = 0 is an edge of the starting panels
-    both = integrate(integrand, -math.inf, math.inf) / _FOUR_PI_SQ
-    rhs, ghost = both[:len(pair_list)], c * both[len(pair_list):]
+    # c times the bare kernel after the sum: its absolute tolerance is the bare kernel's
+    both = _rule_integral(rule, _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
+    rhs, ghost = both[0], c * both[1]
     residuals = np.abs(lhs - rhs).tolist()
     invisibility = np.abs(ghost).tolist()
     max_res = max(residuals, default=0.0)

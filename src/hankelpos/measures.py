@@ -449,7 +449,10 @@ def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray
         if s.any():  # s = 0 is the log; log1p of the difference: the rounded ratio costs digits
             t = s * np.log1p(np.subtract(hi, lo) / lo)
             near = (0.0 < lo) & (np.abs(t) < 1.0)  # not at hi = oo: t is inf there
-            rule = np.where(near, c * lo_s * np.expm1(t) / s, rule)
+            if near.any():  # expm1 and the division on those orders alone
+                rule = np.array(rule)
+                np.divide(c * lo_s * np.expm1(t, out=np.zeros(np.shape(t)), where=near), s,
+                          out=rule, where=near)
         ratio = np.float64(hi) / lo
         # where hi / lo overflows (lo near 0) a difference of logs, of |.| left of 0
         log = np.where(np.isinf(ratio), np.log(np.abs(hi)) - np.log(np.abs(lo)), np.log(ratio))
@@ -1054,12 +1057,16 @@ def _log_grid(span: tuple[float, float], n: int) -> np.ndarray:
     return np.logspace(math.log10(span[0]), math.log10(span[1]), n)
 
 
+def _marks(mu: Measure) -> list[float]:
+    """The scales of a half-line measure: its atom positions and finite positive support ends."""
+    return [a.position for a in mu.atoms] + [
+        e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0.0]
+
+
 def _hp_constants(mu: Measure) -> tuple[float, float, float]:
     # The suprema of the piecewise-smooth ratios sit at atoms and support
     # endpoints; probing them keeps closed-form cases exact.
-    marks = [a.position for a in mu.atoms]
-    marks += [e for p in mu.pieces for e in p.support if math.isfinite(e) and e > 0]
-    t = _sorted_unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), marks))
+    t = _sorted_unique(np.append(_log_grid(_GRID["fine_span"], _GRID["fine"]), _marks(mu)))
     head, tail = _rho_cdf(mu, np.append(t, 0.0))  # the tail at 0 is rho((0, oo))
     return float(np.max(head[:-1] / t)), float(np.max(t * tail[:-1])), float(tail[-1])
 

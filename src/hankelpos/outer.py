@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Measure, _widom_bounded
-from .pick import _check_offset, delta_values
+from .pick import _check_offset, _graded_seeds, delta_values
 from .quadrature import integrate
 
 __all__ = [
@@ -178,19 +178,6 @@ def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def _graded_seeds(zs: np.ndarray) -> list[float]:
-    """Re z -+ Im z 2^j for j >= 0 while Im z 2^j < 1, for each point z: the half-plane
-    kernel 1/(p - z) peaks within Im z of Re z, so panels graded toward it there spare the
-    sweeps that would bisect down to it."""
-    seeds = []
-    for z in zs.tolist():
-        d = z.imag
-        while d < 1.0:
-            seeds += [z.real - d, z.real + d]
-            d *= 2.0
-    return seeds
-
 
 def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
     """Evaluate Out(k, C)(z) at a strictly interior point, or at an array of them.

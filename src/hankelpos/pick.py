@@ -44,12 +44,15 @@ import numpy as np
 
 from .measures import (
     Measure,
+    _gauss_nodes,
+    _marks,
+    _octave_edges,
     _sorted_unique,
     stieltjes,
     total_mass,
     widom_check,
 )
-from .quadrature import QuadratureError
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, QuadratureError
 
 __all__ = [
     "SymbolSamples",
@@ -74,16 +77,19 @@ class SymbolSamples:
     sharp-symmetric (h(-x) = conj(h(x)) on the line, h(conj(z)) = conj(h(z)) on the
     circle) on their mirrored grids, value for value; their sup is ``max |values|``.
 
-    ``func`` evaluates the symbol at arbitrary boundary points (vectorized), and
-    every integral of the symbol reads it; ``jumps`` lists known discontinuities
-    (x on the line, theta on the circle) so that quadratures can split panels there.
+    ``func`` evaluates the symbol at arbitrary boundary points (vectorized).  Every
+    integral of the symbol is a weighted sum over the graded line rule of
+    :func:`_line_rule` (on the circle, mapped by theta = pi + 2 arctan x), whose edges
+    are set by the ``marks``: the symbol's scales and jumps (x on the line, theta on the
+    circle).  ``func`` is taken on each level of that rule once, when an integral first
+    reads it, and kept with the samples.
     """
 
     domain: str
     grid: np.ndarray
     values: np.ndarray
     func: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    jumps: tuple[float, ...] = ()
+    marks: tuple[float, ...] = ()
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -96,10 +102,27 @@ class SymbolSamples:
             raise ValueError("grid and values must be 1-d arrays of equal length")
         if not callable(self.func):
             raise ValueError(f"func must evaluate the symbol, got {self.func!r}")
+        object.__setattr__(self, "_levels", {})  # (n, seeds) -> _rule; no field, not compared
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The symbol at the boundary points ``x``, by ``func``."""
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=complex)
+
+    def _rule(self, n: int, seeds: tuple[float, ...]):
+        """Nodes, weights and values on :func:`_line_rule` with n panels per octave and
+        the extra edges ``seeds``, taken once and kept in ``_levels``."""
+        if (n, seeds) not in self._levels:
+            self._levels[n, seeds] = self._take_rule(n, seeds)
+        return self._levels[n, seeds]
+
+    def _take_rule(self, n: int, seeds: tuple[float, ...]):
+        """:meth:`_rule` by ``func`` (on the circle at theta(x), of weight 2 w / (1 + x^2))."""
+        line = self.domain == "halfplane"
+        x, w = _line_rule(self.marks if line else _line_from_angle(self.marks), n, seeds)
+        if line:
+            return x, w, self(x)
+        theta = _angle_from_line(x)
+        return theta, 2.0 * w / (1.0 + x * x), self(theta)
 
 
 def _require_halfplane(mu: Measure, what: str) -> None:
@@ -168,15 +191,98 @@ def default_symbol_grid(mu: Measure, n: int = 1024) -> np.ndarray:
     finite density-support endpoints and 1.0 (the symbol of a unit atom peaks
     exactly at |p| = position), then mirrored to negative p.
     """
-    ends = [e for piece in mu.pieces for e in piece.support if math.isfinite(e) and e > 0.0]
-    extras = [1.0, *(a.position for a in mu.atoms), *ends]
-    pos = _sorted_unique(np.append(np.logspace(-6.0, 6.0, n), extras))
+    pos = _sorted_unique(np.append(np.logspace(-6.0, 6.0, n), [1.0, *_marks(mu)]))
     return np.concatenate([-pos[::-1], pos])
 
 
 def _h_jumps(mu: Measure) -> tuple[float, ...]:
     """Where h jumps: at 0 when a piece of ``mu`` starts at 0."""
     return (0.0,) if any(p.support[0] == 0.0 for p in mu.pieces) else ()
+
+
+# ---------------------------------------------------------------------------
+# The graded line rule under every integral of a boundary symbol
+# ---------------------------------------------------------------------------
+
+#: Octaves the line rule reaches past its outermost edges (beyond them a bounded symbol times
+#: a kernel decaying like |x|^-2 leaves < 2^-53), the most panels per octave it doubles to,
+#: and the nodes per block of its sums, which bound the integrand rows held at once.
+_REACH, _MAX_PER_OCTAVE, _BLOCK = 53, 64, 4096
+
+
+def _line_rule(marks, n: int, seeds=()) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 12-point Gauss-Legendre, mirrored about 0, on one panel from 0
+    up and octaves between edges at the magnitudes of ``marks`` and 1 (at most one an
+    octave) and of ``seeds``, reaching ``_REACH`` octaves past the outermost (within
+    [2^-1022, 2^511], where x^2 stays finite); for n = 2, 4, ... every panel of n/2 but the
+    first is cut at its geometric mean, so that each is refined.  h(e^t) is analytic in
+    |Im t| < pi/2, so Gauss on octaves converges geometrically (Trefethen, *Approximation
+    Theory and Approximation Practice*, ch. 8 and 19); a kernel pole near the line is not,
+    and its seeds grade the panels toward it."""
+    def magnitudes(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return _sorted_unique(x[(x >= 2.0**-1022) & (x <= 2.0**511)]).tolist()
+
+    # a mark within an octave above the last one kept adds panels, not digits (the strip
+    # holds whatever the marks): 2000 atoms made 2000 edges
+    e = magnitudes([*marks, 1.0])
+    kept = [e[0]]
+    for v in e[1:]:
+        if v >= 2.0 * kept[-1] or v == e[-1]:
+            kept.append(v)
+    e = magnitudes([*kept, *seeds])
+    ends = np.array([max(math.ldexp(e[0], -_REACH), 2.0**-1022), *e,
+                     min(math.ldexp(e[-1], _REACH), 2.0**511)])
+    p = _sorted_unique(np.append(0.0, _octave_edges(ends[:-1], ends[1:])[0]))
+    for _ in range(n.bit_length() - 1):
+        p = np.sort(np.append(p, p[1:-1] * np.sqrt(p[2:] / p[1:-1])))
+    x, w, _ = _gauss_nodes(p, np.zeros(p.size, dtype=int))
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+def _angle_from_line(x: np.ndarray) -> np.ndarray:
+    """theta(x) = pi + 2 arctan(x): the boundary angle with -cot(theta/2) = x."""
+    return math.pi + 2.0 * np.arctan(np.asarray(x, dtype=float))
+
+
+def _line_from_angle(theta: np.ndarray) -> np.ndarray:
+    """x(theta) = -cot(theta/2) = tan((theta - pi)/2), exactly 0 at theta = pi."""
+    return np.tan((np.asarray(theta, dtype=float) - math.pi) / 2.0)
+
+
+def _graded_seeds(zs: np.ndarray) -> list[float]:
+    """Re z -+ Im z 2^j for j >= 0 while Im z 2^j < 1, for each point z: the half-plane
+    kernel 1/(p - z) peaks within Im z of Re z, so panels graded toward it resolve the peak."""
+    seeds = []
+    for z in zs.tolist():
+        d = z.imag
+        while d < 1.0:
+            seeds += [z.real - d, z.real + d]
+            d *= 2.0
+    return seeds
+
+
+def _rule_integral(rule: Callable, sums: Callable) -> np.ndarray:
+    """``sums(x, w v)``, the integrals of a block of nodes, added over ``rule(n) = (x, w, v)``
+    (nodes, weights, and the symbol's values or a stack of value rows) at n = 1, 2, 4, ...
+    panels per octave until two levels agree in every entry within the package
+    tolerances: the finer one.  A sum that is not finite, or a gap still open at
+    ``_MAX_PER_OCTAVE``, raises :class:`QuadratureError`."""
+    coarse, n = None, 1
+    while n <= _MAX_PER_OCTAVE:
+        x, w, v = rule(n)
+        wv = w * v
+        fine = sum(sums(x[i:i + _BLOCK], wv[..., i:i + _BLOCK]) for i in range(0, x.size, _BLOCK))
+        if not np.isfinite(fine).all():
+            raise QuadratureError("the integrand is not finite on the graded line rule: "
+                                  "refining cannot mend a nan or an infinity")
+        if coarse is not None:
+            gap = np.abs(fine - coarse)
+            if (gap <= np.maximum(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * np.abs(fine))).all():
+                return fine
+        coarse, n = fine, 2 * n
+    raise QuadratureError(f"quadrature did not converge on the graded line rule: gap "
+                          f"{gap.max():.3e} at {_MAX_PER_OCTAVE} panels per octave")
 
 
 def _check_offset(c: float) -> None:
@@ -186,9 +292,9 @@ def _check_offset(c: float) -> None:
 
 
 def _line_samples(mu: Measure, func, grid, n: int) -> SymbolSamples:
-    """Samples of ``func`` (h or c + h) with the jumps of h.  Their evaluator, grid
-    included, raises :class:`QuadratureError` at the first p where a value is not
-    finite, before any check or integral reads it."""
+    """Samples of ``func`` (h or c + h), marked at the jumps of h and the scales of ``mu``.
+    Their evaluator, grid and rule included, raises :class:`QuadratureError` at the first
+    p where a value is not finite, before any check or integral reads it."""
     def checked(x: np.ndarray) -> np.ndarray:
         values = func(x)
         bad = ~np.isfinite(values)
@@ -197,7 +303,8 @@ def _line_samples(mu: Measure, func, grid, n: int) -> SymbolSamples:
         return values
 
     grid = default_symbol_grid(mu, n) if grid is None else np.asarray(grid, dtype=float)
-    return SymbolSamples("halfplane", grid, checked(grid), func=checked, jumps=_h_jumps(mu))
+    return SymbolSamples("halfplane", grid, checked(grid), func=checked,
+                         marks=(*_h_jumps(mu), *_marks(mu)))
 
 
 def symbol_h_samples(

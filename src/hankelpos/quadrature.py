@@ -1,5 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature for smooth-per-panel integrands.
 
+Within the package only :func:`hankelpos.outer.outer_eval` integrates with it; the
+integrals of a boundary symbol are weighted sums over the graded line rule of
+:mod:`hankelpos.pick`, which raises this module's :class:`QuadratureError` too.
+
 The integration scheme is globally adaptive: every panel carries the
 15-point Kronrod value and, as its error estimate, the difference against
 the 7-point Gauss rule nested in it (the G7K15 pair of QUADPACK), and each

@@ -6,8 +6,8 @@ residual actually observed.  Suites that only make sense for a Widom-bounded
 measure (anything that needs the bounded symbol h or the outer factor) are
 *skipped*, not failed, when the boundedness test says otherwise — a divergent
 symbol is a property of the measure, not a defect of the library.  They share
-one sampling of h on the default grid per run; the disc suites share one
-moment vector.
+one sampling of h per run, on the default grid and on each level of the graded
+line rule that an integral reads; the disc suites share one moment vector.
 
 The suites are deliberately small (probe grids, sections of size 4–8): they
 are consistency checks, not benchmarks.  The full-tolerance versions live in
@@ -124,8 +124,11 @@ def _suite_gram_contraction(mu: Measure) -> SuiteResult:
 
 
 def _suite_symbol_bound(mu: Measure, samples) -> SuiteResult:
+    """sup|h| over the print grid and the first two levels of the line rule, where the
+    kernel and section suites read h as well: no S point beyond theirs."""
     bound = symbol_bound(mu)
-    sup = float(np.max(np.abs(samples.values)))
+    values = (samples.values, samples._rule(1, ())[2], samples._rule(2, ())[2])
+    sup = max(float(np.max(np.abs(v), initial=0.0)) for v in values)
     slack = sup - bound
     return _result(
         "symbol_bound", slack <= 1e-12 * (1.0 + bound), max(0.0, slack),

@@ -495,7 +495,7 @@ def test_a_symbol_that_is_not_finite_is_exit_4(write_spec, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command, message", [
     ("symbol", "h is not finite at p = -1000000.0"),
-    ("kernel-check", "h is not finite at p = -596.041498397478"),  # the first node
+    ("kernel-check", "h is not finite at p = -8965677494373280.0"),  # the rule's first node
     ("transport", "S_1 is not finite at a = (1-0j)"),
     ("verify-all", "S_1 is not finite at a = (1-0j)"),
 ])
@@ -558,6 +558,37 @@ def test_h_over_690_octaves_matches_its_closed_form() -> None:
                         + mpmath.log1p(mpmath.mpf(x) ** 2 * mpmath.mpf(10) ** 600))
                        / (2 * mpmath.pi * x)) for x in p]
     np.testing.assert_allclose(hankelpos.symbol_h_values(mu, p).imag, exact, rtol=1e-13)
+
+
+def test_verify_all_over_690_octaves_fails_only_on_the_cayley_image(write_spec, capsys) -> None:
+    # the theta integral of section_chain once ran out of its 4096 panels here (exit 4); on
+    # the graded line rule it converges, and the three suites that read the Cayley image fail
+    code, out, err = _run(capsys, "verify-all", "--spec", str(write_spec(STRESS_SPEC)))
+    assert (code, err) == (1, "")
+    status = {s["name"]: s for s in json.loads(out)["suites"]}
+    failed = [name for name, s in status.items() if s["status"] == "fail"]
+    assert failed == ["widom", "symbol_bound", "section_chain"]
+    for name in failed:
+        assert "no representable Cayley image" in status[name]["detail"]
+    for name in ("kernel_modes", "transport", "polar"):
+        assert status[name]["status"] == "pass"
+
+
+def test_kernel_check_over_690_octaves_takes_h_on_fewer_points(write_spec, capsys,
+                                                              monkeypatch) -> None:
+    # the adaptive tree took h at 112,020 points here, in 996 sweeps; the rule takes it on
+    # two levels of one pass, each once
+    points = []
+    symbol_h_values = hankelpos.pick.symbol_h_values
+
+    def counted(mu, p):
+        points.append(np.size(p))
+        return symbol_h_values(mu, p)
+
+    monkeypatch.setattr(hankelpos.pick, "symbol_h_values", counted)
+    code, _, _ = _run(capsys, "kernel-check", "--spec", str(write_spec(STRESS_SPEC)))
+    assert code == 0
+    assert 0 < sum(points) < 112_020
 
 
 @pytest.mark.parametrize("command", ["report", "widom"])

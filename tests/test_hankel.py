@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
-import hankelpos.hankel
 from hankelpos import TWO_PI
 
 PI = math.pi
@@ -133,7 +132,7 @@ def test_a_declared_jump_of_a_smooth_symbol_leaves_its_section_unchanged() -> No
         grid=smooth.grid,
         values=smooth.values,
         func=smooth.func,
-        jumps=(math.pi,),
+        marks=(math.pi,),
     )
     plain = hp.section_from_symbol_disc(smooth, 3)
     split = hp.section_from_symbol_disc(with_jump_flag, 3)
@@ -161,36 +160,44 @@ def test_disc_symbol_round_trips_to_the_line(d1: hp.Measure) -> None:
     np.testing.assert_allclose(-disc(math.pi + 2.0 * np.arctan(probe)), delta(probe), atol=1e-10)
 
 
-def test_a_transferred_symbol_is_the_line_symbol_re_indexed(monkeypatch) -> None:
-    # the disc symbol is h in another coordinate: its grid is the mapped line grid and its
-    # values the negated line values, with no second evaluation of h; its section is one
-    # adaptive integral of the evaluator
+def test_a_transferred_symbol_is_the_line_symbol_re_indexed() -> None:
+    # the disc symbol is h in another coordinate: its grid is the mapped line grid, its
+    # values the negated line values and its marks the mapped line marks, with no second
+    # evaluation of h; its section reads h on the line rule, where the line's own
+    # boundary kernels took it, and at no new node
     mu = hp.halfplane_measure(atoms=[(0.5, 0.3)],
                               pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 2.0))])
     line = hp.symbol_h_samples(mu)
     calls = []
 
     def func(x: np.ndarray) -> np.ndarray:
-        calls.append(x.size)
+        calls.append(x.copy())
         return line.func(x)
 
-    disc = hp.hp_to_disc_symbol(dataclasses.replace(line, func=func))
+    counted = dataclasses.replace(line, func=func)
+    disc = hp.hp_to_disc_symbol(counted)
     assert calls == []
-    assert not disc.jumps
+    assert disc.marks == tuple(sorted(PI + 2.0 * np.arctan([0.5, 1.0, 2.0])))
     assert disc.grid.tobytes() == (PI + 2.0 * np.arctan(line.grid)).tobytes()
     assert disc.values.tobytes() == (-line.values).tobytes()
-    integrals = []
-    original = hankelpos.hankel.integrate
-
-    def counted(*args, **kwargs):
-        integrals.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hankelpos.hankel, "integrate", counted)
+    hp.boundary_kernels(counted, [(1j, 1j), (1j, 2j)])
+    taken = len(calls)
+    assert taken >= 2  # two levels of the rule at least: n and 2n panels per octave
     section = hp.section_from_symbol_disc(disc, 4, pairing="moment")
-    assert len(integrals) == 1 and calls
+    assert len(calls) == taken
     np.testing.assert_allclose(
         section, hp.section_from_measure(hp.cayley_pushforward(mu), 4), rtol=0.0, atol=1e-12)
+
+
+def test_a_mode_symbol_section_at_n_32_is_exact() -> None:
+    # khat(1) ... khat(63) of z^f: the rule doubles its panels per octave until the
+    # oscillation of e^{-i m theta} along the line is resolved
+    for frequency in (1, 17, 40, 63):
+        section = hp.section_from_symbol_disc(_mode_symbol(frequency), 32)
+        expected = np.zeros((32, 32))
+        j = np.arange(32)
+        expected[(j[:, None] + j[None, :] + 1) == frequency] = 1.0
+        np.testing.assert_allclose(section, expected, rtol=0.0, atol=1e-12)
 
 
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:
@@ -204,7 +211,7 @@ def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:
 
 def test_translation_maps_the_origin_jump_to_the_circle(leb01_hp: hp.Measure) -> None:
     disc = hp.hp_to_disc_symbol(hp.delta_samples(leb01_hp, 1.0))
-    assert disc.jumps  # the jump of delta at p = 0 lands on the circle grid
+    assert disc.marks[0] == PI  # the jump of delta at p = 0 lands at theta = pi
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,14 @@ def test_sample_grids_are_the_sorted_set_of_magnitudes_mirrored(spec: str) -> No
 
 def test_samples_record_the_supremum_at_the_atom(d1: hp.Measure) -> None:
     samples = hp.symbol_h_samples(d1)
-    assert samples.jumps == ()
+    assert samples.marks == (1.0,)  # the atom's position; h has no jump
     assert np.max(np.abs(samples.values)) == pytest.approx(1.0 / (2.0 * PI), abs=1e-12)
     peak = samples.grid[np.argmax(np.abs(samples.values))]
     assert abs(peak) == pytest.approx(1.0)
 
 
 def test_samples_expose_a_jump_when_the_density_reaches_zero(leb01_hp: hp.Measure) -> None:
-    assert hp.symbol_h_samples(leb01_hp).jumps == (0.0,)
+    assert hp.symbol_h_samples(leb01_hp).marks == (0.0, 1.0)  # the jump at 0, the support end
 
 
 def test_built_samples_are_sharp_symmetric_value_for_value() -> None:

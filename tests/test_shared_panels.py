@@ -1,11 +1,12 @@
-"""Probe families integrated on one shared panel tree agree with one integral per probe.
+"""Probe families integrated on one shared rule agree with one integral per probe.
 
 Every stacked call below is compared with the same quantity computed one
 point, pair or coefficient at a time (the scalar calls are one-row calls of
-the same code, or, for the Fourier coefficients, the per-coefficient loop
-written out here as the reference).  The call-count tests pin the number of
-adaptive integrals each check runs, and of Stieltjes calls behind the measure
-mode.
+the same code, or, for the Fourier coefficients, the per-coefficient adaptive
+integral written out here as the reference).  The call-count tests pin how
+often each check evaluates the symbol on the graded line rule, the number of
+adaptive integrals behind the outer factor, and of Stieltjes calls behind the
+measure mode.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ import pytest
 import hankelpos as hp
 import hankelpos.hankel
 import hankelpos.outer
+import hankelpos.pick
 import hankelpos.verify
 from hankelpos import TWO_PI
 from hankelpos.hankel import _fourier_coefficients
+from hankelpos.measures import _marks
+from hankelpos.pick import _line_rule
 from hankelpos.verify import _UHP_PROBES, _suite_difference_quotient, kernel_residuals
 
 PAIRS = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
@@ -101,6 +105,26 @@ def test_stacked_boundary_kernels_match_single_pairs_and_measure_mode(name: str)
     np.testing.assert_allclose(stacked, measure, rtol=1e-10, atol=0.0)
 
 
+def test_boundary_kernels_at_poles_near_the_line_match_measure_mode() -> None:
+    # the seeds put a panel as wide as 2 Im z under a pole z near the line, where 12 Gauss
+    # nodes leave 5e-10; each doubling of the rule must cut that panel too, or the gap
+    # between two levels never shows that error
+    mu = MEASURES["atoms"]
+    pairs = [(0.5 + 1e-3j, 0.5 + 1e-3j), (-2.0 + 1e-4j, 1j), (0.3 + 0.01j, 2.0 + 0.5j)]
+    via_boundary = hp.boundary_kernels(hp.symbol_h_samples(mu), pairs)
+    np.testing.assert_allclose(via_boundary, hp.measure_kernels(mu, pairs), rtol=1e-11, atol=0.0)
+
+
+def test_boundary_kernels_of_a_symbol_large_far_out_match_measure_mode() -> None:
+    # h grows to ~1e3 across the decades of this support, far from the probes' scale: sums
+    # of h / (x - p) there are ~1e4 times the kernels, and a difference of two such sums
+    # (partial fractions) leaves a gap between levels the tolerance never accepts
+    mu = hp.halfplane_measure(atoms=[(9849.38, 0.407)],
+                              pieces=[hp.power_piece(0.150, 1.548, "lambda", (6.596, 1.643e6))])
+    via_boundary = hp.boundary_kernels(hp.symbol_h_samples(mu), PAIRS)
+    np.testing.assert_allclose(via_boundary, hp.measure_kernels(mu, PAIRS), rtol=1e-10, atol=0.0)
+
+
 def test_boundary_kernels_validate_their_inputs() -> None:
     samples = hp.symbol_h_samples(MEASURES["atoms"])
     with pytest.raises(ValueError, match="upper half"):
@@ -156,12 +180,12 @@ def test_stacked_transport_residuals_match_single_pairs(name: str) -> None:
 )
 def test_stacked_jump_aware_fourier_coefficients_match_one_integral_each(mu) -> None:
     symbol = hp.hp_to_disc_symbol(hp.symbol_h_samples(mu))
-    assert symbol.jumps == (math.pi,)
+    assert symbol.marks[0] == math.pi  # the jump of h at 0
     top = 9
     reference = [
         hp.integrate(
             lambda t, n=n: symbol(t) * np.exp(-1j * n * t), 0.0, TWO_PI,
-            breakpoints=symbol.jumps, abs_tol=1e-12, rel_tol=1e-10,
+            breakpoints=symbol.marks, abs_tol=1e-12, rel_tol=1e-10,
         ) / TWO_PI
         for n in range(1, top + 1)
     ]
@@ -170,16 +194,24 @@ def test_stacked_jump_aware_fourier_coefficients_match_one_integral_each(mu) -> 
 
 
 # ---------------------------------------------------------------------------
-# One adaptive integral per family
+# One weighted sum per family, the symbol taken once per level of the rule
 # ---------------------------------------------------------------------------
+
+
+def _rule_sizes(marks, levels=(1, 2)) -> list:
+    """Node counts of the graded line rule with n panels per octave, n in ``levels``."""
+    return [_line_rule(marks, n)[0].size for n in levels]
 
 
 def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
     mu = MEASURES["lebesgue_01"]
     samples = hp.symbol_h_samples(mu)
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
+    calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
     residuals = kernel_residuals(mu, samples)
-    assert len(calls) == 1
+    # h on the rule at 1 and 2 panels per octave, once each; a second call takes no h
+    assert [np.size(args[1]) for args in calls] == _rule_sizes(samples.marks)
+    kernel_residuals(mu, samples)
+    assert len(calls) == 2
     assert len(residuals["probes"]) == 9
     assert residuals["max_rel_residual"] <= 1e-10
 
@@ -218,18 +250,23 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
 
 
 def test_transport_makes_one_integral(monkeypatch) -> None:
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
-    report = hp.verify_rp_transport(MEASURES["lebesgue_01"], 1.0)
+    mu = MEASURES["lebesgue_01"]
+    calls = _count_calls(monkeypatch, hankelpos.hankel, "delta_values")
+    report = hp.verify_rp_transport(mu, 1.0)
     assert report.verdict == "pass"
-    assert len(calls) == 1
+    # delta on the rule at 1 and 2 panels per octave, all rows of both probe pairs at once
+    assert [np.size(args[2]) for args in calls] == _rule_sizes(_marks(mu))
 
 
 def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:
-    symbol = hp.hp_to_disc_symbol(hp.symbol_h_samples(MEASURES["lebesgue_01"]))
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "integrate")
+    line = hp.symbol_h_samples(MEASURES["lebesgue_01"])
+    symbol = hp.hp_to_disc_symbol(line)
+    calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
     coeffs = _fourier_coefficients(symbol, 7)
-    assert len(calls) == 1
+    assert [np.size(args[1]) for args in calls] == _rule_sizes(line.marks)
     assert coeffs.shape == (7,)
+    _fourier_coefficients(symbol, 9)  # the rule keeps h: no new evaluation
+    assert len(calls) == 2
 
 
 def test_a_stacked_boundary_integral_that_cannot_converge_raises() -> None:
@@ -266,23 +303,15 @@ def test_a_jump_at_the_origin_is_an_edge_of_the_starting_panels(monkeypatch) -> 
     assert np.linspace(0.0, TWO_PI, 9)[4] == math.pi
     for a, b, jump in ((-math.inf, math.inf, 0.0), (0.0, TWO_PI, math.pi)):
         assert _nodes(a, b).tobytes() == _nodes(a, b, (jump,)).tobytes()
-    # and the transport rows and the outer factor of sqrt_0_2, whose h jumps at 0, come out
-    # the same in the bits with that breakpoint as without it
+    # and the outer factor of sqrt_0_2, whose h jumps at 0, comes out the same in the bits
+    # with that breakpoint as without it
     mu = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (0.0, 2.0))])
     points = np.array([1j, 0.5 + 1e-4j, -2.0 + 0.3j])
+    plain = hp.g_from_delta(mu, 1.0, points)
+    original = hankelpos.outer.integrate
 
-    def run():
-        report = hp.verify_rp_transport(mu, 1.0, probes=PAIRS)
-        return np.array([*report.residuals, *report.invisibility]), hp.g_from_delta(mu, 1.0, points)
+    def with_jump(f, a, b, *, breakpoints=(), **options):
+        return original(f, a, b, breakpoints=(0.0, *breakpoints), **options)
 
-    plain = run()
-    for module in (hankelpos.hankel, hankelpos.outer):
-        original = module.integrate
-
-        def with_jump(f, a, b, *, breakpoints=(), original=original, **options):
-            return original(f, a, b, breakpoints=(0.0, *breakpoints), **options)
-
-        monkeypatch.setattr(module, "integrate", with_jump)
-    split = run()
-    for x, y in zip(plain, split):
-        assert x.tobytes() == y.tobytes()
+    monkeypatch.setattr(hankelpos.outer, "integrate", with_jump)
+    assert hp.g_from_delta(mu, 1.0, points).tobytes() == plain.tobytes()
