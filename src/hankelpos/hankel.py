@@ -65,10 +65,10 @@ import numpy as np
 from .measures import Measure, _marks, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import (
     SymbolSamples,
+    _LineOnCircle,
     _angle_from_line,
     _check_offset,
     _graded_seeds,
-    _line_from_angle,
     _line_rule,
     _rule_integral,
     delta_values,
@@ -170,7 +170,7 @@ def _fourier_coefficients(samples: SymbolSamples, top: int) -> np.ndarray:
             out[m] = wv.sum()
         return out
 
-    return _rule_integral(lambda n: samples._rule(n, ()), sums) / TWO_PI
+    return _rule_integral(samples.rule, sums) / TWO_PI
 
 
 def section_from_symbol_disc(
@@ -215,18 +215,9 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
     if samples.domain != "halfplane":
         raise ValueError("expected a half-plane (line) symbol")
 
-    def func(theta):
-        return -samples(_line_from_angle(theta))
-
-    def take_rule(n: int, seeds: tuple[float, ...]):  # the line's levels, re-indexed
-        x, w, v = samples._rule(n, seeds)
-        return _angle_from_line(x), 2.0 * w / (1.0 + x * x), -v
-
     marks = tuple(sorted(float(_angle_from_line(x)) for x in samples.marks))
-    disc = SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
-                         func=func, marks=marks)
-    object.__setattr__(disc, "_take_rule", take_rule)  # in place of taking func on the rule
-    return disc
+    return SymbolSamples("disc", _angle_from_line(samples.grid), -samples.values,
+                         func=_LineOnCircle(samples), marks=marks)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +263,7 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
         raise ValueError("boundary mode needs a half-plane symbol samples=")
     zs, wbars = _probe_pairs(pairs)
     seeds = tuple(_graded_seeds(np.concatenate([zs, -wbars])))
-    return _rule_integral(lambda n: samples._rule(n, seeds), _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
+    return _rule_integral(lambda n: samples.rule(n, seeds), _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
 
 
 def measure_kernels(mu: Measure, pairs: Sequence) -> np.ndarray:

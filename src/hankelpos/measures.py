@@ -449,10 +449,8 @@ def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray
         if s.any():  # s = 0 is the log; log1p of the difference: the rounded ratio costs digits
             t = s * np.log1p(np.subtract(hi, lo) / lo)
             near = (0.0 < lo) & (np.abs(t) < 1.0)  # not at hi = oo: t is inf there
-            if near.any():  # expm1 and the division on those orders alone
-                rule = np.array(rule)
-                np.divide(c * lo_s * np.expm1(t, out=np.zeros(np.shape(t)), where=near), s,
-                          out=rule, where=near)
+            rule = np.divide(c * lo_s * np.expm1(t, out=np.zeros_like(t), where=near), s,
+                             out=np.array(rule), where=near)  # on those orders alone
         ratio = np.float64(hi) / lo
         # where hi / lo overflows (lo near 0) a difference of logs, of |.| left of 0
         log = np.where(np.isinf(ratio), np.log(np.abs(hi)) - np.log(np.abs(lo)), np.log(ratio))

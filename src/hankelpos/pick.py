@@ -79,10 +79,10 @@ class SymbolSamples:
 
     ``func`` evaluates the symbol at arbitrary boundary points (vectorized).  Every
     integral of the symbol is a weighted sum over the graded line rule of
-    :func:`_line_rule` (on the circle, mapped by theta = pi + 2 arctan x), whose edges
-    are set by the ``marks``: the symbol's scales and jumps (x on the line, theta on the
-    circle).  ``func`` is taken on each level of that rule once, when an integral first
-    reads it, and kept with the samples.
+    :func:`_line_rule` (on the circle, mapped by theta = pi + 2 arctan x), with an edge at
+    each of the ``marks``: the symbol's jumps and scales (x on the line, theta on the
+    circle).  :meth:`rule` takes ``func`` on each level of that rule once and keeps it; a
+    :class:`_LineOnCircle` ``func`` reads the levels of its line symbol instead.
     """
 
     domain: str
@@ -102,27 +102,39 @@ class SymbolSamples:
             raise ValueError("grid and values must be 1-d arrays of equal length")
         if not callable(self.func):
             raise ValueError(f"func must evaluate the symbol, got {self.func!r}")
-        object.__setattr__(self, "_levels", {})  # (n, seeds) -> _rule; no field, not compared
+        object.__setattr__(self, "_levels", {})  # n -> rule(n); no field, not compared
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The symbol at the boundary points ``x``, by ``func``."""
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=complex)
 
-    def _rule(self, n: int, seeds: tuple[float, ...]):
-        """Nodes, weights and values on :func:`_line_rule` with n panels per octave and
-        the extra edges ``seeds``, taken once and kept in ``_levels``."""
-        if (n, seeds) not in self._levels:
-            self._levels[n, seeds] = self._take_rule(n, seeds)
-        return self._levels[n, seeds]
+    def rule(self, n: int, seeds: tuple[float, ...] = ()):
+        """Nodes, weights and the symbol's values on :func:`_line_rule` with n panels per
+        octave and the extra edges ``seeds`` (on the circle at theta(x), of weight
+        2 w / (1 + x^2)).  A level without seeds, which every integral of the symbol reads
+        first, is taken once and kept; one with seeds is taken anew."""
+        if not seeds and n in self._levels:
+            return self._levels[n]
+        disc = self.domain == "disc"
+        if isinstance(self.func, _LineOnCircle):  # the line's values, negated
+            x, w, v = self.func.line.rule(n, seeds)
+            v = -v
+        else:
+            x, w = _line_rule(_line_from_angle(self.marks) if disc else self.marks, n, seeds)
+            v = self(_angle_from_line(x) if disc else x)
+        level = (_angle_from_line(x), 2.0 * w / (1.0 + x * x), v) if disc else (x, w, v)
+        return level if seeds else self._levels.setdefault(n, level)
 
-    def _take_rule(self, n: int, seeds: tuple[float, ...]):
-        """:meth:`_rule` by ``func`` (on the circle at theta(x), of weight 2 w / (1 + x^2))."""
-        line = self.domain == "halfplane"
-        x, w = _line_rule(self.marks if line else _line_from_angle(self.marks), n, seeds)
-        if line:
-            return x, w, self(x)
-        theta = _angle_from_line(x)
-        return theta, 2.0 * w / (1.0 + x * x), self(theta)
+
+class _LineOnCircle:
+    """k(e^{i theta}) = -h(-cot(theta/2)) of a line symbol h: the ``func`` of the disc symbol
+    of :func:`hankelpos.hankel.hp_to_disc_symbol`, whose rule is h's, re-indexed."""
+
+    def __init__(self, line: SymbolSamples):
+        self.line = line
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        return -self.line(_line_from_angle(theta))
 
 
 def _require_halfplane(mu: Measure, what: str) -> None:
@@ -159,7 +171,7 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     At p = 0 the integrand vanishes identically (the measure puts no mass at
     lambda = 0), so h(0) = 0 — the symmetric value of the odd symbol.  When
     the density extends down to 0 the one-sided limits differ from it (h has
-    a jump there); samples record that through their ``jumps`` field.
+    a jump there); samples record that through their ``marks`` field.
 
     On a grid mirrored about 0, as :func:`default_symbol_grid` builds it, S is
     taken on the upper half alone and h(-p) = -h(p) gives the rest, in the bits
@@ -211,26 +223,16 @@ _REACH, _MAX_PER_OCTAVE, _BLOCK = 53, 64, 4096
 
 
 def _line_rule(marks, n: int, seeds=()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 12-point Gauss-Legendre, mirrored about 0, on one panel from 0
-    up and octaves between edges at the magnitudes of ``marks`` and 1 (at most one an
-    octave) and of ``seeds``, reaching ``_REACH`` octaves past the outermost (within
-    [2^-1022, 2^511], where x^2 stays finite); for n = 2, 4, ... every panel of n/2 but the
-    first is cut at its geometric mean, so that each is refined.  h(e^t) is analytic in
-    |Im t| < pi/2, so Gauss on octaves converges geometrically (Trefethen, *Approximation
-    Theory and Approximation Practice*, ch. 8 and 19); a kernel pole near the line is not,
-    and its seeds grade the panels toward it."""
-    def magnitudes(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        return _sorted_unique(x[(x >= 2.0**-1022) & (x <= 2.0**511)]).tolist()
-
-    # a mark within an octave above the last one kept adds panels, not digits (the strip
-    # holds whatever the marks): 2000 atoms made 2000 edges
-    e = magnitudes([*marks, 1.0])
-    kept = [e[0]]
-    for v in e[1:]:
-        if v >= 2.0 * kept[-1] or v == e[-1]:
-            kept.append(v)
-    e = magnitudes([*kept, *seeds])
+    """Nodes and weights of 12-point Gauss-Legendre, mirrored about 0: one panel from 0 up,
+    then octaves between edges at the magnitudes of ``marks``, of ``seeds`` and of 1,
+    reaching ``_REACH`` octaves past the outermost (within [2^-1022, 2^511], where x^2 stays
+    finite); at n = 2, 4, ... every panel of n/2 but the first is cut at its geometric mean,
+    so that each doubling refines a panel under a pole too.  h(e^t) is analytic in
+    |Im t| < pi/2 between the scales of a measure, so Gauss on octaves converges
+    geometrically (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8 and
+    19); a kernel pole near the line is not, and its seeds grade the panels toward it."""
+    e = np.abs(np.array([*marks, *seeds, 1.0], dtype=float))
+    e = _sorted_unique(e[(e >= 2.0**-1022) & (e <= 2.0**511)])
     ends = np.array([max(math.ldexp(e[0], -_REACH), 2.0**-1022), *e,
                      min(math.ldexp(e[-1], _REACH), 2.0**511)])
     p = _sorted_unique(np.append(0.0, _octave_edges(ends[:-1], ends[1:])[0]))

@@ -1,8 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature for smooth-per-panel integrands.
 
-Within the package only :func:`hankelpos.outer.outer_eval` integrates with it; the
-integrals of a boundary symbol are weighted sums over the graded line rule of
-:mod:`hankelpos.pick`, which raises this module's :class:`QuadratureError` too.
+Within the package only :func:`hankelpos.outer.outer_eval` calls it; the integrals of a
+boundary symbol are sums over the graded line rule of :mod:`hankelpos.pick`.
 
 The integration scheme is globally adaptive: every panel carries the
 15-point Kronrod value and, as its error estimate, the difference against

@@ -127,7 +127,7 @@ def _suite_symbol_bound(mu: Measure, samples) -> SuiteResult:
     """sup|h| over the print grid and the first two levels of the line rule, where the
     kernel and section suites read h as well: no S point beyond theirs."""
     bound = symbol_bound(mu)
-    values = (samples.values, samples._rule(1, ())[2], samples._rule(2, ())[2])
+    values = (samples.values, samples.rule(1)[2], samples.rule(2)[2])
     sup = max(float(np.max(np.abs(v), initial=0.0)) for v in values)
     slack = sup - bound
     return _result(

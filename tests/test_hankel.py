@@ -200,6 +200,23 @@ def test_a_mode_symbol_section_at_n_32_is_exact() -> None:
         np.testing.assert_allclose(section, expected, rtol=0.0, atol=1e-12)
 
 
+def test_a_step_symbol_with_jumps_within_an_octave_has_its_exact_coefficients() -> None:
+    # k = 1 on the arc of x = -cot(theta/2) in [1.5, 2.5), 0 elsewhere: both jumps lie within an
+    # octave of each other and of the edge at |x| = 1, and each must be an edge of the rule
+    edges = math.pi + 2.0 * np.arctan([1.5, 2.5])
+
+    def func(theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float) % TWO_PI
+        return ((edges[0] <= theta) & (theta < edges[1])).astype(complex)
+
+    symbol = hp.SymbolSamples("disc", THETA, func(THETA), func=func, marks=tuple(edges))
+    section = hp.section_from_symbol_disc(symbol, 8)
+    m = np.arange(1, 16)
+    exact = (np.exp(-1j * m * edges[0]) - np.exp(-1j * m * edges[1])) / (2j * math.pi * m)
+    j = np.arange(8)
+    np.testing.assert_allclose(section, exact[j[:, None] + j[None, :]], rtol=0.0, atol=1e-12)
+
+
 def test_translation_preserves_sharp_symmetry(d1: hp.Measure) -> None:
     disc = hp.hp_to_disc_symbol(hp.delta_samples(d1, 1.0))
     assert np.array_equal(disc.values[::-1], np.conj(disc.values))

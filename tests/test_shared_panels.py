@@ -11,6 +11,7 @@ measure mode.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -123,6 +124,34 @@ def test_boundary_kernels_of_a_symbol_large_far_out_match_measure_mode() -> None
                               pieces=[hp.power_piece(0.150, 1.548, "lambda", (6.596, 1.643e6))])
     via_boundary = hp.boundary_kernels(hp.symbol_h_samples(mu), PAIRS)
     np.testing.assert_allclose(via_boundary, hp.measure_kernels(mu, PAIRS), rtol=1e-10, atol=0.0)
+
+
+def test_boundary_kernels_of_a_step_symbol_meet_their_closed_form() -> None:
+    # h = i on [1.5, 5], 0 elsewhere: its jump at 1.5 lies within an octave of the edge at 1
+    def func(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return 1j * ((1.5 <= x) & (x <= 5.0))
+
+    grid = np.array([-1.0, 1.0])
+    samples = hp.SymbolSamples("halfplane", grid, func(grid), func=func, marks=(1.5, 5.0))
+
+    def exact(z: complex, wbar: complex) -> complex:  # int_1.5^5 i dx / ((x - z)(-x - wbar))
+        if z + wbar == 0.0:  # -1 / (x - z)^2
+            return 1j * (1.0 / (5.0 - z) - 1.0 / (1.5 - z))
+        # partial fractions: no log crosses its cut, as x - z and x + wbar stay below the axis
+        logs = cmath.log((5.0 - z) / (1.5 - z)) - cmath.log((5.0 + wbar) / (1.5 + wbar))
+        return -1j * logs / (z + wbar)
+
+    expected = [exact(z, np.conj(w)) / (4.0 * math.pi**2) for z, w in PAIRS]
+    np.testing.assert_allclose(hp.boundary_kernels(samples, PAIRS), expected, rtol=1e-10, atol=0.0)
+
+
+def test_boundary_kernels_keep_no_level_graded_toward_their_poles() -> None:
+    # the levels with seeds are taken per call: probes near the line leave no state behind
+    samples = hp.symbol_h_samples(MEASURES["atoms"])
+    for pairs in ([(0.5 + 1e-3j, 1j)], [(1j, 0.5 + 1e-3j)], PAIRS):
+        hp.boundary_kernels(samples, pairs)
+    assert sorted(samples._levels) == [1, 2]
 
 
 def test_boundary_kernels_validate_their_inputs() -> None:
