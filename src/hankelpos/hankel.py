@@ -62,15 +62,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import Measure, _marks, _sorted_unique, laplace_transform, moments, stieltjes
+from .measures import Measure, _sorted_unique, laplace_transform, moments, stieltjes
 from .pick import (
     SymbolSamples,
     _LineOnCircle,
     _angle_from_line,
     _check_offset,
     _graded_seeds,
-    _line_rule,
     _rule_integral,
+    delta_samples,
     delta_values,
 )
 from .quadrature import QuadratureError
@@ -246,6 +246,15 @@ def _kernel_sums(zs: np.ndarray, wbars: np.ndarray):
     return sums
 
 
+def _pole_seeds(zs: np.ndarray, wbars: np.ndarray, marks) -> tuple[float, ...]:
+    """The line rule's edges for the kernel poles z and -conj(w): those graded toward a pole
+    near the line, and Re z -+ Im z for a pole past twice every mark and 1 (so not inside a
+    closed rule's panel to oo)."""
+    poles = np.concatenate([zs, -wbars])
+    far = poles[np.abs(poles) > 2.0 * np.abs([1.0, *marks]).max()]
+    return (*_graded_seeds(poles), *(far.real - far.imag).tolist(), *(far.real + far.imag).tolist())
+
+
 def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The z and conj(w) of upper half-plane probe pairs, as arrays."""
     zs = np.array([_require_upper(z, "z") for z, _ in pairs], dtype=complex)
@@ -256,13 +265,13 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
     One weighted sum over the symbol's graded line rule for all pairs (each still
-    meets the tolerances on its own), its edges graded toward every kernel pole z
-    and -conj(w) with Im < 1; the symbol's values there are the ones its rule keeps.
+    meets the tolerances on its own), its edges graded toward the kernel poles z and
+    -conj(w) (:func:`_pole_seeds`); without such edges it reads the levels the rule keeps.
     """
     if samples is None or samples.domain != "halfplane":
         raise ValueError("boundary mode needs a half-plane symbol samples=")
     zs, wbars = _probe_pairs(pairs)
-    seeds = tuple(_graded_seeds(np.concatenate([zs, -wbars])))
+    seeds = _pole_seeds(zs, wbars, samples.marks)
     return _rule_integral(lambda n: samples.rule(n, seeds), _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
 
 
@@ -522,20 +531,17 @@ def verify_rp_transport(
     """
     if mu.domain != "halfplane":
         raise ValueError("the transport identity lives on the half-line/half-plane")
-    _check_offset(c)
+    delta = delta_samples(mu, c, grid=np.empty(0))  # checks c; its rule's ends come from mu
 
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
     lhs = measure_kernels(mu, pair_list)
-    seeds = _graded_seeds(np.concatenate([zs, -wbars]))
+    seeds = _pole_seeds(zs, wbars, delta.marks)
 
-    def rule(n: int):  # u |delta| and 1 on the graded line rule; h's jump at 0 is its edge
-        x, w = _line_rule(_marks(mu), n, seeds)
-        d = np.asarray(delta_values(mu, c, x), dtype=complex)
+    def rule(n: int):  # u |delta| and 1 on the graded line rule of delta (finite, |delta| >= |c|)
+        x, w, d = delta.rule(n, seeds)
         modulus = np.abs(d)
-        with np.errstate(invalid="ignore"):  # a delta that is not finite: nan, which
-            unimodular = d / modulus  # the sum reports as an integrand not finite
-        return x, w, np.stack([unimodular * modulus, np.ones_like(modulus)])
+        return x, w, np.stack([d / modulus * modulus, np.ones_like(modulus)])  # u |delta|, 1
 
     # c times the bare kernel after the sum: its absolute tolerance is the bare kernel's
     both = _rule_integral(rule, _kernel_sums(zs, wbars)) / _FOUR_PI_SQ

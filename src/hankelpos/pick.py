@@ -81,7 +81,8 @@ class SymbolSamples:
     integral of the symbol is a weighted sum over the graded line rule of
     :func:`_line_rule` (on the circle, mapped by theta = pi + 2 arctan x), with an edge at
     each of the ``marks``: the symbol's jumps and scales (x on the line, theta on the
-    circle).  :meth:`rule` takes ``func`` on each level of that rule once and keeps it; a
+    circle), closed at the ends where a :class:`_MeasureSymbol` ``func`` is analytic.
+    :meth:`rule` takes ``func`` on each level of that rule once and keeps it; a
     :class:`_LineOnCircle` ``func`` reads the levels of its line symbol instead.
     """
 
@@ -120,7 +121,8 @@ class SymbolSamples:
             x, w, v = self.func.line.rule(n, seeds)
             v = -v
         else:
-            x, w = _line_rule(_line_from_angle(self.marks) if disc else self.marks, n, seeds)
+            ends = self.func.closed if isinstance(self.func, _MeasureSymbol) else (False, False)
+            x, w = _line_rule(_line_from_angle(self.marks) if disc else self.marks, n, seeds, ends)
             v = self(_angle_from_line(x) if disc else x)
         level = (_angle_from_line(x), 2.0 * w / (1.0 + x * x), v) if disc else (x, w, v)
         return level if seeds else self._levels.setdefault(n, level)
@@ -216,29 +218,36 @@ def _h_jumps(mu: Measure) -> tuple[float, ...]:
 # The graded line rule under every integral of a boundary symbol
 # ---------------------------------------------------------------------------
 
-#: Octaves the line rule reaches past its outermost edges (beyond them a bounded symbol times
-#: a kernel decaying like |x|^-2 leaves < 2^-53), the most panels per octave it doubles to,
-#: and the nodes per block of its sums, which bound the integrand rows held at once.
+#: Octaves the open line rule reaches past its outermost edges (beyond them a bounded symbol
+#: times a kernel decaying like |x|^-2 leaves < 2^-53), the most panels per octave it doubles
+#: to, and the nodes per block of its sums, which bound the integrand rows held at once.
 _REACH, _MAX_PER_OCTAVE, _BLOCK = 53, 64, 4096
 
 
-def _line_rule(marks, n: int, seeds=()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 12-point Gauss-Legendre, mirrored about 0: one panel from 0 up,
-    then octaves between edges at the magnitudes of ``marks``, of ``seeds`` and of 1,
-    reaching ``_REACH`` octaves past the outermost (within [2^-1022, 2^511], where x^2 stays
-    finite); at n = 2, 4, ... every panel of n/2 but the first is cut at its geometric mean,
-    so that each doubling refines a panel under a pole too.  h(e^t) is analytic in
-    |Im t| < pi/2 between the scales of a measure, so Gauss on octaves converges
-    geometrically (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8 and
-    19); a kernel pole near the line is not, and its seeds grade the panels toward it."""
+def _line_rule(marks, n: int, seeds=(), closed=(False, False)) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 12-point Gauss-Legendre, mirrored about 0: octaves between edges
+    at the magnitudes of ``marks``, of ``seeds`` and of 1.  Where ``closed`` (at 0, at oo)
+    says the symbol is analytic, they stop one octave past the outermost edge, under one panel
+    [0, X] or [X, oo), the latter in y = 1/x with weights w_y / y^2 (for a top edge below
+    2^480, so that x^2 stays finite); elsewhere they reach ``_REACH`` octaves past it (within
+    [2^-1022, 2^511]), after one panel from 0.  Each doubling of n splits every panel but an
+    open one from 0: at its geometric mean, or a closed end panel at its midpoint (in y toward
+    oo).  h(e^t) is analytic in |Im t| < pi/2 between the scales of a measure, so Gauss
+    converges geometrically (Trefethen, *Approximation Theory and Approximation Practice*,
+    ch. 8 and 19); a kernel pole near the line is not, and its seeds grade the panels toward it."""
     e = np.abs(np.array([*marks, *seeds, 1.0], dtype=float))
     e = _sorted_unique(e[(e >= 2.0**-1022) & (e <= 2.0**511)])
-    ends = np.array([max(math.ldexp(e[0], -_REACH), 2.0**-1022), *e,
-                     min(math.ldexp(e[-1], _REACH), 2.0**511)])
+    bottom, top = closed[0], closed[1] and e[-1] < 2.0**480
+    ends = np.array([0.5 * e[0] if bottom else max(math.ldexp(e[0], -_REACH), 2.0**-1022), *e,
+                     2.0 * e[-1] if top else min(math.ldexp(e[-1], _REACH), 2.0**511)])
     p = _sorted_unique(np.append(0.0, _octave_edges(ends[:-1], ends[1:])[0]))
     for _ in range(n.bit_length() - 1):
-        p = np.sort(np.append(p, p[1:-1] * np.sqrt(p[2:] / p[1:-1])))
+        mids = ([0.5 * p[1]] if bottom else []) + ([2.0 * p[-1]] if top else [])
+        p = np.sort(np.concatenate([p, p[1:-1] * np.sqrt(p[2:] / p[1:-1]), mids]))
     x, w, _ = _gauss_nodes(p, np.zeros(p.size, dtype=int))
+    if top:  # [p[-1], oo) as y in [0, 1/p[-1]], nodes in ascending x
+        y, wy, _ = _gauss_nodes(np.array([0.0, 1.0 / p[-1]]), np.zeros(2, dtype=int))
+        x, w = np.append(x, 1.0 / y[::-1]), np.append(w, (wy / (y * y))[::-1])
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
@@ -293,19 +302,29 @@ def _check_offset(c: float) -> None:
         raise ValueError(f"the offset c must be a nonzero finite real, got {c}")
 
 
-def _line_samples(mu: Measure, func, grid, n: int) -> SymbolSamples:
-    """Samples of ``func`` (h or c + h), marked at the jumps of h and the scales of ``mu``.
-    Their evaluator, grid and rule included, raises :class:`QuadratureError` at the first
-    p where a value is not finite, before any check or integral reads it."""
-    def checked(x: np.ndarray) -> np.ndarray:
-        values = func(x)
+class _MeasureSymbol:
+    """h or c + h of a half-line measure, as the ``func`` of its samples: it raises
+    :class:`QuadratureError` at the first p where a value is not finite, before any check or
+    integral reads it, and is ``closed``: analytic at 0 when no piece reaches 0, and in 1/x at
+    oo when every piece ends (its poles are the +-i lambda of the support)."""
+
+    def __init__(self, mu: Measure, func):
+        self.func = func
+        self.closed = (not _h_jumps(mu), all(math.isfinite(p.support[1]) for p in mu.pieces))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        values = self.func(x)
         bad = ~np.isfinite(values)
         if bad.any():
             raise QuadratureError(f"h is not finite at p = {float(np.ravel(x)[bad.argmax()])!r}")
         return values
 
+
+def _line_samples(mu: Measure, func, grid, n: int) -> SymbolSamples:
+    """Samples of ``func`` (h or c + h), marked at the jumps of h and the scales of ``mu``."""
+    func = _MeasureSymbol(mu, func)
     grid = default_symbol_grid(mu, n) if grid is None else np.asarray(grid, dtype=float)
-    return SymbolSamples("halfplane", grid, checked(grid), func=checked,
+    return SymbolSamples("halfplane", grid, func(grid), func=func,
                          marks=(*_h_jumps(mu), *_marks(mu)))
 
 

@@ -198,17 +198,21 @@ def cuts(draw, support: tuple[float, float]) -> tuple[float, float]:
 @given(ep=EXPONENTS, em=EXPONENTS, support=cayley_supports(), data=st.data())
 @example(ep=0.0, em=0.5, support=(-1.0, 1.0), data=None)
 @example(ep=-0.95, em=3.0, support=(-1.0, 1.0), data=None)
+@example(ep=0.0, em=0.0, support=(-1.0, 1.0), data=None)
 def test_cut_masses_match_mpmath(ep, em, support, data) -> None:
-    """mu([a, b]) within 1e-14 of the cut's own mass, also next to +-1."""
+    """mu([a, b]) within 1e-14 of the cut's own mass, also next to +-1, or within 4
+    subnormal spacings of it: a subnormal mass has fewer than 53 bits, and at the cut
+    [0, 2.2250738585075e-311] one spacing is 2.2e-13 of it."""
     piece = CayleyPiece(1.0, ep, em, support)
     mu = hp.disc_measure(pieces=[piece])
     lo, hi = support
     pairs = [data.draw(cuts(support)) for _ in range(3)] if data else [
-        (lo, hi), (lo, lo + 1e-12), (hi - 1e-12, hi), (lo + 2.0**-52, 0.0)]
+        (lo, hi), (lo, lo + 1e-12), (hi - 1e-12, hi), (lo + 2.0**-52, 0.0),
+        (0.0, 2.2250738585075e-311)]
     for a, b in pairs:
         ref = float(_reference(piece, 0, a, b))
         got = hp.mass_interval(mu, a, b)
-        assert abs(got - ref) <= 1e-14 * ref, (a, b, got, ref)
+        assert abs(got - ref) <= 1e-14 * ref + 4.0 * 2.0**-1074, (a, b, got, ref)
 
 
 def _laplace_reference(e: float, lo: float, hi: float, t: float) -> float:

@@ -24,8 +24,6 @@ import hankelpos.pick
 import hankelpos.verify
 from hankelpos import TWO_PI
 from hankelpos.hankel import _fourier_coefficients
-from hankelpos.measures import _marks
-from hankelpos.pick import _line_rule
 from hankelpos.verify import _UHP_PROBES, _suite_difference_quotient, kernel_residuals
 
 PAIRS = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
@@ -227,9 +225,9 @@ def test_stacked_jump_aware_fourier_coefficients_match_one_integral_each(mu) -> 
 # ---------------------------------------------------------------------------
 
 
-def _rule_sizes(marks, levels=(1, 2)) -> list:
-    """Node counts of the graded line rule with n panels per octave, n in ``levels``."""
-    return [_line_rule(marks, n)[0].size for n in levels]
+def _rule_sizes(samples: hp.SymbolSamples, levels=(1, 2)) -> list:
+    """Node counts of the samples' line rule with n panels per octave, n in ``levels``."""
+    return [samples.rule(n)[0].size for n in levels]
 
 
 def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
@@ -238,7 +236,7 @@ def test_kernel_residuals_run_one_boundary_integral(monkeypatch) -> None:
     calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
     residuals = kernel_residuals(mu, samples)
     # h on the rule at 1 and 2 panels per octave, once each; a second call takes no h
-    assert [np.size(args[1]) for args in calls] == _rule_sizes(samples.marks)
+    assert [np.size(args[1]) for args in calls] == _rule_sizes(samples)
     kernel_residuals(mu, samples)
     assert len(calls) == 2
     assert len(residuals["probes"]) == 9
@@ -280,11 +278,13 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
 
 def test_transport_makes_one_integral(monkeypatch) -> None:
     mu = MEASURES["lebesgue_01"]
-    calls = _count_calls(monkeypatch, hankelpos.hankel, "delta_values")
+    sizes = _rule_sizes(hp.delta_samples(mu, 1.0, grid=np.empty(0)))
+    calls = _count_calls(monkeypatch, hankelpos.pick, "delta_values")
     report = hp.verify_rp_transport(mu, 1.0)
     assert report.verdict == "pass"
-    # delta on the rule at 1 and 2 panels per octave, all rows of both probe pairs at once
-    assert [np.size(args[2]) for args in calls] == _rule_sizes(_marks(mu))
+    # delta on its empty grid, then on the rule of delta_samples at 1 and 2 panels per
+    # octave, all rows of both probe pairs at once
+    assert [np.size(args[2]) for args in calls] == [0, *sizes]
 
 
 def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:
@@ -292,7 +292,7 @@ def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:
     symbol = hp.hp_to_disc_symbol(line)
     calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
     coeffs = _fourier_coefficients(symbol, 7)
-    assert [np.size(args[1]) for args in calls] == _rule_sizes(line.marks)
+    assert [np.size(args[1]) for args in calls] == _rule_sizes(line)
     assert coeffs.shape == (7,)
     _fourier_coefficients(symbol, 9)  # the rule keeps h: no new evaluation
     assert len(calls) == 2
