@@ -26,9 +26,9 @@ invisible (both kernel poles sit in the upper half-plane).  Measure mode is
 :func:`hankelpos.measures.stieltjes` (``S_2(a) / (4 pi^2)`` when a = b);
 :func:`measure_kernels` and :func:`boundary_kernels` take a list of pairs.
 :func:`verify_rp_transport` checks the polar-transported boundary integral
-``u |delta|`` against the measure mode, in one sum over the line rule with the
-offset's kernel rows, and :func:`polar_decomposition_check` verifies that
-``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
+``u |delta|``, delta = c + h on the levels of h's line rule, against the measure
+mode in one sum with the offset's kernel rows, and :func:`polar_decomposition_check`
+verifies that ``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
 factor g of |delta|^(1/2) is divided out.  No function here calls the adaptive
 integrator of :mod:`hankelpos.quadrature`.
 
@@ -68,10 +68,10 @@ from .pick import (
     _LineOnCircle,
     _angle_from_line,
     _check_offset,
-    _graded_seeds,
+    _pole_edges,
     _rule_integral,
-    delta_samples,
     delta_values,
+    symbol_h_samples,
 )
 from .quadrature import QuadratureError
 from .kernels import TWO_PI
@@ -246,15 +246,6 @@ def _kernel_sums(zs: np.ndarray, wbars: np.ndarray):
     return sums
 
 
-def _pole_seeds(zs: np.ndarray, wbars: np.ndarray, marks) -> tuple[float, ...]:
-    """The line rule's edges for the kernel poles z and -conj(w): those graded toward a pole
-    near the line, and Re z -+ Im z for a pole past twice every mark and 1 (so not inside a
-    closed rule's panel to oo)."""
-    poles = np.concatenate([zs, -wbars])
-    far = poles[np.abs(poles) > 2.0 * np.abs([1.0, *marks]).max()]
-    return (*_graded_seeds(poles), *(far.real - far.imag).tolist(), *(far.real + far.imag).tolist())
-
-
 def _probe_pairs(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The z and conj(w) of upper half-plane probe pairs, as arrays."""
     zs = np.array([_require_upper(z, "z") for z, _ in pairs], dtype=complex)
@@ -265,13 +256,13 @@ def boundary_kernels(samples: SymbolSamples, pairs: Sequence) -> np.ndarray:
     """Boundary-mode K_h(z, w) for every (z, w) in ``pairs``, one array entry each.
 
     One weighted sum over the symbol's graded line rule for all pairs (each still
-    meets the tolerances on its own), its edges graded toward the kernel poles z and
-    -conj(w) (:func:`_pole_seeds`); without such edges it reads the levels the rule keeps.
+    meets the tolerances on its own), with the edges :func:`hankelpos.pick._pole_edges` puts
+    at the poles z and -conj(w); without such edges it reads the levels the rule keeps.
     """
     if samples is None or samples.domain != "halfplane":
         raise ValueError("boundary mode needs a half-plane symbol samples=")
     zs, wbars = _probe_pairs(pairs)
-    seeds = _pole_seeds(zs, wbars, samples.marks)
+    seeds = _pole_edges(np.concatenate([zs, -wbars]), samples.marks)
     return _rule_integral(lambda n: samples.rule(n, seeds), _kernel_sums(zs, wbars)) / _FOUR_PI_SQ
 
 
@@ -523,25 +514,31 @@ def verify_rp_transport(
     """Check K_h(z, w) (measure mode) against the transported boundary integral.
 
     The boundary side is computed literally through the polar data: the
-    integrand is u(x) |delta(x)| with u = delta/|delta|, recombined under the
-    kernel — this exercises the unimodular/modulus factorization rather than
-    cancelling it symbolically.  The real offset c is invisible to the kernel
-    (both poles lie in the upper half-plane); its direct contribution is
-    reported as the ``invisibility`` values and must sit at quadrature level.
+    integrand is u(x) |delta(x)| with u = delta/|delta|, delta = c + h on h's line
+    rule, recombined under the kernel — this exercises the unimodular/modulus
+    factorization rather than cancelling it symbolically.  The real offset c is
+    invisible to the kernel (both poles lie in the upper half-plane); its direct
+    contribution is reported as ``invisibility`` and must sit at quadrature level.
     """
     if mu.domain != "halfplane":
         raise ValueError("the transport identity lives on the half-line/half-plane")
-    delta = delta_samples(mu, c, grid=np.empty(0))  # checks c; its rule's ends come from mu
+    return _transport(mu, c, symbol_h_samples(mu, grid=np.empty(0)), probes, residual_tol)
 
+
+def _transport(mu: Measure, c: float, samples: SymbolSamples, probes: Sequence,
+               residual_tol: float) -> TransportReport:
+    """:func:`verify_rp_transport` on the levels of ``samples``, h of ``mu``, as they keep them."""
+    _check_offset(c)
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
     lhs = measure_kernels(mu, pair_list)
-    seeds = _pole_seeds(zs, wbars, delta.marks)
+    seeds = _pole_edges(np.concatenate([zs, -wbars]), samples.marks)
 
-    def rule(n: int):  # u |delta| and 1 on the graded line rule of delta (finite, |delta| >= |c|)
-        x, w, d = delta.rule(n, seeds)
-        modulus = np.abs(d)
-        return x, w, np.stack([d / modulus * modulus, np.ones_like(modulus)])  # u |delta|, 1
+    def rule(n: int):  # u |delta| and 1 on the graded line rule of h (finite, |delta| >= |c|)
+        x, w, h = samples.rule(n, seeds)
+        delta = c + h
+        modulus = np.abs(delta)
+        return x, w, np.stack([delta / modulus * modulus, np.ones_like(modulus)])  # u |delta|, 1
 
     # c times the bare kernel after the sum: its absolute tolerance is the bare kernel's
     both = _rule_integral(rule, _kernel_sums(zs, wbars)) / _FOUR_PI_SQ

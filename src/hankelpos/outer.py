@@ -30,7 +30,7 @@ respectively 1 - |z| >= 1e-6); boundary moduli are recovered by approach
 ``x + i eps``, with first-order convergence at continuity points.
 :func:`outer_eval` and :func:`g_from_delta` accept an array of points and
 integrate all of them on one shared panel tree, one row per point; on the
-half-plane that tree starts graded toward every point near the boundary.
+half-plane it starts at the line rule's pole edges (:func:`hankelpos.pick._pole_edges`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Measure, _widom_bounded
-from .pick import _check_offset, _graded_seeds, delta_values
+from .pick import _check_offset, _pole_edges, delta_values
 from .quadrature import integrate
 
 __all__ = [
@@ -205,7 +205,7 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
 
         # a jump of h at 0 needs no breakpoint: x = 0 is an edge of the starting panels
         integral = integrate(integrand, -math.inf, math.inf,
-                             breakpoints=_graded_seeds(pts.ravel()))
+                             breakpoints=_pole_edges(pts))
         values = C * np.exp(integral / (math.pi * 1j))
     else:
         if (np.abs(pts) > 1.0 - INTERIOR_MARGIN).any():

@@ -261,16 +261,19 @@ def _line_from_angle(theta: np.ndarray) -> np.ndarray:
     return np.tan((np.asarray(theta, dtype=float) - math.pi) / 2.0)
 
 
-def _graded_seeds(zs: np.ndarray) -> list[float]:
-    """Re z -+ Im z 2^j for j >= 0 while Im z 2^j < 1, for each point z: the half-plane
-    kernel 1/(p - z) peaks within Im z of Re z, so panels graded toward it resolve the peak."""
-    seeds = []
-    for z in zs.tolist():
+def _pole_edges(poles: np.ndarray, marks=()) -> list[float]:
+    """Line-rule edges for kernel poles z: Re z -+ Im z 2^j (j >= 0) while Im z 2^j < max(1,
+    |Re z|), grading from the scale of Re z toward the peak of 1/(x - z), and Re z -+ Im z for
+    a pole past twice every mark and 1 (else inside a closed rule's panel to oo)."""
+    edges, far = [], 2.0 * np.abs([1.0, *marks]).max()
+    for z in np.ravel(poles).tolist():
         d = z.imag
-        while d < 1.0:
-            seeds += [z.real - d, z.real + d]
+        while d < max(1.0, abs(z.real)):
+            edges += [z.real - d, z.real + d]
             d *= 2.0
-    return seeds
+        if abs(z) > far:
+            edges += [z.real - z.imag, z.real + z.imag]
+    return edges
 
 
 def _rule_integral(rule: Callable, sums: Callable) -> np.ndarray:

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hankel import (
+    _transport,
     boundary_kernels,
     contraction_check,
     hp_to_disc_symbol,
@@ -35,7 +36,6 @@ from .hankel import (
     section_from_moments,
     section_from_symbol_disc,
     support_sign_test,
-    verify_rp_transport,
 )
 from .measures import (
     Measure,
@@ -174,7 +174,7 @@ def _suite_section_chain(mu: Measure, samples, n: int = 4) -> SuiteResult:
 
 
 def _suite_transport(mu: Measure, samples) -> SuiteResult:
-    report = verify_rp_transport(mu, 1.0)
+    report = _transport(mu, 1.0, samples, ((1j, 1j), (1j, 2j)), 1e-6)
     return _result(
         "transport",
         report.verdict == "pass",

@@ -605,13 +605,13 @@ def test_a_support_end_that_rounds_onto_minus_1_names_the_piece(write_spec, caps
 def test_a_delta_that_is_not_finite_is_exit_4_in_transport(write_spec, capsys,
                                                            monkeypatch) -> None:
     # the polar integrand once divided nan by nan (a RuntimeWarning) before integrate saw
-    # it; delta_samples now names the first node where delta is not finite
-    delta_values = hankelpos.pick.delta_values
+    # it; the h samples under delta = c + h now name the first node where h is not finite
+    symbol_h_values = hankelpos.pick.symbol_h_values
 
-    def nan_above_1(mu, c, x):
-        return np.where(np.asarray(x) > 1.0, np.nan, delta_values(mu, c, x))
+    def nan_above_1(mu, x):
+        return np.where(np.asarray(x) > 1.0, np.nan, symbol_h_values(mu, x))
 
-    monkeypatch.setattr(hankelpos.pick, "delta_values", nan_above_1)
+    monkeypatch.setattr(hankelpos.pick, "symbol_h_values", nan_above_1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = _run(capsys, "transport", "--spec", str(write_spec(D1_SPEC)))

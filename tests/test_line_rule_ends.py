@@ -6,12 +6,14 @@ its samples then ends one octave past its outermost edges, with a Gauss panel fr
 one panel to oo taken in y.  A measure reaching 0 or oo, and a symbol built by hand, keep
 the open rule: 53 octaves past the outermost edge.  Each doubling of the rule splits every
 panel of the closed ends too, or the gap between two levels would not see their error.
+A kernel pole z adds edges graded from max(1, |Re z|) down to Im z about Re z.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 import hankelpos as hp
 import hankelpos.cli
 import hankelpos.pick
+import hankelpos.verify
 from hankelpos.measures import _gauss_nodes, _octave_edges, stieltjes
-from hankelpos.pick import _line_rule
+from hankelpos.pick import _line_rule, _pole_edges
 from hankelpos.verify import _UHP_PROBES
 
 PAIRS = [(z, w) for z in _UHP_PROBES for w in _UHP_PROBES]
@@ -128,6 +131,67 @@ def test_kernel_poles_far_past_the_scales_grade_the_closed_rule() -> None:
     assert (residuals <= 1e-10 * np.abs(kernels)).all()
 
 
+SQRT_1_1E4 = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (1.0, 1e4))])
+SQRT_0_1E3 = hp.halfplane_measure(pieces=[hp.power_piece(1.0, 0.5, "lambda", (0.0, 1e3))])
+
+#: Kernel poles inside the scales of the measure, far from 0 against their height: once
+#: graded only below Im z = 1, so no panel sat under them and the rule stopped at 64 panels
+#: per octave with gaps of 8.5e-7, 2.7e-6, 5.6e-3, 7.1e-5 and 2.2e-6.
+POLES_INSIDE = [(SQRT_1_1E4, (200.0 + 1j, 200.0 + 1j)), (SQRT_1_1E4, (1000.0 + 2j, 1j)),
+                (SQRT_1_1E4, (5000.0 + 3j, 1j)), (SQRT_1_1E4, (-300.0 + 1j, 2j)),
+                (SQRT_0_1E3, (200.0 + 1j, 200.0 + 1j))]
+
+
+@pytest.mark.parametrize("mu, pair", POLES_INSIDE)
+def test_kernel_poles_inside_the_scales_grade_the_rule_from_their_real_part(mu, pair) -> None:
+    # Re z -+ Im z 2^j up to |Re z| put panels of width ~Im z under the peak of 1/(x - z)
+    kernel = hp.boundary_kernels(hp.symbol_h_samples(mu, grid=np.empty(0)), [pair])
+    measure = hp.measure_kernels(mu, [pair])
+    np.testing.assert_allclose(kernel, measure, rtol=1e-10, atol=0.0)
+    report = hp.verify_rp_transport(mu, 1.0, probes=[pair])
+    assert report.verdict == "pass"
+    assert report.max_residual <= 1e-10 * abs(measure[0])
+
+
+def test_the_pole_edges_of_the_corpus_probes_and_the_polar_approach_points() -> None:
+    # Im z >= max(1, |Re z|) and no pole past twice the marks: no edge, the kept levels
+    assert _pole_edges(np.array([1j, 2j, 1.0 + 1j]), (1.0, 2.0)) == []
+    # x + 1e-4 i, |x| <= 1: x -+ 1e-4 2^j below 1, as when only Im z < 1 was graded
+    edges = _pole_edges(np.array([0.5 + 1e-4j]))
+    assert edges == [v for j in range(14) for v in (0.5 - 1e-4 * 2**j, 0.5 + 1e-4 * 2**j)]
+    # a pole past twice every mark and 1: Re z -+ Im z, however high it sits
+    assert _pole_edges(np.array([1e4j]), (1.0, 2.0)) == [-1e4, 1e4]
+
+
+@st.composite
+def poles_inside_the_support(draw) -> tuple[hp.Measure, tuple[complex, complex]]:
+    """1 to 3 lambda^e pieces, e in (-1, 3), inside [0.1, 1e4], and a pair (z, w) with
+    Im z, Im w in [1, 8] and |Re z|, |Re w| inside the span of the supports."""
+    scale = st.floats(-1.0, 4.0).map(lambda t: 10.0**t)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = sorted(draw(st.lists(scale, min_size=2, max_size=2, unique=True)))
+        e = draw(st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True))
+        pieces.append(hp.power_piece(draw(scale), e, "lambda", (lo, hi)))
+    lo, hi = min(p.support[0] for p in pieces), max(p.support[1] for p in pieces)
+
+    def pole() -> complex:
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        return complex(sign * draw(st.floats(lo, hi)), draw(st.floats(1.0, 8.0)))
+
+    return hp.halfplane_measure(pieces=pieces), (pole(), pole())
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=poles_inside_the_support())
+def test_boundary_kernels_at_poles_inside_the_support_match_measure_mode(case) -> None:
+    mu, pair = case
+    kernel = hp.boundary_kernels(hp.symbol_h_samples(mu, grid=np.empty(0)), [pair])
+    measure = hp.measure_kernels(mu, [pair])
+    assert (np.abs(kernel - measure)
+            <= 1e-10 * np.abs(measure) + _measure_mode_rounding(mu, [pair])).all()
+
+
 # ---------------------------------------------------------------------------
 # A symbol built by hand keeps the open rule
 # ---------------------------------------------------------------------------
@@ -199,6 +263,35 @@ def test_a_check_on_sqrt_1_2_takes_h_at_no_more_than_250_points(tmp_path, capsys
     assert 0 < sum(points) <= 250
 
 
+@pytest.mark.parametrize("spec, count", [("atoms13", 432), ("leb01_atom2", 4080),
+                                         ("sqrt_1_2", 360), ("sqrt_0_2", 4080)])
+def test_verify_all_takes_h_once_on_its_rule(capsys, monkeypatch, spec: str, count: int) -> None:
+    # transport reads delta = c + h off the levels the run's h samples keep from kernel_modes
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json")
+    points, in_transport = [], []
+    symbol_h_values, transport = hankelpos.pick.symbol_h_values, hankelpos.verify._transport
+
+    def counted(mu, p):
+        points.append(np.size(p))
+        return symbol_h_values(mu, p)
+
+    def transport_counted(*args):
+        start = sum(points)
+        report = transport(*args)
+        in_transport.append(sum(points) - start)
+        return report
+
+    monkeypatch.setattr(hankelpos.pick, "symbol_h_values", counted)
+    monkeypatch.setattr(hankelpos.verify, "_transport", transport_counted)
+    for command in ("kernel-check", "transport"):
+        points.clear()
+        assert hankelpos.cli.main([command, "--spec", path]) == 0
+        assert sum(points) == count
+    assert hankelpos.cli.main(["verify-all", "--spec", path]) == 0
+    assert in_transport == [0]
+    capsys.readouterr()
+
+
 @st.composite
 def bounded_measures(draw) -> hp.Measure:
     """1 to 5 atoms and lambda^e pieces, e in (-1, 3), inside [1e-6, 1e6]."""
@@ -214,12 +307,12 @@ def bounded_measures(draw) -> hp.Measure:
     return hp.halfplane_measure(atoms=atoms, pieces=pieces)
 
 
-def _measure_mode_rounding(mu: hp.Measure) -> np.ndarray:
-    """The rounding of measure-mode K_h = (S(a) - S(b)) / (4 pi^2 (b - a)) at ``PAIRS``:
+def _measure_mode_rounding(mu: hp.Measure, pairs=PAIRS) -> np.ndarray:
+    """The rounding of measure-mode K_h = (S(a) - S(b)) / (4 pi^2 (b - a)) at ``pairs``:
     9 ulps of S at a = -iz and b = i conj(w), which the difference keeps where mass far
     from the probes makes S large and K small (S_2 at a = b does not cancel)."""
-    a = np.array([-1j * z for z, _ in PAIRS])
-    b = np.array([1j * np.conj(w) for _, w in PAIRS])
+    a = np.array([-1j * z for z, _ in pairs])
+    b = np.array([1j * np.conj(w) for _, w in pairs])
     s = np.abs(stieltjes(mu, a)) + np.abs(stieltjes(mu, b))
     gap = np.abs(b - a)
     return np.where(gap > 0.0, 2e-15 * s / (4.0 * math.pi**2 * np.where(gap > 0.0, gap, 1.0)), 0.0)

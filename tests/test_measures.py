@@ -719,6 +719,7 @@ def _count(monkeypatch, name: str) -> list:
 
 
 def test_widom_check_scans_a_halfline_piece_once(monkeypatch) -> None:
+    hp.widom_check.cache_clear()  # an earlier test may have checked the same measure
     calls = _count(monkeypatch, "_rho_cdf")
     hp.widom_check(_halfline_power(0.5, 0.0, 2.0))
     assert len(calls) == 1  # the scan, whose probe t = 0 gives rho_total

@@ -278,13 +278,13 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
 
 def test_transport_makes_one_integral(monkeypatch) -> None:
     mu = MEASURES["lebesgue_01"]
-    sizes = _rule_sizes(hp.delta_samples(mu, 1.0, grid=np.empty(0)))
-    calls = _count_calls(monkeypatch, hankelpos.pick, "delta_values")
+    sizes = _rule_sizes(hp.symbol_h_samples(mu, grid=np.empty(0)))
+    calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
     report = hp.verify_rp_transport(mu, 1.0)
     assert report.verdict == "pass"
-    # delta on its empty grid, then on the rule of delta_samples at 1 and 2 panels per
-    # octave, all rows of both probe pairs at once
-    assert [np.size(args[2]) for args in calls] == [0, *sizes]
+    # h on its empty grid, then on the rule of h at 1 and 2 panels per octave, all rows of
+    # both probe pairs at once: delta = c + h takes no evaluation of its own
+    assert [np.size(args[1]) for args in calls] == [0, *sizes]
 
 
 def test_jump_aware_fourier_coefficients_take_one_integral(monkeypatch) -> None:
