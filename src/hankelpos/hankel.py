@@ -527,7 +527,7 @@ def verify_rp_transport(
 
 def _transport(mu: Measure, c: float, samples: SymbolSamples, probes: Sequence,
                residual_tol: float) -> TransportReport:
-    """:func:`verify_rp_transport` on the levels of ``samples``, h of ``mu``, as they keep them."""
+    """:func:`verify_rp_transport` with h of ``mu`` read off the levels ``samples`` keep."""
     _check_offset(c)
     pair_list = tuple((complex(z), complex(w)) for z, w in probes)
     zs, wbars = _probe_pairs(pair_list)
