@@ -915,8 +915,9 @@ def _panels(edges: np.ndarray, owner: np.ndarray):
 def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarray,
                   n: int, split: bool = False) -> np.ndarray:
     """``int_m^big lambda^e (lambda + a)^-k`` (0 < m <= big, Re a >= 0) on panels of ratio
-    <= 2^(1/n), ragged per point.  A point whose value is not a normal double is taken again
-    by :func:`_scaled_power` (``split``)."""
+    <= 2^(1/n), ragged per point.  A point whose value is not a normal double, or whose
+    lambda^e falls below the least normal at a node (least at m for e > 0, at big for e < 0),
+    is taken again by :func:`_scaled_power` (``split``)."""
     half, mid, owner = _panels(*_octave_edges(m, big, n))
     out = np.zeros(a.size, dtype=complex)
     # chunks of whole points, each about _CHUNK panels, and the rows added one by one,
@@ -940,7 +941,7 @@ def _gauss_panels(e: float, a: np.ndarray, k: int, m: np.ndarray, big: np.ndarra
     if split:
         return out
     mag = np.abs(out)
-    odd = ~((mag >= _TINY) & (mag < np.inf))
+    odd = ~((mag >= _TINY) & (mag < np.inf)) | ((m if e > 0.0 else big) ** e < _TINY)
     if half.size and half.min() < 2.0**-960 * np.max(big + np.abs(a)):  # half r >= shortest /
         shortest = np.full(a.size, np.inf)  # (big + |a|) may be subnormal
         np.minimum.at(shortest, owner, half)

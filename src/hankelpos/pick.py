@@ -80,8 +80,8 @@ class SymbolSamples:
     ``func`` evaluates the symbol at arbitrary boundary points (vectorized).  Every
     integral of the symbol is a weighted sum over the graded line rule of
     :func:`_line_rule` (on the circle, mapped by theta = pi + 2 arctan x), with an edge at
-    each of the ``marks``: the symbol's jumps and scales (x on the line, theta on the
-    circle), closed at the ends where a :class:`_MeasureSymbol` ``func`` is analytic.
+    each of the ``marks``: the symbol's jumps and the ends of the span of its scales (x on
+    the line, theta on the circle), closed where a :class:`_MeasureSymbol` ``func`` is analytic.
     :meth:`rule` takes ``func`` on each level of that rule once and keeps it; a
     :class:`_LineOnCircle` ``func`` reads the levels of its line symbol instead.
     """
@@ -173,7 +173,7 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     At p = 0 the integrand vanishes identically (the measure puts no mass at
     lambda = 0), so h(0) = 0 — the symmetric value of the odd symbol.  When
     the density extends down to 0 the one-sided limits differ from it (h has
-    a jump there); samples record that through their ``marks`` field.
+    a jump there); samples record it in their ``marks``, an edge of every integral.
 
     On a grid mirrored about 0, as :func:`default_symbol_grid` builds it, S is
     taken on the upper half alone and h(-p) = -h(p) gives the rest, in the bits
@@ -232,9 +232,10 @@ def _line_rule(marks, n: int, seeds=(), closed=(False, False)) -> tuple[np.ndarr
     2^480, so that x^2 stays finite); elsewhere they reach ``_REACH`` octaves past it (within
     [2^-1022, 2^511]), after one panel from 0.  Each doubling of n splits every panel but an
     open one from 0: at its geometric mean, or a closed end panel at its midpoint (in y toward
-    oo).  h(e^t) is analytic in |Im t| < pi/2 between the scales of a measure, so Gauss
-    converges geometrically (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 8 and 19); a kernel pole near the line is not, and its seeds grade the panels toward it."""
+    oo).  h(e^t) of a measure is analytic in |Im t| < pi/2 off its jumps, so Gauss converges
+    geometrically (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8 and 19)
+    and an atom or a support end needs no edge, only a place inside the reach; a kernel pole
+    near the line is not, and its seeds grade the panels toward it."""
     e = np.abs(np.array([*marks, *seeds, 1.0], dtype=float))
     e = _sorted_unique(e[(e >= 2.0**-1022) & (e <= 2.0**511)])
     bottom, top = closed[0], closed[1] and e[-1] < 2.0**480
@@ -324,11 +325,13 @@ class _MeasureSymbol:
 
 
 def _line_samples(mu: Measure, func, grid, n: int) -> SymbolSamples:
-    """Samples of ``func`` (h or c + h), marked at the jumps of h and the scales of ``mu``."""
+    """Samples of ``func`` (h or c + h), marked at the jumps of h and the ends of the span of
+    the scales of ``mu`` in the rule's range [2^-1022, 2^511]: the span sets its reach."""
     func = _MeasureSymbol(mu, func)
     grid = default_symbol_grid(mu, n) if grid is None else np.asarray(grid, dtype=float)
-    return SymbolSamples("halfplane", grid, func(grid), func=func,
-                         marks=(*_h_jumps(mu), *_marks(mu)))
+    scales = [s for s in _marks(mu) if 2.0**-1022 <= s <= 2.0**511]
+    span = sorted({min(scales), max(scales)}) if scales else []
+    return SymbolSamples("halfplane", grid, func(grid), func=func, marks=(*_h_jumps(mu), *span))
 
 
 def symbol_h_samples(

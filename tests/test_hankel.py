@@ -162,7 +162,8 @@ def test_disc_symbol_round_trips_to_the_line(d1: hp.Measure) -> None:
 
 def test_a_transferred_symbol_is_the_line_symbol_re_indexed() -> None:
     # the disc symbol is h in another coordinate: its grid is the mapped line grid, its
-    # values the negated line values and its marks the mapped line marks, with no second
+    # values the negated line values and its marks the mapped line marks (the ends 0.5 and 2
+    # of the span of the scales; the support end at 1 inside it is no edge), with no second
     # evaluation of h; its section reads h on the line rule, where the line's own
     # boundary kernels took it, and at no new node
     mu = hp.halfplane_measure(atoms=[(0.5, 0.3)],
@@ -177,7 +178,7 @@ def test_a_transferred_symbol_is_the_line_symbol_re_indexed() -> None:
     counted = dataclasses.replace(line, func=func)
     disc = hp.hp_to_disc_symbol(counted)
     assert calls == []
-    assert disc.marks == tuple(sorted(PI + 2.0 * np.arctan([0.5, 1.0, 2.0])))
+    assert disc.marks == tuple(sorted(PI + 2.0 * np.arctan([0.5, 2.0])))
     assert disc.grid.tobytes() == (PI + 2.0 * np.arctan(line.grid)).tobytes()
     assert disc.values.tobytes() == (-line.values).tobytes()
     hp.boundary_kernels(counted, [(1j, 1j), (1j, 2j)])

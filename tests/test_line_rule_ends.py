@@ -6,7 +6,8 @@ its samples then ends one octave past its outermost edges, with a Gauss panel fr
 one panel to oo taken in y.  A measure reaching 0 or oo, and a symbol built by hand, keep
 the open rule: 53 octaves past the outermost edge.  Each doubling of the rule splits every
 panel of the closed ends too, or the gap between two levels would not see their error.
-A kernel pole z adds edges graded from max(1, |Re z|) down to Im z about Re z.
+A kernel pole z adds edges graded from max(1, |Re z|) down to Im z about Re z.  An atom or
+a support end inside the span of the measure's scales is no edge.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
 import hankelpos.cli
 import hankelpos.pick
 import hankelpos.verify
-from hankelpos.measures import _gauss_nodes, _octave_edges, stieltjes
+from hankelpos.measures import MeasureSpecError, _gauss_nodes, _octave_edges, stieltjes
 from hankelpos.pick import _line_rule, _pole_edges
 from hankelpos.verify import _UHP_PROBES
 
@@ -331,3 +332,68 @@ def test_boundary_kernels_on_a_closed_rule_match_measure_mode(mu: hp.Measure) ->
     np.testing.assert_allclose(closed, hp.boundary_kernels(by_hand, PAIRS), rtol=1e-10, atol=0.0)
     measure = hp.measure_kernels(mu, PAIRS)
     assert (np.abs(closed - measure) <= 1e-10 * np.abs(measure) + _measure_mode_rounding(mu)).all()
+
+
+# ---------------------------------------------------------------------------
+# Atoms: edges at the ends of their span alone, wherever they sit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [2, 50, 400, 2000])
+def test_the_kernels_of_many_atoms_take_h_at_as_many_points_as_two(monkeypatch,
+                                                                   count: int) -> None:
+    # h(e^t) is analytic off its jumps, so the atoms inside [1e-3, 1e3] add no edge (one
+    # 12-node panel per atom made 3,888, 29,088 and 144,288 points for 50, 400 and 2000)
+    mu = hp.halfplane_measure(atoms=[(x, 1.0) for x in np.logspace(-3.0, 3.0, count)])
+    samples = hp.symbol_h_samples(mu, grid=np.empty(0))
+    points = []
+    symbol_h_values = hankelpos.pick.symbol_h_values
+
+    def counted(mu, p):
+        points.append(np.size(p))
+        return symbol_h_values(mu, p)
+
+    monkeypatch.setattr(hankelpos.pick, "symbol_h_values", counted)
+    assert hankelpos.verify.kernel_residuals(mu, samples)["max_rel_residual"] <= 1e-12
+    assert sum(points) == 1728
+
+
+def test_a_scale_past_the_edge_range_leaves_the_span_to_the_scales_inside_it() -> None:
+    # 1e200 > 2^511 is no edge of the rule, so the span ends at the atom: taken as the top,
+    # it left 1e3 inside the closed panel to oo, where 64 panels per octave did not converge
+    mu = hp.halfplane_measure(atoms=[(1e3, 1.0)],
+                              pieces=[hp.power_piece(1.0, -0.5, "lambda", (1.0, 1e200))])
+    samples = hp.symbol_h_samples(mu, grid=np.empty(0))
+    assert samples.marks == (1.0, 1e3)
+    np.testing.assert_allclose(hp.boundary_kernels(samples, PAIRS), hp.measure_kernels(mu, PAIRS),
+                               rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def atoms_anywhere(draw) -> list[tuple[float, float]]:
+    """1 to 200 atoms of masses 1e-6 to 1e3, log-uniform over [1e-10, 1e15], some of them
+    at times packed within a relative 1e-12 to 1e-3 of one place."""
+    mass = st.floats(-6.0, 3.0).map(lambda t: 10.0**t)
+    place = st.floats(-10.0, 15.0).map(lambda t: 10.0**t)
+    size = draw(st.integers(1, 200))
+    packed = draw(st.integers(0, size)) if draw(st.booleans()) else 0
+    at, width = draw(place), 10.0 ** draw(st.floats(-12.0, -3.0))
+    cluster = st.floats(0.0, 1.0).map(lambda u: at * (1.0 + width * u))
+    return (draw(st.lists(st.tuples(place, mass), min_size=size - packed, max_size=size - packed))
+            + draw(st.lists(st.tuples(cluster, mass), min_size=packed, max_size=packed)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(atoms=atoms_anywhere())
+def test_boundary_kernels_of_atoms_anywhere_match_the_exact_atom_sums(atoms) -> None:
+    # K_h(z, w) = sum m / (4 pi^2 (lambda - iz)(lambda + i conj(w))), term by term: no
+    # difference S(a) - S(b), which cancels where the atoms lie far past the probes
+    try:
+        mu = hp.halfplane_measure(atoms=atoms)
+    except MeasureSpecError:
+        assume(False)
+    got = hp.boundary_kernels(hp.symbol_h_samples(mu, grid=np.empty(0)), PAIRS)
+    lam, m = np.array(atoms).T
+    exact = np.array([np.sum(m / ((lam - 1j * z) * (lam + 1j * np.conj(w)))) for z, w in PAIRS])
+    exact /= 4.0 * math.pi**2
+    assert (np.abs(got - exact) <= 1e-12 * np.abs(exact)).all(), np.abs(got / exact - 1.0).max()

@@ -349,6 +349,11 @@ def wide_cases(draw) -> tuple[float, complex, int, float, float]:
 # a panel of half-width 5e-306 taken again by powers of 2: that half-width, not scaled, fell
 # below the least normal in the product (4.3e-13 off)
 @example(case=(-1.0, 1.0 + 0.0j, 1, 1e-293, 1.0000000000010001e-293))
+# lambda^e subnormal at the Gauss nodes, taken again by powers of 2: the unscaled density lost
+# its digits below the least normal (6.5e-13, 4.0e-2 and 2.0e-2 off)
+@example(case=(2.75, 1e-113 + 0.0j, 2, 0.0, 1e-113))
+@example(case=(2.75, 10.0**-117.25 + 0.0j, 2, 0.0, 10.0**-117.25))
+@example(case=(1.5, 10.0**-214.75 + 0.0j, 2, 0.0, 10.0**-214.75))
 def test_stieltjes_at_any_exponent_range_and_point_matches_mpmath(case) -> None:
     e, a, k, lo, hi = case
     expected = _hypergeometric_reference(e, a, k, lo, hi, parts=False)
