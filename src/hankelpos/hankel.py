@@ -29,8 +29,8 @@ invisible (both kernel poles sit in the upper half-plane).  Measure mode is
 ``u |delta|``, delta = c + h on the levels of h's line rule, against the measure
 mode in one sum with the offset's kernel rows, and :func:`polar_decomposition_check`
 verifies that ``h = delta / conj(g*)^2`` is unimodular on the boundary once the outer
-factor g of |delta|^(1/2) is divided out.  No function here calls the adaptive
-integrator of :mod:`hankelpos.quadrature`.
+factor g of |delta|^(1/2) is divided out; only g, through :mod:`hankelpos.outer`, reaches
+the adaptive integrator of :mod:`hankelpos.quadrature`.
 
 Every section is a read-only strided view of its coefficient vector: row j
 of ``[c[j + k + shift]]`` is ``c[j + shift : j + shift + cols]``, with no index
@@ -106,8 +106,11 @@ _EIG_TOL = 1e-10
 #: Largest |kernel term| of the offset c that :func:`verify_rp_transport` accepts.
 _INVISIBILITY_TOL = 1e-8
 
-#: Probes z of the check g(-conj(z)) = conj(g(z)) in :func:`polar_decomposition_check`.
-_POLAR_PROBES = np.array([1j, 1.0 + 1j])
+#: Heights of the rows x + i |x| 2^-k (k = 4..9) that g is taken on, in units of |x|, and the
+#: weights that read g*(x) off them: the degree-5 polynomial in the height through the six
+#: rows, at height 0 (error O(eps^6), log|delta| being real-analytic on R minus 0).
+_LADDER = 2.0 ** -np.arange(4.0, 10.0)
+_LADDER_WEIGHTS = np.array([math.prod(t / (t - s) for t in _LADDER if t != s) for s in _LADDER])
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +570,10 @@ def _transport(mu: Measure, c: float, samples: SymbolSamples, probes: Sequence,
 
 @dataclass(frozen=True)
 class PolarReport:
-    """Boundary unimodularity and sharp-symmetry of h = delta / conj(g*)^2."""
+    """Boundary unimodularity of h = delta / conj(g*)^2 on ``boundary_grid``, and the
+    sharp symmetry of g and h (relative defects) on that grid mirrored about 0."""
 
     offset: float
-    epsilon: float
     boundary_grid: tuple
     modulus_defects: tuple
     max_modulus_defect: float
@@ -590,31 +593,28 @@ def polar_decomposition_check(
     """Check that h = delta / conj(g*)^2 is unimodular on the boundary.
 
     g is the outer function of |delta|^(1/2) (see
-    :func:`hankelpos.outer.g_from_delta`); its boundary values are approached
-    as g(x + i epsilon), which converges first order in epsilon at continuity
-    points — hence the 1e-4 approach for a 1e-3 modulus tolerance.
-    The sharp symmetries g(-conj(z)) = conj(g(z)) and h(-x) = conj(h(x)) are
-    checked as well (the weight |delta| is even), g at the points of ``_POLAR_PROBES``.
+    :func:`hankelpos.outer.g_from_delta`), taken in one call, on its own adaptive tree, at
+    x + i |x| 2^-k for k = 4..9 over the grid mirrored about 0.  Its boundary values g*(x)
+    are the Richardson combination ``_LADDER_WEIGHTS`` of those six rows, with an error
+    O(eps^6), so the modulus tolerance is 1e-8.  The sharp symmetries
+    g(-x + i eps) = conj(g(x + i eps)) on every row and h(-x) = conj(h(x)) are checked
+    as well (the weight |delta| is even), relative to |g| and |h| = 1.
     """
-    from .outer import g_from_delta  # local import: outer builds on pick, not on us
+    from .outer import INTERIOR_MARGIN, g_from_delta  # local: outer builds on pick, not on us
 
     _check_offset(c)
-    epsilon, modulus_tol, symmetry_tol = 1e-4, 1e-3, 1e-8
+    modulus_tol, symmetry_tol = 1e-8, 1e-8
     grid = tuple(float(x) for x in x_grid)
-    if any(x == 0.0 for x in grid):
-        raise ValueError("the boundary grid must avoid x = 0 (possible jump of h)")
+    if any(abs(x) * _LADDER[-1] < INTERIOR_MARGIN for x in grid):
+        raise ValueError(f"the boundary grid must avoid x = 0 (possible jump of h), by |x| >= "
+                         f"{INTERIOR_MARGIN / _LADDER[-1]:.3g}, so that every row is interior")
 
-    x = np.array(grid)
-    zs = _POLAR_PROBES
-    # g at the approach points, the probes and their reflections: one integral
-    g = g_from_delta(mu, c, np.concatenate([x + 1j * epsilon, zs, -np.conj(zs)]))
-    g_star, g_z, g_reflected = np.split(g, [len(x), len(x) + len(zs)])
-    h_values = delta_values(mu, c, x) / np.conj(g_star) ** 2
-    h_boundary = dict(zip(grid, h_values))
-    defects = np.abs(np.abs(h_values) - 1.0)
-    g_defect = np.max(np.abs(g_reflected - np.conj(g_z)), initial=0.0)
-    h_defect = max((abs(h_boundary[-x] - np.conj(h)) for x, h in h_boundary.items()
-                    if x > 0.0 and -x in h_boundary), default=0.0)
+    x = _sorted_unique(np.append(grid, np.negative(grid)))  # mirrored: x[::-1] == -x
+    g = g_from_delta(mu, c, x[:, None] + 1j * np.abs(x)[:, None] * _LADDER)
+    h_values = delta_values(mu, c, x) / np.conj(g @ _LADDER_WEIGHTS) ** 2
+    defects = np.abs(np.abs(h_values[np.searchsorted(x, grid)]) - 1.0)
+    g_defect = np.max(np.abs(g[::-1] - np.conj(g)) / np.abs(g), initial=0.0)
+    h_defect = np.max(np.abs(h_values[::-1] - np.conj(h_values)), initial=0.0)
     max_defect = np.max(defects, initial=0.0)
     verdict = (
         "pass"
@@ -625,7 +625,6 @@ def polar_decomposition_check(
     )
     return PolarReport(
         offset=float(c),
-        epsilon=epsilon,
         boundary_grid=grid,
         modulus_defects=tuple(float(d) for d in defects),
         max_modulus_defect=float(max_defect),

@@ -53,7 +53,10 @@ where |x| <= 1/2) and lambda - lo on the half-line, cut where exp(-t lambda)
 underflows; of ratio 2^(1/n) where an exponent passes 3n.  At a root it stops at
 2^-k of the length, ``((J+1) 2^-k)^(e+2) <= 2^-60`` for the end exponent e and
 J the top order (or t times the length), and one end node carries the
-power-rule mass of the last sliver.  Every cut is a breakpoint, so a cut's mass
+power-rule mass of the last sliver.  Off a root, the octaves run in the distance
+to the segment's end of larger |x|, from a first panel there of width
+``min(length, u/2, 4 |x| / (J+1)) / n``, over which x^J changes by at most e^4 and
+u by at most 2^(1/n).  Every cut is a breakpoint, so a cut's mass
 is a sum of positive weights.  x^j is ``exp(j log|x|)``, signed at odd j (one
 log per node, log1p(-u) near +-1): within 2u = 2^-52 absolute.
 
@@ -554,9 +557,9 @@ def _disc_rule(p: Piece, points: np.ndarray, top: int):
     """Nodes x, log|x| and positive weights of the graded rule of a disc piece on
     [min(points), max(points)], with each point, 0 and +-1/2 as breakpoints, and for
     each point the index of the first node right of it: the nodes between points[i]
-    and points[j] are ``start[i]:start[j]``.  Panels and end nodes are graded in u as
-    the module docstring says, but where |x| <= 1/2 a segment takes n even panels in
-    x, which keep the digits of a short one that u = 1 - |x| rounds off."""
+    and points[j] are ``start[i]:start[j]``.  Each segment is graded toward its end of
+    larger |x| as the module docstring says, in u = 1 - |x|, or where |x| <= 1/2 in x,
+    which keeps the digits of a short segment that u rounds off."""
     pts = _sorted_unique(np.clip(np.append(points, [-0.5, 0.0, 0.5]), points.min(), points.max()))
     a, b = pts[:-1], pts[1:]
     side = np.where(b <= 0.0, -1.0, 1.0)
@@ -565,13 +568,16 @@ def _disc_rule(p: Piece, points: np.ndarray, top: int):
     e_end = np.where(side < 0.0, e_minus, e_plus)  # at the segment's root; e_far at the other
     e_far = e_minus + e_plus - e_end
     root, near, n = u_lo == 0.0, u_lo >= 0.5, _per_octave(p)
-    m = u_lo.copy()  # and at a root, 2^-k of the segment
+    outer, length = np.where(side < 0.0, a, b), np.where(near, b - a, u_hi - u_lo)
+    m = np.minimum(np.minimum(length, u_lo / 2.0), 4.0 * np.abs(outer) / (top + 1.0)) / n
+    m = np.maximum(m, np.minimum(length, _TINY))  # > 0 where the quotient underflows
     m[root] = np.ldexp(u_hi[root], -_depth(e_end[root], top * u_hi[root]).astype(int))
-    edges, owner = _octave_edges(m[~near], u_hi[~near], n)  # in u
-    steps = np.arange(n + 1) / n
-    in_x = np.where(steps < 1.0, a[near, None] + (b - a)[near, None] * steps, b[near, None])
-    owner = np.append(np.flatnonzero(~near)[owner], np.repeat(np.flatnonzero(near), n + 1))
-    t, w, seg = _gauss_nodes(np.append(edges, in_x), owner)
+    edges, owner = _octave_edges(m, length, n)  # in the distance to the outer end
+    lead = np.flatnonzero(~root)  # off a root the first panel is [0, m]: an edge at 0 first
+    order = np.argsort(np.append(lead, owner), kind="stable")
+    t, w, seg = _gauss_nodes(np.append(np.zeros(lead.size), edges)[order],
+                             np.append(lead, owner)[order])
+    t = np.where(near[seg], outer[seg] - side[seg] * t, u_lo[seg] + t)  # x, or u
     u = np.where(near[seg], 1.0 - np.abs(t), t)
     w *= u ** e_end[seg] * (2.0 - u) ** e_far[seg]
     with np.errstate(divide="ignore"):  # a node that rounds onto x = 0: log -inf, x^j = 0

@@ -26,8 +26,9 @@ Widom test (so ||h||_inf < oo) and c != 0 (h is purely imaginary and c real,
 hence |delta| >= |c|): :func:`g_from_delta` checks exactly these two.
 
 Outer values are only computed at strictly interior points (Im z >= 1e-6,
-respectively 1 - |z| >= 1e-6); boundary moduli are recovered by approach
-``x + i eps``, with first-order convergence at continuity points.
+respectively 1 - |z| >= 1e-6); one approach point ``x + i eps`` recovers a
+boundary modulus to first order in eps at continuity points, and
+:func:`hankelpos.hankel.polar_decomposition_check` extrapolates six of them to eps = 0.
 :func:`outer_eval` and :func:`g_from_delta` accept an array of points and
 integrate all of them on one shared panel tree, one row per point; on the
 half-plane it starts at the line rule's pole edges (:func:`hankelpos.pick._pole_edges`).

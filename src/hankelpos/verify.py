@@ -7,7 +7,10 @@ measure (anything that needs the bounded symbol h or the outer factor) are
 *skipped*, not failed, when the boundedness test says otherwise — a divergent
 symbol is a property of the measure, not a defect of the library.  They share
 one sampling of h per run, on the default grid and on each level of the graded
-line rule that an integral reads; the disc suites share one moment vector.
+line rule that an integral reads; the disc suites share one moment vector.  The
+polar suite alone takes delta = c + h on its own adaptive tree, that of the outer
+factor, not on the shared rule: log |delta| is singular at the complex zeros of
+delta, where the rule has no edges.
 
 The suites are deliberately small (probe grids, sections of size 4–8): they
 are consistency checks, not benchmarks.  The full-tolerance versions live in

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hankelpos as hp
+import hankelpos.hankel
+import hankelpos.outer
 from hankelpos import TWO_PI
+from hankelpos.outer import g_from_delta
+from hankelpos.pick import _rule_integral
 
 PI = math.pi
 #: 256 uniform angles on [0, 2 pi), offset by half a step
@@ -580,9 +585,68 @@ def test_polar_decomposition_of_a_constant(empty_hp: hp.Measure) -> None:
 def test_polar_decomposition_of_a_point_mass(d1: hp.Measure) -> None:
     report = hp.polar_decomposition_check(d1, 1.0)
     assert report.verdict == "pass"
-    assert report.max_modulus_defect <= 1e-3
+    assert report.max_modulus_defect <= 1e-8
     assert report.g_symmetry_defect <= 1e-8
     assert report.h_symmetry_defect <= 1e-8
+
+
+CORPUS_HALF_LINE = ("atoms13", "leb01_atom2", "sqrt_1_2", "sqrt_0_2")
+POLAR_GRIDS = [(-1.0, -0.5, 0.5, 1.0), (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+
+
+def _corpus_measure(name: str) -> hp.Measure:
+    return hp.load_measure(Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{name}.json")
+
+
+def _plemelj_boundary_g(mu: hp.Measure, x: np.ndarray) -> np.ndarray:
+    """g*(x) = |delta|^(1/2) exp(-(i/pi) sum w (f(p) - f(x)) (1/(p - x) - p/(1 + p^2))),
+    f = log |delta|^(1/2), c = 1, summed over the kept levels of h's line rule."""
+    samples = hp.symbol_h_samples(mu, grid=np.empty(0))
+    fx = 0.5 * np.log(np.abs(hp.delta_values(mu, 1.0, x)))
+
+    def rule(n: int):
+        p, w, h = samples.rule(n)
+        return p, w, np.stack([0.5 * np.log(np.abs(1.0 + h)), np.ones_like(p)])
+
+    def sums(p: np.ndarray, wv: np.ndarray) -> np.ndarray:
+        kernel = 1.0 / (p - x[:, None]) - p / (1.0 + p * p)
+        return ((wv[0] - fx[:, None] * wv[1]) * kernel).sum(axis=-1)
+
+    return np.exp(fx - 1j / PI * _rule_integral(rule, sums))
+
+
+@pytest.mark.parametrize("grid", POLAR_GRIDS, ids=["verify_grid", "default_grid"])
+@pytest.mark.parametrize("spec", CORPUS_HALF_LINE)
+def test_polar_boundary_values_match_the_plemelj_sum(spec: str, grid: tuple, monkeypatch) -> None:
+    mu = _corpus_measure(spec)
+    rows = []
+
+    def recorded(*args):
+        rows.append(g_from_delta(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(hankelpos.outer, "g_from_delta", recorded)
+    report = hp.polar_decomposition_check(mu, 1.0, x_grid=grid)
+    assert report.verdict == "pass" and report.max_modulus_defect <= 1e-10
+    (g,) = rows
+    g_star = g @ hankelpos.hankel._LADDER_WEIGHTS
+    reference = _plemelj_boundary_g(mu, np.array(grid))
+    np.testing.assert_allclose(g_star, reference, rtol=1e-12, atol=0.0)
+
+
+def test_a_grid_without_its_mirror_images_still_checks_g_symmetry(d1, monkeypatch) -> None:
+    points = []
+
+    def reflected(mu, c, z):  # g(-x + i eps) off by 1e-6 relative
+        points.append(z)
+        return g_from_delta(mu, c, z) * np.where(z.real < 0.0, 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(hankelpos.outer, "g_from_delta", reflected)
+    report = hp.polar_decomposition_check(d1, 1.0, x_grid=(0.5, 2.0))
+    assert report.boundary_grid == (0.5, 2.0) and len(report.modulus_defects) == 2
+    assert points[0].shape == (4, 6)  # the grid and its mirror images, six rows each
+    assert report.g_symmetry_defect == pytest.approx(1e-6, rel=1e-6)
+    assert report.verdict == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ there, Laplace transforms as incomplete gamma functions.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +185,54 @@ def test_a_cayley_piece_off_both_ends_has_no_warning_at_a_node_on_zero() -> None
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert math.isfinite(_rule_moments(piece, np.arange(MOMENT_CAP + 1), -0.5, 0.5).sum())
+
+
+def _outer_reference(piece, j: int):
+    """``int x^j piece.density dx`` over the support at 40 digits, in the distance d to
+    the end of larger |x|, on panels from d = L 2^-40 to L, with that end's x^j taken
+    out: off +-1 the moment is carried next to that end, on a scale |x|/j."""
+    ep = sum(e for r, _, e in piece.factors if r < 0.0)  # of 1 + x
+    em = sum(e for r, _, e in piece.factors if r > 0.0)  # of 1 - x
+    lo, hi = piece.support
+    with mpmath.workdps(40):
+        outer, inner = (mpmath.mpf(hi), lo) if abs(hi) >= abs(lo) else (mpmath.mpf(lo), hi)
+        sign, length = mpmath.sign(outer), abs(outer - inner)
+        x = lambda d: sign * (abs(outer) - d)  # noqa: E731
+        total = mpmath.quad(lambda d: (1 - d / abs(outer)) ** j * (1 + x(d)) ** ep
+                            * (1 - x(d)) ** em,
+                            [0] + [length * mpmath.mpf(2) ** -k for k in range(40, -1, -1)])
+        return piece.coeff * outer**j * total
+
+
+@pytest.mark.parametrize("piece, js", [
+    (CayleyPiece(1.0, 0.5, -0.5, (0.0, 1.0 / 3.0)), [0, 23, 60, 126, 511]),  # sqrt_1_2's image
+    (CayleyPiece(1.0, 0.5, 0.5, (0.5, 0.9)), [60, 511]),
+    (power_piece(1.0, -0.5, "one_minus_x", (-0.9, 0.0)), [61, 511]),  # the rule's part
+    (CayleyPiece(1.0, 20.0, -20.0, (-0.3, 0.6)), [MOMENT_CAP]),  # 7 panels an octave
+])
+def test_high_orders_of_a_piece_off_both_ends_match_mpmath(piece, js) -> None:
+    # x^j is carried within |x|/j of the support's end of larger |x|: the rule grades there
+    got = _rule_moments(piece, np.array(js), *piece.support)
+    for j, c in zip(js, got):
+        ref = float(_outer_reference(piece, j))
+        assert abs(c - ref) <= 1e-13 * abs(ref), (j, c, ref)
+
+
+def test_a_segment_of_subnormal_length_is_graded_without_a_warning() -> None:
+    # the rule takes x in [0, 5e-324]: 4 |x| / (J + 1) underflows to 0, no start for octaves
+    mu = hp.disc_measure(pieces=[power_piece(1.0, 0.0, "one_plus_x", (-1.0, 5e-324))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = hp.moments(mu, MOMENT_CAP + 1)
+    assert c[0] == 1.0 and np.isfinite(c).all()
+
+
+def test_the_moments_of_the_sqrt_1_2_pushforward_match_the_bench_references() -> None:
+    root = Path(__file__).resolve().parents[1] / "bench"
+    refs = json.loads((root / "refs.json").read_text())["specs"]["sqrt_1_2"]["moments"]
+    c = hp.moments(hp.cayley_pushforward(hp.load_measure(root / "specs" / "sqrt_1_2.json")),
+                   len(refs))
+    np.testing.assert_allclose(c, refs, rtol=1e-13, atol=0.0)
 
 
 @st.composite

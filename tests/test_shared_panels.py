@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +274,20 @@ def test_polar_check_makes_one_outer_evaluation(monkeypatch) -> None:
     report = hp.polar_decomposition_check(mu, 1.0, x_grid=(-1.0, -0.5, 0.5, 1.0))
     assert report.verdict == "pass"
     assert len(evaluations) == 1 and len(integrals) == 1
-    assert np.shape(evaluations[0][1]) == (8,)  # 4 approach points, 2 probes, 2 reflections
+    assert np.shape(evaluations[0][1]) == (4, 6)  # the mirrored grid, six heights each
+
+
+@pytest.mark.parametrize("spec, before", [("atoms13", 2224), ("leb01_atom2", 2104),
+                                          ("sqrt_1_2", 2224), ("sqrt_0_2", 2584)])
+def test_polar_check_takes_fewer_h_points_than_the_approach_at_1e_4(
+    spec: str, before: int, monkeypatch
+) -> None:
+    # ``before``: h points of one check with g read at x + 1e-4 i and at four probes
+    mu = hp.load_measure(Path(__file__).resolve().parents[1] / "bench" / "specs" / f"{spec}.json")
+    calls = _count_calls(monkeypatch, hankelpos.pick, "symbol_h_values")
+    report = hp.polar_decomposition_check(mu, 1.0, x_grid=(-1.0, -0.5, 0.5, 1.0))
+    assert report.verdict == "pass"
+    assert sum(np.size(args[1]) for args in calls) < before
 
 
 def test_transport_makes_one_integral(monkeypatch) -> None:
