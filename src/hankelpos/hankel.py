@@ -388,6 +388,8 @@ def positivity_certificate(
     allowance so that honest round-off in large well-conditioned sections is
     not flagged, while genuinely indefinite matrices are."""
     evals, trace = _spectrum(section)
+    if evals.size == 0:
+        raise ValueError("a positivity certificate needs a nonempty section, got shape (0, 0)")
     min_eig = float(evals[0])
     verdict = "positive" if min_eig >= -tol * (1.0 + abs(trace)) else "indefinite"
     return PositivityCertificate(
@@ -605,6 +607,8 @@ def polar_decomposition_check(
     _check_offset(c)
     modulus_tol, symmetry_tol = 1e-8, 1e-8
     grid = tuple(float(x) for x in x_grid)
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"the boundary grid must be finite, got {grid}")
     if any(abs(x) * _LADDER[-1] < INTERIOR_MARGIN for x in grid):
         raise ValueError(f"the boundary grid must avoid x = 0 (possible jump of h), by |x| >= "
                          f"{INTERIOR_MARGIN / _LADDER[-1]:.3g}, so that every row is interior")

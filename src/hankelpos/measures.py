@@ -603,7 +603,7 @@ def total_mass(mu: Measure) -> float:
 
 def mass_interval(mu: Measure, lo: float, hi: float) -> float:
     """``mu([lo, hi])`` with closed endpoints (atoms at lo/hi included)."""
-    if hi < lo:
+    if not lo <= hi:  # also where an end is nan
         raise ValueError(f"empty interval [{lo}, {hi}]")
     return float(_mass_between(mu, np.array([lo]), np.array([hi]))[0])
 
@@ -970,7 +970,7 @@ def rho_interval(mu: Measure, interval: tuple[float, float]) -> float:
     if mu.domain != "halfplane":
         raise ValueError("rho-integrals are defined for half-line measures")
     a, b = interval
-    if b <= a:
+    if not a < b:  # also where an end is nan
         raise ValueError(f"empty interval {interval}")
     if math.isinf(b):
         return float(_rho_cdf(mu, np.array([a]))[1][0])

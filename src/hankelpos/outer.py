@@ -14,11 +14,11 @@ here is pinned to.
 Weights are restricted to a closed family with auditable logs: positive
 constants, moduli of rational functions with no boundary zeros/poles, and the
 modulus ``|delta| = |c + h|`` of an offset bounded symbol (see
-:mod:`hankelpos.pick`).  A :class:`BoundaryWeight` is a product of real powers
-of such primitives, so ``log k`` is an explicit finite sum and products/powers
-of weights stay in the family (the multiplicativity identity
-``Out(k1 k2) = Out(k1) Out(k2)`` and the unit-group identity
-``Out(k) Out(1/k) = 1`` are exact at the level of integrands).
+:mod:`hankelpos.pick`).  A :class:`BoundaryWeight` is its domain and the function
+x -> log k(x); products add the logs and real powers scale them, so the family is
+closed under both (the multiplicativity identity ``Out(k1 k2) = Out(k1) Out(k2)``
+and the unit-group identity ``Out(k) Out(1/k) = 1`` are exact at the level of
+integrands).
 
 Out(k) is invertible in H^infinity when both k and 1/k are essentially
 bounded.  For ``k = |delta|^(1/2)`` this holds whenever the measure passes the
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,71 +61,17 @@ __all__ = [
 INTERIOR_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class _RationalModulusFactor:
-    """|scale| * prod |x - zero| / prod |x - pole| on the boundary.
-
-    On the disc the boundary parameter is the angle theta and the factor is
-    evaluated at e^{i theta}.  Zeros and poles must stay off the boundary.
-    """
-
-    scale: float
-    zeros: tuple[complex, ...]
-    poles: tuple[complex, ...]
-    domain: str
-
-    def _boundary(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(1j * x) if self.domain == "disc" else x.astype(complex)
-
-    def log_values(self, x: np.ndarray) -> np.ndarray:
-        b = self._boundary(x)
-        out = np.full(np.shape(x), math.log(abs(self.scale)))
-        for z in self.zeros:
-            out = out + np.log(np.abs(b - z))
-        for p in self.poles:
-            out = out - np.log(np.abs(b - p))
-        return out
-
-    def reflected(self) -> "_RationalModulusFactor":
-        # |x - z| at -x is |x - (-z)| for real x; |e^{-i t} - z| = |e^{i t} - conj(z)|
-        flip = np.negative if self.domain == "halfplane" else np.conj
-        return _RationalModulusFactor(self.scale, tuple(flip(z) for z in self.zeros),
-                                      tuple(flip(p) for p in self.poles), self.domain)
-
-
-@dataclass(frozen=True)
-class _DeltaModulusFactor:
-    """|delta| = |c + h| for the bounded symbol h of a half-line measure."""
-
-    mu: Measure
-    c: float
-
-    def log_values(self, x: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(delta_values(self.mu, self.c, x)))
-
-    def reflected(self) -> "_DeltaModulusFactor":
-        return self  # |delta| is even: delta(-x) = conj(delta(x))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryWeight:
-    """A positive boundary weight k = prod factor_i^{power_i}.
+    """A positive boundary weight k, held as the function x -> log k(x) that the outer
+    integral reads: at real x on the line, at the angle theta on the circle.
 
-    ``log k`` is evaluated as the corresponding sum, so the family is closed
-    under products (``*``) and real powers (``**``) and ``int |log k|/(1+p^2)``
-    is finite by construction.
+    ``*`` adds the logs and ``**`` scales them, so products and real powers of weights
+    are weights; ``k ** 0`` is the weight 1.  Weights compare by identity.
     """
 
     domain: str
-    factors: tuple[tuple[_RationalModulusFactor | _DeltaModulusFactor, float], ...]
-
-    def log_values(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(x))
-        for factor, power in self.factors:
-            if power != 0.0:
-                out = out + power * factor.log_values(x)
-        return out
+    log_values: Callable[[np.ndarray], np.ndarray]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.log_values(x))
@@ -132,10 +79,12 @@ class BoundaryWeight:
     def __mul__(self, other: "BoundaryWeight") -> "BoundaryWeight":
         if self.domain != other.domain:
             raise ValueError("cannot multiply weights on different boundaries")
-        return BoundaryWeight(self.domain, self.factors + other.factors)
+        return BoundaryWeight(self.domain, lambda x: self.log_values(x) + other.log_values(x))
 
     def __pow__(self, power: float) -> "BoundaryWeight":
-        return BoundaryWeight(self.domain, tuple((f, p * power) for f, p in self.factors))
+        if power == 0.0:  # the weight 1, also where log k is infinite (0 * inf is nan)
+            return BoundaryWeight(self.domain, lambda x: np.zeros(np.shape(x)))
+        return BoundaryWeight(self.domain, lambda x: power * self.log_values(x))
 
 
 def constant_weight(value: float, *, domain: str = "halfplane") -> BoundaryWeight:
@@ -143,24 +92,36 @@ def constant_weight(value: float, *, domain: str = "halfplane") -> BoundaryWeigh
     zeros or poles."""
     if not value > 0.0:
         raise ValueError(f"constant weights must be positive, got {value}")
-    return BoundaryWeight(domain, ((_RationalModulusFactor(float(value), (), (), domain), 1.0),))
+    return rational_modulus_weight(scale=value, domain=domain)
 
 
 def rational_modulus_weight(
     zeros=(), poles=(), scale: float = 1.0, *, domain: str = "halfplane"
 ) -> BoundaryWeight:
-    """k = |scale| prod |x - zero| / prod |x - pole|, zeros/poles off the boundary."""
-    if scale == 0.0:
-        raise ValueError("scale must be nonzero")
-    zs = tuple(complex(z) for z in zeros)
-    ps = tuple(complex(p) for p in poles)
+    """k = |scale| prod |x - zero| / prod |x - pole|, zeros/poles finite and off the
+    boundary; on the circle k is taken at x = e^{i theta}."""
+    scale = float(scale)
+    if scale == 0.0 or not math.isfinite(scale):
+        raise ValueError(f"scale must be nonzero and finite, got {scale}")
+    zs, ps = tuple(complex(z) for z in zeros), tuple(complex(p) for p in poles)
     for w in zs + ps:
-        on_boundary = (
-            abs(w.imag) < 1e-12 if domain == "halfplane" else abs(abs(w) - 1.0) < 1e-12
-        )
-        if on_boundary:
+        if not np.isfinite(w):
+            raise ValueError(f"zeros and poles must be finite, got {w}")
+        if (abs(w.imag) if domain == "halfplane" else abs(abs(w) - 1.0)) < 1e-12:
             raise ValueError(f"zero/pole {w} sits on the boundary")
-    return BoundaryWeight(domain, ((_RationalModulusFactor(float(scale), zs, ps, domain), 1.0),))
+    log_scale = math.log(abs(scale))
+
+    def log_values(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        b = np.exp(1j * x) if domain == "disc" else x.astype(complex)
+        out = np.full(np.shape(x), log_scale)
+        for z in zs:
+            out = out + np.log(np.abs(b - z))
+        for p in ps:
+            out = out - np.log(np.abs(b - p))
+        return out
+
+    return BoundaryWeight(domain, log_values)
 
 
 def delta_modulus_weight(mu: Measure, c: float) -> BoundaryWeight:
@@ -168,12 +129,13 @@ def delta_modulus_weight(mu: Measure, c: float) -> BoundaryWeight:
     _check_offset(c)  # else 1/|delta| may blow up
     if mu.domain != "halfplane":
         raise ValueError("delta weights are built from half-line measures")
-    return BoundaryWeight("halfplane", ((_DeltaModulusFactor(mu, float(c)), 1.0),))
+    c = float(c)
+    return BoundaryWeight("halfplane", lambda x: np.log(np.abs(delta_values(mu, c, x))))
 
 
 def reflect_weight(k: BoundaryWeight) -> BoundaryWeight:
-    """The reflected weight k^v (x -> -x on the line, theta -> -theta on the circle)."""
-    return BoundaryWeight(k.domain, tuple((f.reflected(), p) for f, p in k.factors))
+    """The reflected weight k^v: x -> -x on the line, theta -> -theta on the circle."""
+    return BoundaryWeight(k.domain, lambda x: k.log_values(np.negative(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +154,10 @@ def outer_eval(k: BoundaryWeight, z, *, C: complex = 1.0):
     """
     zs = np.asarray(z, dtype=complex)
     pts = zs.reshape(-1, 1)  # one integrand row per point
-    if abs(abs(C) - 1.0) > 1e-12:
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts)][0]
+        raise ValueError(f"outer evaluation needs finite points, got z = {bad}")
+    if not abs(abs(C) - 1.0) <= 1e-12:  # also a nan C
         raise ValueError(f"the phase constant must be unimodular, got |C| = {abs(C)}")
     if k.domain == "halfplane":
         if (pts.imag < INTERIOR_MARGIN).any():

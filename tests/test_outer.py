@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hankelpos as hp
 import hankelpos.outer as outer
@@ -175,9 +178,37 @@ def test_sharp_rule_for_disc_weights() -> None:
 
 
 def test_sharp_rule_fixes_even_weights(d1: hp.Measure) -> None:
-    # |delta| is even on the line, so its weight is its own reflection
+    # |delta| is even on the line, so its weight is its own reflection, in the bits
     w = hp.delta_modulus_weight(d1, 1.0)
-    assert hp.reflect_weight(w) == w
+    x = np.array([-3.0, -0.7, 0.2, 1.0, 2.5, 40.0])  # not mirrored about 0
+    assert hp.reflect_weight(w).log_values(x).tobytes() == w.log_values(x).tobytes()
+
+
+@st.composite
+def rational_weight_pairs(draw) -> tuple[hp.BoundaryWeight, hp.BoundaryWeight]:
+    """Two rational weights on one boundary, their zeros and poles at least 1e-3 off the
+    line, or off the unit circle by 5 % of its radius."""
+    domain = draw(st.sampled_from(["halfplane", "disc"]))
+    if domain == "halfplane":
+        height = st.floats(1e-3, 1e3).flatmap(lambda y: st.sampled_from([y, -y]))
+        point = st.builds(complex, st.floats(-1e3, 1e3), height)
+    else:
+        point = st.builds(cmath.rect, st.floats(0.0, 0.95) | st.floats(1.05, 20.0),
+                          st.floats(-PI, PI))
+    scale = st.floats(1e-3, 1e3).flatmap(lambda s: st.sampled_from([s, -s]))
+    points = st.lists(point, max_size=4)
+    return tuple(hp.rational_modulus_weight(draw(points), draw(points), draw(scale),
+                                            domain=domain) for _ in range(2))
+
+
+@given(weights=rational_weight_pairs(), power=st.just(0.0) | st.floats(-4.0, 4.0),
+       x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8).map(np.array))
+def test_reflections_products_and_powers_act_on_the_logs_in_the_bits(weights, power, x) -> None:
+    k1, k2 = weights
+    assert hp.reflect_weight(k1).log_values(x).tobytes() == k1.log_values(-x).tobytes()
+    assert (k1 * k2).log_values(x).tobytes() == (k1.log_values(x) + k2.log_values(x)).tobytes()
+    expected = power * k1.log_values(x) if power != 0.0 else np.zeros(x.shape)
+    assert (k1**power).log_values(x).tobytes() == expected.tobytes()
 
 
 def test_boundary_modulus_recovery_for_the_rational_example() -> None:

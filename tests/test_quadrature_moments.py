@@ -5,8 +5,8 @@ piece on the far side of 0 or off its root with e <= -1, the cut masses of
 two-factor pieces and Laplace transforms.  Its moments form the matrix of x^j
 over the orders and nodes as exp(j log|x|) with the sign of x at odd j.  The
 values are checked against mpmath at 30 digits: moments and masses integrated
-in the distance to the nearer end of [-1, 1], so that (1 +- x)^e stays exact
-there, Laplace transforms as incomplete gamma functions.
+on each side of 0 in the distance to its end of larger |x|, so that x^j and
+(1 +- x)^e stay exact there, Laplace transforms as incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -92,50 +92,76 @@ def test_powers_that_underflow_are_zero_or_within_two_units_absolute() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _end_quad(f, e: float, a, b):
-    """``int_a^b d^e f(d) dd`` for 0 <= a < b and smooth f, on an integrand of the
-    size of f: mpmath's error control is absolute.  From a = 0 in s = (d/b)^(e+1),
-    which takes d^e dd to b^(e+1) ds / (e+1); else in d = a + (b - a) s, a^e taken out."""
-    if a == 0:
-        return b ** (e + 1) / (e + 1) * mpmath.quad(lambda s: f(b * s ** (1 / (e + 1))), [0, 1])
-    return a**e * (b - a) * mpmath.quad(
-        lambda s: (1 + (b - a) / a * s) ** e * f(a + (b - a) * s), [0, 1])
+def _scaled_quad(f, edges):
+    """``int f`` over the panels between ``edges``, each taken onto [0, 1] and f scaled by
+    its largest value at their edges and middles: mpmath's error control is absolute."""
+    probes = [*edges, *((a + b) / 2 for a, b in zip(edges, edges[1:]))]
+    scale = max(abs(f(d)) for d in probes) or 1
+    return scale * mpmath.fsum((b - a) * mpmath.quad(lambda s: f(a + (b - a) * s) / scale, [0, 1])
+                               for a, b in zip(edges, edges[1:]))
 
 
-def _reference(piece, j: int, lo: float, hi: float):
-    """``int_lo^hi x^j piece.density dx`` at 30 digits, on panels graded toward
-    +-1 as x^j needs, in the distance d to the nearer end of [-1, 1] where
-    |x| >= 1/2: d = 1 + x left of 0, d = 1 - x right of it; in x itself where
-    |x| <= 1/2, whose short spans 1 +- x would round off at 30 digits."""
-    k = np.arange(1, max(2, (4 * j).bit_length()))
-    cuts = sorted({lo, hi, 0.0, *(1.0 - 0.5**k), *(0.5**k - 1.0)})
-    cuts = [t for t in cuts if lo <= t <= hi]
+def _reference(piece, j: int, lo: float, hi: float, budget: bool = False):
+    """``int_lo^hi x^j piece.density dx`` at 30 digits; with ``budget``, the integrals of
+    |x|^j and of ``_powers``' error budget (2t + 1)|x|^j (t = j |log|x||) beside it.
+
+    Each side of 0 is taken in the distance d to its end x_o of larger |x|, where x^j
+    carries the moment, with |x_o|^j taken out.  Its panels grow by 8 from
+    m = min(L, |x_o| / (j + 1), u_o if the density has a pole there) / 2 to the side's
+    length L, u_o = 1 - |x_o| the distance to the root past x_o.  At that root (u_o = 0)
+    the first panel [0, m] takes d^e out in s = (d/m)^(e+1).  The budget rides along as
+    the imaginary part of one complex integrand."""
     ep = sum(e for r, _, e in piece.factors if r < 0.0)  # of 1 + x
     em = sum(e for r, _, e in piece.factors if r > 0.0)  # of 1 - x
+    total = [0, 0, 0]  # the moment, of |x|^j and of the budget
     with mpmath.workdps(30):
-        one, total = mpmath.mpf(1), mpmath.mpf(0)
-        for a, b in zip(cuts, cuts[1:]):
-            if -0.5 <= a and b <= 0.5:
-                x = lambda s: a + (b - a) * s  # noqa: E731
-                total += (b - a) * mpmath.quad(
-                    lambda s: x(s) ** j * (1 + x(s)) ** ep * (1 - x(s)) ** em, [0, 1])
-            elif b <= 0.0:
-                total += _end_quad(lambda d: (d - 1) ** j * (2 - d) ** em, ep, one + a, one + b)
+        for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+            if not a < b:
+                continue
+            sign = 1 if b > 0.0 else -1
+            xo, xi = sorted((abs(mpmath.mpf(a)), abs(mpmath.mpf(b))), reverse=True)
+            e, e_far = (em, ep) if sign > 0 else (ep, em)  # at x_o's root and at the other
+            uo, length, e, e_far = 1 - xo, xo - xi, mpmath.mpf(e), mpmath.mpf(e_far)
+            m = min(length, xo / (j + 1), uo if e < 0 < uo else length) / 2
+            k = int(mpmath.ceil(mpmath.log(length / m, 8)))
+            edges = [length / mpmath.mpf(8) ** i for i in range(k, -1, -1)]
+
+            def smooth(d):  # (|x| / x_o)^j and the far factor, times 1 + (2t + 1) i
+                r = 1 - d / xo
+                if j and not r:
+                    return 0
+                value = r**j * (2 - uo - d) ** e_far
+                if not budget:
+                    return value
+                t = -j * mpmath.log(xo * r) if j else 0
+                return mpmath.mpc(value, (2 * t + 1) * value)
+
+            near = lambda d: (uo + d) ** e * smooth(d)  # noqa: E731
+            side = _scaled_quad(near, edges)
+            first = edges[0]
+            if uo:
+                side += _scaled_quad(near, [0, first])
             else:
-                total += _end_quad(lambda d: (1 - d) ** j * (2 - d) ** ep, em, one - b, one - a)
-        return piece.coeff * total
+                side += first ** (e + 1) / (e + 1) * _scaled_quad(
+                    lambda s: smooth(first * s ** (1 / (e + 1))), [0, 1])
+            side *= piece.coeff * xo**j
+            for i, part in enumerate((sign**j * side.real, side.real, side.imag)):
+                total[i] += part
+    return tuple(float(v) for v in total) if budget else float(total[0])
 
 
 def _check_moments(piece, js: list[int]) -> None:
-    """|c_j - ref_j| within 1e-14 of ref_j, or 1e-15 of the piece's mass where c_j ~ 0."""
+    """|c_j - ref_j| within 1e-14 of int |x|^j dmu, which is |ref_j| unless x^j takes both
+    signs on the support, plus the floor of ``_powers``' budget: x^j errs by
+    (2t + 1) u |x|^j (t = j |log|x||), summed over the density, and below the normal
+    range by a subnormal spacing at each of the rule's fewer than 2^16 nodes."""
     mu = hp.disc_measure(pieces=[piece])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = [hp.moment(mu, j) for j in js]
-    mass = float(_reference(piece, 0, *piece.support))
     for j, c in zip(js, got):
-        ref = float(_reference(piece, j, *piece.support))
-        assert abs(c - ref) <= max(1e-14 * abs(ref), 1e-15 * mass), (j, c, ref)
+        ref, absolute, budget = _reference(piece, j, *piece.support, budget=True)
+        assert abs(c - ref) <= 1e-14 * absolute + U * budget + 2.0**-1058, (j, c, ref, budget)
 
 
 #: Orders: one up to the cap and one small.
@@ -156,6 +182,7 @@ def cayley_supports(draw) -> tuple[float, float]:
 @example(ep=3.0, em=3.0, support=(-1.0, 1.0), js=[MOMENT_CAP, 4095])
 @example(ep=-0.95, em=-0.95, support=(-1.0, 1.0), js=[MOMENT_CAP, 1])
 @example(ep=40.0, em=-40.0, support=(-1.0, 0.5), js=[MOMENT_CAP, 3])  # 14 panels an octave
+@example(ep=0.5, em=-0.5, support=(0.0, 1.0 / 3.0), js=[511, 126])  # sqrt_1_2's image, off +-1
 def test_cayley_piece_moments_match_mpmath(ep, em, support, js) -> None:
     _check_moments(CayleyPiece(1.0, ep, em, support), js)
 
@@ -187,23 +214,6 @@ def test_a_cayley_piece_off_both_ends_has_no_warning_at_a_node_on_zero() -> None
         assert math.isfinite(_rule_moments(piece, np.arange(MOMENT_CAP + 1), -0.5, 0.5).sum())
 
 
-def _outer_reference(piece, j: int):
-    """``int x^j piece.density dx`` over the support at 40 digits, in the distance d to
-    the end of larger |x|, on panels from d = L 2^-40 to L, with that end's x^j taken
-    out: off +-1 the moment is carried next to that end, on a scale |x|/j."""
-    ep = sum(e for r, _, e in piece.factors if r < 0.0)  # of 1 + x
-    em = sum(e for r, _, e in piece.factors if r > 0.0)  # of 1 - x
-    lo, hi = piece.support
-    with mpmath.workdps(40):
-        outer, inner = (mpmath.mpf(hi), lo) if abs(hi) >= abs(lo) else (mpmath.mpf(lo), hi)
-        sign, length = mpmath.sign(outer), abs(outer - inner)
-        x = lambda d: sign * (abs(outer) - d)  # noqa: E731
-        total = mpmath.quad(lambda d: (1 - d / abs(outer)) ** j * (1 + x(d)) ** ep
-                            * (1 - x(d)) ** em,
-                            [0] + [length * mpmath.mpf(2) ** -k for k in range(40, -1, -1)])
-        return piece.coeff * outer**j * total
-
-
 @pytest.mark.parametrize("piece, js", [
     (CayleyPiece(1.0, 0.5, -0.5, (0.0, 1.0 / 3.0)), [0, 23, 60, 126, 511]),  # sqrt_1_2's image
     (CayleyPiece(1.0, 0.5, 0.5, (0.5, 0.9)), [60, 511]),
@@ -214,7 +224,7 @@ def test_high_orders_of_a_piece_off_both_ends_match_mpmath(piece, js) -> None:
     # x^j is carried within |x|/j of the support's end of larger |x|: the rule grades there
     got = _rule_moments(piece, np.array(js), *piece.support)
     for j, c in zip(js, got):
-        ref = float(_outer_reference(piece, j))
+        ref = _reference(piece, j, *piece.support)
         assert abs(c - ref) <= 1e-13 * abs(ref), (j, c, ref)
 
 
@@ -261,7 +271,7 @@ def test_cut_masses_match_mpmath(ep, em, support, data) -> None:
         (lo, hi), (lo, lo + 1e-12), (hi - 1e-12, hi), (lo + 2.0**-52, 0.0),
         (0.0, 2.2250738585075e-311)]
     for a, b in pairs:
-        ref = float(_reference(piece, 0, a, b))
+        ref = _reference(piece, 0, a, b)
         got = hp.mass_interval(mu, a, b)
         assert abs(got - ref) <= 1e-14 * ref + 4.0 * 2.0**-1074, (a, b, got, ref)
 

@@ -18,6 +18,7 @@ from hankelpos.measures import CayleyPiece, MeasureSpecError
 ROOT = Path(__file__).resolve().parents[1]
 LEB = hp.halfplane_measure(pieces=[hp.lebesgue_piece(0.0, 1.0)])
 DISC = hp.disc_measure(atoms=[(0.5, 1.0)])
+ATOM = hp.halfplane_measure(atoms=[(1.0, 1.0)])
 LINE = hp.SymbolSamples("halfplane", np.linspace(-1.0, 1.0, 16), np.zeros(16), func=np.zeros_like)
 CIRCLE = hp.SymbolSamples("disc", np.linspace(0.0, 6.0, 16), np.zeros(16), func=np.zeros_like)
 
@@ -60,6 +61,14 @@ RAISES = [
       ValueError, "defined for half-line measures", id="rho-of-a-disc-measure"),
     P(lambda: hp.rho_interval(LEB, (1.0, 1.0)),
       ValueError, "empty interval", id="rho-interval-empty"),
+    P(lambda: hp.mass_interval(ATOM, math.nan, 1.0),
+      ValueError, "empty interval [nan, 1.0]", id="mass-interval-nan-lo"),
+    P(lambda: hp.mass_interval(ATOM, 0.0, math.nan),
+      ValueError, "empty interval [0.0, nan]", id="mass-interval-nan-hi"),
+    P(lambda: hp.rho_interval(ATOM, (math.nan, 2.0)),
+      ValueError, "empty interval (nan, 2.0)", id="rho-interval-nan-lo"),
+    P(lambda: hp.rho_interval(ATOM, (0.0, math.nan)),
+      ValueError, "empty interval (0.0, nan)", id="rho-interval-nan-hi"),
     # hankel: sections, symbols, certificates and the identity checks
     P(lambda: hp.section_from_moments([[1.0]], 1),
       ValueError, "one-dimensional", id="moments-not-1d"),
@@ -77,6 +86,8 @@ RAISES = [
       ValueError, "half-plane (line) symbol", id="transfer-of-a-circle-symbol"),
     P(lambda: hp.positivity_certificate(np.ones((2, 3))),
       ValueError, "square matrix", id="section-not-square"),
+    P(lambda: hp.positivity_certificate(np.zeros((0, 0))),
+      ValueError, "nonempty section", id="certificate-of-an-empty-section"),
     P(lambda: hp.contraction_check(mode="disc_shift", n=0, mu=DISC),
       ValueError, "section size n >= 1", id="disc-shift-size"),
     P(lambda: hp.contraction_check(mode="disc_shift", n=2),
@@ -93,6 +104,12 @@ RAISES = [
       ValueError, "lives on the half-line", id="transport-of-a-disc-measure"),
     P(lambda: hp.polar_decomposition_check(LEB, 1.0, x_grid=(0.0, 1.0)),
       ValueError, "must avoid x = 0", id="polar-grid-at-zero"),
+    P(lambda: hp.polar_decomposition_check(LEB, 1.0, x_grid=(math.nan, 1.0)),
+      ValueError, "must be finite, got (nan, 1.0)", id="polar-grid-nan"),
+    P(lambda: hp.polar_decomposition_check(LEB, 1.0, x_grid=(1.0, math.inf)),
+      ValueError, "must be finite, got (1.0, inf)", id="polar-grid-inf"),
+    P(lambda: hp.polar_decomposition_check(LEB, 1.0, x_grid=(-math.inf,)),
+      ValueError, "must be finite, got (-inf,)", id="polar-grid-minus-inf"),
     P(lambda: hp.support_sign_test(DISC, 0),
       ValueError, "section size must be >= 1", id="support-test-size"),
     # kernels: points and boundary points
@@ -106,6 +123,26 @@ RAISES = [
     # outer: weights
     P(lambda: hp.rational_modulus_weight(scale=0.0),
       ValueError, "scale must be nonzero", id="weight-scale-zero"),
+    P(lambda: hp.rational_modulus_weight(scale=math.nan),
+      ValueError, "finite, got nan", id="weight-scale-nan"),
+    P(lambda: hp.rational_modulus_weight(scale=math.inf),
+      ValueError, "finite, got inf", id="weight-scale-inf"),
+    P(lambda: hp.constant_weight(math.inf),
+      ValueError, "finite, got inf", id="constant-weight-inf"),
+    P(lambda: hp.rational_modulus_weight(zeros=[complex(math.inf, 1.0)]),
+      ValueError, "must be finite, got (inf+1j)", id="weight-zero-inf"),
+    P(lambda: hp.rational_modulus_weight(poles=[math.nan]),
+      ValueError, "must be finite, got (nan+0j)", id="weight-pole-nan"),
+    P(lambda: hp.rational_modulus_weight(zeros=[math.nan], domain="disc"),
+      ValueError, "must be finite, got (nan+0j)", id="disc-weight-zero-nan"),
+    P(lambda: hp.outer_eval(hp.constant_weight(1.0), 1j, C=complex(math.nan)),
+      ValueError, "unimodular, got |C| = nan", id="outer-phase-nan"),
+    P(lambda: hp.outer_eval(hp.constant_weight(1.0), complex(math.nan, 1.0)),
+      ValueError, "finite points, got z = (nan+1j)", id="outer-at-nan"),
+    P(lambda: hp.outer_eval(hp.constant_weight(1.0), np.array([1j, complex(0.0, math.inf)])),
+      ValueError, "finite points, got z = infj", id="outer-at-infinity"),
+    P(lambda: hp.outer_eval(hp.constant_weight(1.0, domain="disc"), complex(math.nan, 0.0)),
+      ValueError, "finite points, got z = (nan+0j)", id="disc-outer-at-nan"),
     P(lambda: hp.delta_modulus_weight(DISC, 1.0),
       ValueError, "built from half-line measures", id="delta-weight-of-a-disc-measure"),
     # pick: samples and the half-line transforms
