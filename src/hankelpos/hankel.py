@@ -229,8 +229,8 @@ def hp_to_disc_symbol(samples: SymbolSamples) -> SymbolSamples:
 
 def _require_upper(z: complex, name: str) -> complex:
     z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError(f"{name} must lie in the upper half-plane, got {z}")
+    if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
+        raise ValueError(f"{name} must be a finite point of the upper half-plane, got {z}")
     return z
 
 
@@ -329,8 +329,9 @@ def symbol_kernel(
     if mode != "rank_one":
         raise ValueError(f"unknown mode {mode!r} (measure, boundary, rank_one)")
     z, wbar = _require_upper(z, "z"), np.conj(_require_upper(w, "w"))
-    if position is None or not position > 0.0:
-        raise ValueError("rank_one mode needs an atom position= > 0")
+    if position is None or not (0.0 < position < math.inf and math.isfinite(mass)):
+        raise ValueError("rank_one mode needs a finite atom position= > 0 and a finite mass=, "
+                         f"got position={position}, mass={mass}")
     lam = float(position)
     return complex(-mass / (_FOUR_PI_SQ * (z + 1j * lam) * (1j * lam - wbar)))
 
@@ -465,12 +466,13 @@ def contraction_check(
         t = np.asarray(t_grid, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("t_grid must be a nonempty one-dimensional array")
-        if not np.all(t > 0.0):
-            raise ValueError("all Gram times must be positive")
+        bad = ~((t > 0.0) & (t < math.inf))
+        if bad.any():
+            raise ValueError(f"all Gram times must be positive and finite, got {t[bad][0]}")
         if _sorted_unique(t).size != t.size:
             raise ValueError("Gram times must be distinct")
-        if not s > 0.0:
-            raise ValueError(f"the semigroup time s must be positive, got {s}")
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"the semigroup time s must be positive and finite, got {s}")
         sums = t[:, None] + t[None, :]
         phi = laplace_transform(mu, np.stack([sums, sums + 2.0 * float(s)]))
         defect = phi[0] - phi[1]

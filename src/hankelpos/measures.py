@@ -21,14 +21,7 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
 * atoms: ``int x^j d(m delta_p) = m p^j``;
 * pieces rooted at 0: power rule
   ``int_a^b x^(e+j) dx = (b^(e+j+1) - a^(e+j+1)) / (e+j+1)``;
-* pieces rooted at r = -s = +-1, in ``y = -s x`` on [a, b] within [0, 1]
-  and ``e > -1``: ``(-s)^j`` times ``M_j = int_a^b y^j (1-y)^e dy``, from the
-  recurrence of integration by parts
-  ``M_j = (j M_{j-1} + a^j (1-a)^(e+1) - b^j (1-b)^(e+1)) / (j+e+1)``, run
-  forward where the piece reaches its root (b = 1: every term >= 0) and, off
-  the root, backward from above the top order (Miller) once the forward sum
-  loses digits (:func:`_beta_moment`); the part at y < 0 and pieces with
-  ``e <= -1`` take the graded rule below;
+* pieces rooted at +-1: no closed form; their moments take the graded rule below;
 * Stieltjes transforms ``S_k(a) = int d mu / (lambda + a)^k`` of ``lambda^e``
   pieces on [lo, hi] at Re a >= 0 (:func:`stieltjes`), with no difference of
   nearly equal terms, each value a function of its own point alone.  The head
@@ -45,9 +38,10 @@ needs e > -1, the model's one integrability rule.  Closed forms used:
   two, so each part of S is +-inf of its sign or finite.
 
 Moment closed forms are evaluated over the whole vector of requested orders.
-The rest — moments and cut masses of the Moebius-power pieces of the Cayley
-pushforward, Laplace transforms ``int exp(-lambda t) d mu`` — is ``f @ w`` on
-one graded rule per piece: the same 12-point panels of ratio <= 2, so the same
+The rest — moments of the pieces rooted at +-1, cut masses of the
+Moebius-power pieces of the Cayley pushforward, Laplace transforms
+``int exp(-lambda t) d mu`` — is ``f @ w`` on one graded rule per piece: the
+same 12-point panels of ratio <= 2, so the same
 ellipse bound, in the distance u = 1 - |x| to +-1 on each side of 0 (x itself
 where |x| <= 1/2) and lambda - lo on the half-line, cut where exp(-t lambda)
 underflows; of ratio 2^(1/n) where an exponent passes 3n.  At a root it stops at
@@ -424,22 +418,11 @@ def _moment_orders(mu: Measure, orders, cap: int) -> np.ndarray:
 
 
 def _piece_moments(p: Piece, js: np.ndarray) -> np.ndarray:
-    lo, hi = p.support
-    if len(p.factors) > 1:
-        return _rule_moments(p, js, lo, hi)
-    (r, s, e), = p.factors
-    if r == 0.0:
-        return p.coeff * _power_primitive_diff(e + js + 1.0, lo, hi)
-    # root r = -s = +-1, in y = -s x: the recurrence serves y >= 0 where e > -1;
-    # the rest (y < 0, or a piece off the endpoint y = 1 with e <= -1) the graded rule
-    y_lo, y_hi = sorted((-s * lo, -s * hi))
-    beta = _beta_moment(js, e, max(y_lo, 0.0), y_hi) if e > -1.0 and y_hi > 0.0 else None
-    cut = 1.0 if beta is None else 0.0
-    below = (-s * y_lo, -s * min(y_hi, cut))  # y < cut, in x
-    total = _rule_moments(p, js, *(below if s < 0.0 else below[::-1]))
-    if beta is not None:
-        total += (-s) ** js * p.coeff * beta
-    return total
+    """The power rule for a piece x^e, the graded rule for every other."""
+    (r, _, e), *rest = p.factors
+    if r == 0.0 and not rest:
+        return p.coeff * _power_primitive_diff(e + js + 1.0, *p.support)
+    return _rule_moments(p, js, *p.support)
 
 
 def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray:
@@ -460,50 +443,8 @@ def _power_primitive_diff(s, lo: float, hi: float, c: float = 1.0) -> np.ndarray
         return np.where(s == 0.0, c * log, rule)
 
 
-def _beta_moment(js: np.ndarray, e: float, a: float, b: float) -> np.ndarray | None:
-    """``int_a^b y^j (1-y)^e dy`` for 0 <= a < b <= 1 and e > -1, over the orders ``js``.
-
-    Integration by parts gives M_j = (j M_{j-1} + t_j) / (j + e + 1), with
-    t_j = a^j (1-a)^(e+1) - b^j (1-b)^(e+1).  Divided by the homogeneous
-    solution P_j = prod_{i<=j} i / (i + e + 1), it is a sum:
-    S_j = M_j / P_j = S_{j-1} + t_j / (j P_{j-1}).  Summed forward from M_0
-    while S stays within 8x of its running maximum — always where b = 1,
-    where every t_j >= 0.  Past that point (b < 1: M_j falls like b^j, P_j
-    only like j^-(e+1)) S is summed backward (Miller), from an order J where
-    the terms left out are 2^-53 below those at the top order.  ``None`` where
-    P leaves the float range (e in the hundreds).
-    """
-    e1, top = e + 1.0, int(js.max(initial=0))
-
-    def terms(i: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
-        # 1 - e1/(i+e1), not i/(i+e1): its rounding does not pile up as e1 -> 0
-        p = p0 * np.cumprod(1.0 - e1 / (i + e1))
-        t = a**i * (1.0 - a) ** e1 - b**i * (1.0 - b) ** e1
-        return p, t / (i * np.append(p0, p[:-1]))
-
-    ratio = (1.0 - b) / (1.0 - a)  # M_0 = (1-a)^e1 (1 - ratio^e1) / e1, with no cancellation
-    with np.errstate(all="ignore"):  # log(0) = -inf where b = 1; P out of range: None
-        log_ratio = np.log1p((a - b) / (1.0 - a)) if ratio > 0.5 else np.log(ratio)
-        m0 = -((1.0 - a) ** e1) * np.expm1(e1 * log_ratio) / e1
-        p, d = terms(np.arange(1.0, top + 1.0), 1.0)
-        s = np.append(m0, m0 + np.cumsum(d))
-        lost = np.logical_or.accumulate(np.abs(s) < np.maximum.accumulate(np.abs(s)) / 8.0)
-        if lost.any():
-            log_b = math.log(b)
-            k = math.ceil(-37.0 / log_b)
-            while k * log_b + (e1 - 1.0) * math.log1p(k / top) > -37.0:
-                k = math.ceil(1.25 * k)
-            _, tail = terms(np.arange(top + 1.0, top + k + 1.0), p[-1])
-            back = np.append(np.cumsum(d[::-1])[::-1], 0.0)  # sum_{j < i <= top} d_i
-            s = np.where(lost, -np.sum(tail[::-1]) - back, s)
-        out = np.append(1.0, p) * s
-    return out[js] if np.isfinite(out).all() else None
-
-
 def _rule_moments(p: Piece, js: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``int_lo^hi x^j p.density dx`` for all j in ``js``: ``x^j @ w`` on the graded rule."""
-    if hi <= lo:
-        return 0.0
     x, log, w, _ = _disc_rule(p, np.array([lo, hi]), int(js.max(initial=0)))
     return _weighted_rows(lambda j: _powers(x, j, log), js, w)
 
@@ -651,13 +592,14 @@ def _piece_mass(p: PowerPiece, lo, hi):
 
 def laplace_transform(mu: Measure, t):
     """``phi(t) = int exp(-lambda t) d mu(lambda)`` of a half-line measure,
-    elementwise over ``t > 0``; each piece takes ``exp(-t lambda) @ w`` on its
+    elementwise over finite ``t > 0``; each piece takes ``exp(-t lambda) @ w`` on its
     graded rule (:func:`_halfline_rule`)."""
     if mu.domain != "halfplane":
         raise ValueError("the Laplace transform is defined for half-line measures")
     t = np.asarray(t, dtype=float)
-    if not (t > 0).all():
-        raise ValueError(f"need t > 0, got {t}")
+    bad = ~((t > 0.0) & (t < math.inf))
+    if bad.any():
+        raise ValueError(f"need a finite t > 0, got t = {t[bad][0]}")
     out = np.zeros(t.shape)
     for a in mu.atoms:
         out += a.mass * np.exp(-a.position * t)
@@ -676,7 +618,9 @@ def _halfline_rule(p: PowerPiece, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     underflows; above lo = 0, not a root, the sliver [lo, lo + m] is a Gauss panel
     of ratio <= 2^(1/n), so that no panel's ellipse reaches lambda = 0."""
     lo, e, n = p.support[0], p.exponent, _per_octave(p)
-    length = min(p.support[1], 746.0 / t.min()) - lo  # exp(-746) is 0 in doubles
+    length = min(p.support[1], 746.0 / float(t.min())) - lo  # exp(-746) is 0 in doubles
+    if math.isinf(length):
+        raise ValueError(f"at t = {t.min()} the cut 746/t of [{lo:g}, inf) leaves the double range")
     if not length > 0.0:
         return np.zeros(0), np.zeros(0)
     m = length * 2.0 ** -_depth(_root_exponent(p, lo), t.max() * length)
@@ -707,9 +651,10 @@ def stieltjes(mu: Measure, a, k: int = 1) -> np.ndarray:
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     a = np.asarray(a, dtype=complex)
-    if (a.real < 0.0).any():
-        raise ValueError(f"S is taken on the closed right half-plane Re a >= 0, got a = "
-                         f"{a[a.real < 0.0][0]}")
+    bad = ~(np.isfinite(a) & (a.real >= 0.0))
+    if bad.any():
+        raise ValueError("S is taken at finite points of the closed right half-plane Re a >= 0, "
+                         f"got a = {a[bad][0]}")
     out = np.zeros(a.shape, dtype=complex)
     for at in mu.atoms:
         out += at.mass * (at.position + a) ** -k

@@ -144,6 +144,13 @@ def _require_halfplane(mu: Measure, what: str) -> None:
         raise ValueError(f"{what} is defined for half-line measures")
 
 
+def _finite_points(x, what: str) -> np.ndarray:
+    """``x`` as a float array; a ValueError names its first entry that is inf or nan."""
+    if not np.isfinite(x := np.asarray(x, dtype=float)).all():
+        raise ValueError(f"{what} is taken at finite real points, got {x[~np.isfinite(x)][0]}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # kappa
 # ---------------------------------------------------------------------------
@@ -181,7 +188,7 @@ def symbol_h_values(mu: Measure, p: np.ndarray) -> np.ndarray:
     bits but for the sign of a zero, so where Im S is 0 it is taken again.
     """
     _require_halfplane(mu, "the boundary symbol")
-    p = np.asarray(p, dtype=float)
+    p = _finite_points(p, "h")
     n = p.size // 2
     if p.ndim == 1 and np.array_equal(p[:n], -p[:-n - 1:-1]):  # mirrored: S on p[n:] alone
         im_s = stieltjes(mu, -1j * p[n:]).imag
@@ -380,7 +387,7 @@ def psi_mu_values(mu: Measure, x: np.ndarray) -> np.ndarray:
     _require_halfplane(mu, "the Poisson superposition")
     if not math.isfinite(total_mass(mu)):
         raise ValueError("psi requires a finite-total-mass measure")
-    return stieltjes(mu, -1j * np.asarray(x, dtype=float)).real / math.pi
+    return stieltjes(mu, -1j * _finite_points(x, "psi")).real / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from hankelpos import MeasureSpecError
 from hankelpos.measures import (
     MOMENT_CAP,
     CayleyPiece,
-    _beta_moment,
     _moment_sup,
     _sorted_unique,
 )
@@ -416,14 +415,14 @@ def test_closed_form_moments_match_their_scalar_formulas() -> None:
         vec = hp.moments(mu, 300)
         for j in range(300):
             assert vec[j] == pytest.approx(scalar(j), rel=1e-15, abs=0.0), (mu, j)
-    # the (1-+x)^e pieces come from a recurrence: held to mpmath at 1e-13
-    recurrence = [
+    # the (1-+x)^e pieces take the graded rule: held to mpmath at 1e-13
+    graded = [
         (hp.disc_measure(pieces=[hp.power_piece(2.0, -0.5, "one_minus_x", (0.1, 1.0))]),
          lambda j: 2.0 * _beta_reference(j, -0.5, 0.1, 1.0)),
         (hp.disc_measure(pieces=[hp.power_piece(0.5, 0.3, "one_plus_x", (-1.0, -0.2))]),
          lambda j: (-1.0) ** j * 0.5 * _beta_reference(j, 0.3, 0.2, 1.0)),
     ]
-    for mu, scalar in recurrence:
+    for mu, scalar in graded:
         vec = hp.moments(mu, 300)
         for j in range(0, 300, 7):
             assert vec[j] == pytest.approx(scalar(j), rel=1e-13, abs=0.0), (mu, j)
@@ -447,15 +446,33 @@ def test_beta_moments_match_mpmath_up_to_the_cap(e: float, support) -> None:
         assert got[j] == pytest.approx(exact, rel=1e-13, abs=0.0), j
 
 
-def test_beta_moments_of_a_huge_exponent_fall_back_to_quadrature() -> None:
-    # P_j = prod i / (i + e + 1) leaves the float range before the cap: the
-    # recurrence gives way to the graded rule, with 334 panels an octave for e = 1000
-    assert _beta_moment(np.arange(MOMENT_CAP + 1), 1000.0, 0.0, 1.0) is None
+def test_beta_moments_of_a_huge_exponent_match_mpmath() -> None:
+    # the graded rule takes 334 panels an octave for e = 1000
     mu = hp.disc_measure(pieces=[hp.power_piece(1.0, 1000.0, "one_minus_x", (0.0, 1.0))])
     got = hp.moments(mu, MOMENT_CAP + 1)
     assert np.isfinite(got).all()
     for j in [*range(8), 100]:
         assert got[j] == pytest.approx(_beta_reference(j, 1000.0, 0.0, 1.0), rel=1e-13), j
+
+
+@settings(deadline=None)
+@given(base=st.sampled_from(["one_minus_x", "one_plus_x"]),
+       root_and_e=st.one_of(st.tuples(st.just(True), st.floats(-1.0, 40.0, exclude_min=True)),
+                            st.tuples(st.just(False), st.floats(-40.0, 40.0))),
+       ends=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       coeff=st.floats(1e-3, 1e3), count=st.integers(1, 513))
+def test_a_one_factor_piece_at_one_end_has_the_moments_of_its_cayley_piece(
+        base: str, root_and_e, ends, coeff: float, count: int) -> None:
+    # one path, one rule: (1-x)^e and (1+x)^e take the graded rule of the two-factor piece
+    # whose other exponent is 0, bit for bit; e > -1 where the support reaches the root
+    (on_root, e), (lo, hi) = root_and_e, sorted(ends)
+    hi = 1.0 if on_root else hi
+    assume(lo < hi and (on_root or hi < 1.0))
+    support = (lo, hi) if base == "one_minus_x" else (-hi, -lo)
+    cayley = CayleyPiece(coeff, 0.0, e, support) if base == "one_minus_x" else CayleyPiece(
+        coeff, e, 0.0, support)
+    got = hp.moments(hp.disc_measure(pieces=[hp.power_piece(coeff, e, base, support)]), count)
+    np.testing.assert_array_equal(got, hp.moments(hp.disc_measure(pieces=[cayley]), count))
 
 
 def test_sorted_unique_is_np_unique() -> None:

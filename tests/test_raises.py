@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LEB = hp.halfplane_measure(pieces=[hp.lebesgue_piece(0.0, 1.0)])
 DISC = hp.disc_measure(atoms=[(0.5, 1.0)])
 ATOM = hp.halfplane_measure(atoms=[(1.0, 1.0)])
+POW = hp.halfplane_measure(pieces=[hp.power_piece(1.0, -0.5, "lambda", (0.0, math.inf))])
 LINE = hp.SymbolSamples("halfplane", np.linspace(-1.0, 1.0, 16), np.zeros(16), func=np.zeros_like)
 CIRCLE = hp.SymbolSamples("disc", np.linspace(0.0, 6.0, 16), np.zeros(16), func=np.zeros_like)
 
@@ -69,6 +70,18 @@ RAISES = [
       ValueError, "empty interval (nan, 2.0)", id="rho-interval-nan-lo"),
     P(lambda: hp.rho_interval(ATOM, (0.0, math.nan)),
       ValueError, "empty interval (0.0, nan)", id="rho-interval-nan-hi"),
+    P(lambda: hp.laplace_transform(LEB, math.inf),
+      ValueError, "need a finite t > 0, got t = inf", id="laplace-at-infinity"),
+    P(lambda: hp.laplace_transform(LEB, [1.0, math.inf]),
+      ValueError, "need a finite t > 0, got t = inf", id="laplace-grid-with-infinity"),
+    P(lambda: hp.laplace_transform(LEB, math.nan),
+      ValueError, "need a finite t > 0, got t = nan", id="laplace-at-nan"),
+    P(lambda: hp.laplace_transform(POW, 5e-324),
+      ValueError, "at t = 5e-324 the cut 746/t of [0, inf) leaves the double range",
+      id="laplace-cut-out-of-range"),
+    P(lambda: hp.stieltjes(ATOM, np.array([math.nan])),
+      ValueError, "finite points of the closed right half-plane Re a >= 0, got a = (nan+0j)",
+      id="stieltjes-at-nan"),
     # hankel: sections, symbols, certificates and the identity checks
     P(lambda: hp.section_from_moments([[1.0]], 1),
       ValueError, "one-dimensional", id="moments-not-1d"),
@@ -100,6 +113,20 @@ RAISES = [
       ValueError, "nonempty one-dimensional", id="hp-gram-times-empty"),
     P(lambda: hp.contraction_check(mode="hp_gram", mu=LEB, t_grid=[1.0, -1.0], s=1.0),
       ValueError, "must be positive", id="hp-gram-times-negative"),
+    P(lambda: hp.contraction_check(mode="hp_gram", mu=POW, t_grid=[1.0, math.inf], s=1.0),
+      ValueError, "positive and finite, got inf", id="hp-gram-times-infinite"),
+    P(lambda: hp.contraction_check(mode="hp_gram", mu=POW, t_grid=[1.0, 2.0], s=math.inf),
+      ValueError, "s must be positive and finite, got inf", id="hp-gram-s-infinite"),
+    P(lambda: hp.symbol_kernel(complex(math.nan, 1.0), 1j, mode="measure", mu=ATOM),
+      ValueError, "z must be a finite point of the upper half-plane, got (nan+1j)",
+      id="measure-kernel-at-nan"),
+    P(lambda: hp.symbol_kernel(complex(0.0, math.inf), 1j, mode="boundary", samples=LINE),
+      ValueError, "z must be a finite point of the upper half-plane, got infj",
+      id="boundary-kernel-at-infinity"),
+    P(lambda: hp.symbol_kernel(1j, 1j, mode="rank_one", position=math.inf),
+      ValueError, "got position=inf, mass=1.0", id="rank-one-position-inf"),
+    P(lambda: hp.symbol_kernel(1j, 1j, mode="rank_one", position=1.0, mass=math.nan),
+      ValueError, "got position=1.0, mass=nan", id="rank-one-mass-nan"),
     P(lambda: hp.verify_rp_transport(DISC, 1.0),
       ValueError, "lives on the half-line", id="transport-of-a-disc-measure"),
     P(lambda: hp.polar_decomposition_check(LEB, 1.0, x_grid=(0.0, 1.0)),
@@ -156,6 +183,16 @@ RAISES = [
       ValueError, "func must evaluate the symbol", id="samples-evaluator-not-callable"),
     P(lambda: hp.kappa(DISC, 1.0),
       ValueError, "kappa is defined for half-line measures", id="kappa-of-a-disc-measure"),
+    P(lambda: hp.kappa(ATOM, math.nan),
+      ValueError, "got a = (nan+0j)", id="kappa-at-nan"),
+    P(lambda: hp.kappa(ATOM, math.inf),
+      ValueError, "got a = (inf+0j)", id="kappa-at-infinity"),
+    P(lambda: hp.symbol_h_values(ATOM, [math.nan]),
+      ValueError, "h is taken at finite real points, got nan", id="h-at-nan"),
+    P(lambda: hp.delta_values(ATOM, 1.0, [-1.0, math.inf]),
+      ValueError, "h is taken at finite real points, got inf", id="delta-at-infinity"),
+    P(lambda: hp.psi_mu_values(ATOM, [math.nan]),
+      ValueError, "psi is taken at finite real points, got nan", id="psi-at-nan"),
 ]
 
 
